@@ -80,7 +80,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"master seed (default: ${SEED_ENV_VAR} or 0)",
     )
     sim.add_argument(
-        "--workers", type=int, default=1, help="worker threads for sampling"
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility (must be >= 1); sampling is serial",
     )
 
     demo = sub.add_parser(
@@ -92,6 +95,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--m", type=int, default=2, help="block size for the demonstrator chain"
     )
     return parser
+
+
+class _Refused(Exception):
+    """Ends a command early; args are (exit code, transcript, human lines)."""
 
 
 def _read_problem(args, stdin: TextIO) -> ProblemSpec:
@@ -117,15 +124,50 @@ def _fmt_state(squares) -> str:
     return "(" + ", ".join(f"{x:.12g}" for x in squares) + ")"
 
 
-def cmd_check(args, stdin: TextIO, stdout: TextIO) -> int:
+def _parse(args, stdin: TextIO):
+    """Read the problem from stdin; returns (spec, source, target, report)."""
     spec = _read_problem(args, stdin)
     source, target = spec.parse()
-    report = majorizes(source, target)
-    transcript = Transcript(
-        command="check",
+    return spec, source, target, majorizes(source, target)
+
+
+def _transcript(args, spec: ProblemSpec, report, **sections) -> Transcript:
+    return Transcript(
+        command=args.command,
         problem=spec.echo(),
         majorization=majorization_section(report),
+        **sections,
     )
+
+
+def _majorized(args, stdin: TextIO, refusal: str):
+    """_parse, refusing a pair that is not majorized with exit 2 and the
+    human line refusal, formatted with the failing tail index k."""
+    spec, source, target, report = _parse(args, stdin)
+    if not report.holds:
+        lines = [refusal.format(k=report.failing_k)]
+        raise _Refused(EXIT_NOT_MAJORIZED, _transcript(args, spec, report), lines)
+    return spec, source, target, report
+
+
+def _planned(args, stdin: TextIO, not_majorized: str, infeasible: str, note=None):
+    """_majorized, then plan_full; returns (spec, report, plan).  A pair the
+    ladder cannot realize is refused with exit 3, its certificate, note and
+    the human text infeasible, formatted with the certificate as cert."""
+    spec, source, target, report = _majorized(args, stdin, not_majorized)
+    try:
+        return spec, report, plan_full(source, target)
+    except LadderInfeasible as exc:
+        cert = exc.certificate
+        transcript = _transcript(
+            args, spec, report, certificate=certificate_section(cert), note=note
+        )
+        lines = [infeasible.format(cert=cert)]
+        raise _Refused(EXIT_LADDER_INFEASIBLE, transcript, lines) from exc
+
+
+def cmd_check(args, stdin: TextIO, stdout: TextIO) -> int:
+    spec, source, target, report = _parse(args, stdin)
     lines = [
         f"source  lambda = {_fmt_state(source.squares)}",
         f"target  lambda = {_fmt_state(target.squares)}",
@@ -133,53 +175,25 @@ def cmd_check(args, stdin: TextIO, stdout: TextIO) -> int:
     ]
     if not report.holds:
         lines.append(f"first failing tail index k = {report.failing_k}")
-    _emit(transcript, args, stdout, lines)
+    _emit(_transcript(args, spec, report), args, stdout, lines)
     return EXIT_OK if report.holds else EXIT_NOT_MAJORIZED
 
 
 def cmd_plan(args, stdin: TextIO, stdout: TextIO) -> int:
-    spec = _read_problem(args, stdin)
-    source, target = spec.parse()
-    report = majorizes(source, target)
-    if not report.holds:
-        transcript = Transcript(
-            command="plan",
-            problem=spec.echo(),
-            majorization=majorization_section(report),
-        )
-        _emit(
-            transcript,
-            args,
-            stdout,
-            [f"majorization fails at k={report.failing_k}; no deterministic plan"],
-        )
-        return EXIT_NOT_MAJORIZED
-    try:
-        plan = plan_full(source, target)
-    except LadderInfeasible as exc:
-        transcript = Transcript(
-            command="plan",
-            problem=spec.echo(),
-            majorization=majorization_section(report),
-            certificate=certificate_section(exc.certificate),
-            note="pair is majorization-feasible but the ladder construction is not",
-        )
-        _emit(
-            transcript,
-            args,
-            stdout,
-            [
-                "majorization holds, but the smallest-first ladder cannot",
-                "realize this pair:",
-                f"  {exc.certificate}",
-            ],
-        )
-        return EXIT_LADDER_INFEASIBLE
+    spec, report, plan = _planned(
+        args,
+        stdin,
+        "majorization fails at k={k}; no deterministic plan",
+        "majorization holds, but the smallest-first ladder cannot\n"
+        "realize this pair:\n"
+        "  {cert}",
+        note="pair is majorization-feasible but the ladder construction is not",
+    )
     verification = verify_plan(plan)
-    transcript = Transcript(
-        command="plan",
-        problem=spec.echo(),
-        majorization=majorization_section(report),
+    transcript = _transcript(
+        args,
+        spec,
+        report,
         chain=chain_section(plan.chain),
         steps=steps_section(plan),
         verification=verification_section(verification),
@@ -213,42 +227,18 @@ def cmd_simulate(args, stdin: TextIO, stdout: TextIO) -> int:
             seed = int(env) if env is not None else 0
         except ValueError as exc:
             raise ValidationError(f"${SEED_ENV_VAR}={env!r} is not an integer") from exc
-    spec = _read_problem(args, stdin)
-    source, target = spec.parse()
-    report = majorizes(source, target)
-    if not report.holds:
-        _emit(
-            Transcript(
-                command="simulate",
-                problem=spec.echo(),
-                majorization=majorization_section(report),
-            ),
-            args,
-            stdout,
-            [f"majorization fails at k={report.failing_k}; nothing to simulate"],
-        )
-        return EXIT_NOT_MAJORIZED
-    try:
-        plan = plan_full(source, target)
-    except LadderInfeasible as exc:
-        _emit(
-            Transcript(
-                command="simulate",
-                problem=spec.echo(),
-                majorization=majorization_section(report),
-                certificate=certificate_section(exc.certificate),
-            ),
-            args,
-            stdout,
-            [f"ladder construction infeasible: {exc.certificate}"],
-        )
-        return EXIT_LADDER_INFEASIBLE
+    spec, report, plan = _planned(
+        args,
+        stdin,
+        "majorization fails at k={k}; nothing to simulate",
+        "ladder construction infeasible: {cert}",
+    )
     verification = verify_plan(plan)
     freq = sample_trajectories(plan, args.shots, seed, workers=args.workers)
-    transcript = Transcript(
-        command="simulate",
-        problem=spec.echo(),
-        majorization=majorization_section(report),
+    transcript = _transcript(
+        args,
+        spec,
+        report,
         chain=chain_section(plan.chain),
         steps=steps_section(plan),
         verification=verification_section(verification),
@@ -271,38 +261,23 @@ def cmd_simulate(args, stdin: TextIO, stdout: TextIO) -> int:
 def cmd_demo_infeasible(args, stdin: TextIO, stdout: TextIO) -> int:
     if args.m < 2:
         raise ValidationError(f"--m must be >= 2, got {args.m}")
-    spec = _read_problem(args, stdin)
-    source, target = spec.parse()
-    report = majorizes(source, target)
-    if not report.holds:
-        _emit(
-            Transcript(
-                command="demo-infeasible",
-                problem=spec.echo(),
-                majorization=majorization_section(report),
-            ),
-            args,
-            stdout,
-            [f"majorization fails at k={report.failing_k}"],
-        )
-        return EXIT_NOT_MAJORIZED
+    spec, source, target, report = _majorized(
+        args, stdin, "majorization fails at k={k}"
+    )
     result = greatest_first_chain(source, target, args.m)
     if isinstance(result, InfeasibilityCertificate):
-        transcript = Transcript(
-            command="demo-infeasible",
-            problem=spec.echo(),
-            majorization=majorization_section(report),
-            certificate=certificate_section(result),
+        transcript = _transcript(
+            args, spec, report, certificate=certificate_section(result)
         )
         lines = [
             "greatest-first construction is infeasible:",
             f"  {result}",
         ]
     else:
-        transcript = Transcript(
-            command="demo-infeasible",
-            problem=spec.echo(),
-            majorization=majorization_section(report),
+        transcript = _transcript(
+            args,
+            spec,
+            report,
             chain=chain_section(result),
             note="greatest-first chain is feasible for this pair",
         )
@@ -337,6 +312,10 @@ def main(
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args, stdin, stdout)
+    except _Refused as exc:
+        code, transcript, lines = exc.args
+        _emit(transcript, args, stdout, lines)
+        return code
     except NotMajorized as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_NOT_MAJORIZED

@@ -29,7 +29,8 @@ from .errors import (
     OmegaNotSorted,
     ZeroBlockNorm,
 )
-from .schmidt import EPS_CMP, EPS_COMPLETE, EPS_ZERO, SchmidtVector, effective_rank, majorizes
+from .schmidt import EPS_CMP, EPS_COMPLETE, EPS_ZERO, SchmidtVector, effective_rank
+from .schmidt import majorizes, states_equal
 from .solvers import (
     DiagonalKraus,
     MeasurementStep,
@@ -39,11 +40,6 @@ from .solvers import (
     solve2,
     solve3,
 )
-
-# Chain-link tail inequalities and layout reconstruction tolerance.
-TOL_CHAIN = 1e-12
-# Embedded branch states must reproduce the next layout this closely.
-TOL_EMBED = 1e-12
 
 
 @dataclass(frozen=True)
@@ -224,7 +220,7 @@ def _verify_chain(chain: IntermediateChain, target: SchmidtVector):
                 raise ChainInvariantViolated(
                     f"step {k + 1} modifies untouched index {i}"
                 )
-        if _window_tail_inequalities(x, y, w) > TOL_CHAIN:
+        if _window_tail_inequalities(x, y, w) > EPS_CMP:
             raise ChainInvariantViolated(
                 f"window tail inequalities fail at step {k + 1}"
             )
@@ -278,9 +274,7 @@ def intermediate_chain(source: SchmidtVector, target: SchmidtVector, m: int) -> 
     report = majorizes(source, target)
     if not report.holds:
         raise NotMajorized(report)
-    if source.amps == target.amps or all(
-        abs(s - t) <= EPS_CMP for s, t in zip(source.squares, target.squares)
-    ):
+    if states_equal(source, target):
         return _trivial_chain(source, target, m)
 
     n = source.n
@@ -323,7 +317,7 @@ def greatest_first_chain(
     report = majorizes(source, target)
     if not report.holds:
         raise NotMajorized(report)
-    if all(abs(s - t) <= EPS_CMP for s, t in zip(source.squares, target.squares)):
+    if states_equal(source, target):
         return _trivial_chain(source, target, m)
 
     n = source.n
@@ -436,7 +430,7 @@ def embed_step(
         target_window = tuple(float(x) for x in target_window)
         scaled = sorted((x / c for x in target_window), reverse=True)
         for got, want in zip(scaled, block_step.target.amps):
-            if abs(got - want) > TOL_EMBED:
+            if abs(got - want) > EPS_CMP:
                 raise IndexRangeInvalid(
                     "target window content disagrees with the block target"
                 )
@@ -467,7 +461,7 @@ def embed_step(
         for j, x in enumerate(raw):
             relabeled[corr[j]] = x / norm
         for got, want in zip(relabeled, target_layout):
-            if abs(got - want) > TOL_EMBED:
+            if abs(got - want) > EPS_CMP:
                 raise ChainInvariantViolated(
                     "embedded branch does not reproduce the next layout"
                 )
@@ -538,7 +532,7 @@ def plan_full(source: SchmidtVector, target: SchmidtVector) -> LadderPlan:
     if not report.holds:
         raise NotMajorized(report)
     n = source.n
-    if all(abs(s - t) <= EPS_CMP for s, t in zip(source.squares, target.squares)):
+    if states_equal(source, target):
         m = 3 if n >= 3 else 2
         chain = _trivial_chain(source, target, m)
         step = replace(_trivial_step(source, target), window=tuple(range(n)))

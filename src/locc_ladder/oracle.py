@@ -3,16 +3,14 @@
 States live here as full n x n amplitude matrices in the product basis, and
 measurement operators are applied as literal matrix products, so a defective
 operator cannot hide behind the diagonal shortcut used by the planner.
-Trajectory sampling draws from per-shot counter-based streams, making the
-results independent of execution order or parallelism.
+Trajectory sampling is serial and draws from per-shot counter-based
+streams, so a report depends only on (plan, shots, seed).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -371,35 +369,6 @@ def run_trajectory(plan: LadderPlan, seed: int, shot_index: int) -> TrajectoryRe
     )
 
 
-def _sample_range(plan, runtime, seed, start, stop, keep_records):
-    path_counts: dict = {}
-    branch_counts = [
-        [0] * len(step.branches) for step in plan.steps
-    ]
-    matches = 0
-    max_dev = 0.0
-    records = []
-    for shot in range(start, stop):
-        path, psi, dev = _walk(runtime, seed, shot)
-        key = tuple(branch for _, branch in path)
-        path_counts[key] = path_counts.get(key, 0) + 1
-        for step_idx, branch_idx in path:
-            branch_counts[step_idx][branch_idx] += 1
-        matches += dev <= TOL_TRAJECTORY
-        max_dev = max(max_dev, dev)
-        if shot < keep_records:
-            records.append(
-                TrajectoryRecord(
-                    seed=seed,
-                    shot_index=shot,
-                    path=path,
-                    final_state=FullState(psi),
-                    matched_target=dev <= TOL_TRAJECTORY,
-                )
-            )
-    return path_counts, branch_counts, matches, max_dev, records
-
-
 def sample_trajectories(
     plan: LadderPlan,
     shots: int,
@@ -410,8 +379,10 @@ def sample_trajectories(
 ) -> FrequencyReport:
     """Monte Carlo sample of plan executions.
 
-    Identical (plan, shots, seed) produce identical reports no matter how
-    many workers run, because every shot owns its own stream.
+    Shots run serially in index order, and identical (plan, shots, seed)
+    produce identical reports because every shot owns its own stream.
+    workers is accepted for compatibility (it must be >= 1) and does not
+    change how or where the shots run.
     """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
@@ -419,36 +390,21 @@ def sample_trajectories(
         raise ValidationError(f"workers must be >= 1, got {workers}")
 
     runtime = _PlanRuntime(plan)
-    if workers == 1:
-        parts = [_sample_range(plan, runtime, seed, 0, shots, keep_records)]
-    else:
-        chunk = max(1, math.ceil(shots / (workers * 4)))
-        ranges = [(s, min(s + chunk, shots)) for s in range(0, shots, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda r: _sample_range(
-                        plan, runtime, seed, r[0], r[1], keep_records
-                    ),
-                    ranges,
-                )
-            )
-
     path_counts: dict = {}
     branch_counts = [[0] * len(step.branches) for step in plan.steps]
     matches = 0
     max_dev = 0.0
     records = []
-    for pc, bc, mt, dev, recs in parts:
-        for key, cnt in pc.items():
-            path_counts[key] = path_counts.get(key, 0) + cnt
-        for k in range(len(branch_counts)):
-            for i in range(len(branch_counts[k])):
-                branch_counts[k][i] += bc[k][i]
-        matches += mt
+    for shot in range(shots):
+        path, _, dev = _walk(runtime, seed, shot)
+        key = tuple(branch for _, branch in path)
+        path_counts[key] = path_counts.get(key, 0) + 1
+        for step_idx, branch_idx in path:
+            branch_counts[step_idx][branch_idx] += 1
+        matches += dev <= TOL_TRAJECTORY
         max_dev = max(max_dev, dev)
-        records.extend(recs)
-    records.sort(key=lambda r: r.shot_index)
+        if shot < keep_records:
+            records.append(run_trajectory(plan, seed, shot))
     return FrequencyReport(
         shots=shots,
         seed=seed,

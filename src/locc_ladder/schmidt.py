@@ -148,6 +148,11 @@ def majorizes(source: SchmidtVector, target: SchmidtVector) -> MajorizationRepor
     )
 
 
+def states_equal(a: SchmidtVector, b: SchmidtVector) -> bool:
+    """Whether two states agree in every squared coefficient within EPS_CMP."""
+    return all(abs(s - t) <= EPS_CMP for s, t in zip(a.squares, b.squares))
+
+
 def effective_rank(v: SchmidtVector) -> int:
     """Number of strictly positive Schmidt coefficients (LOCC-monotone)."""
     return sum(1 for a in v.amps if a > EPS_ZERO)

@@ -16,14 +16,12 @@ from .errors import (
     SourceHasZero,
 )
 from .schmidt import EPS_CMP, EPS_COMPLETE, EPS_ZERO, SchmidtVector, majorizes
+from .schmidt import states_equal
 
 CASE_I = "CASE_I"
 CASE_II = "CASE_II"
 TWO_OUTCOME = "TWO_OUTCOME"
 TRIVIAL = "TRIVIAL"
-
-# Branch post-states must reproduce the step target this closely (amplitudes).
-TOL_BRANCH_STATE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,10 +113,6 @@ def _trivial_step(source: SchmidtVector, target: SchmidtVector) -> MeasurementSt
     )
 
 
-def _states_equal(source: SchmidtVector, target: SchmidtVector) -> bool:
-    return all(abs(s - t) <= EPS_CMP for s, t in zip(source.squares, target.squares))
-
-
 def _clamp_prob(p: float, label: str) -> float:
     if p < -EPS_CMP:
         raise SolverInvariantViolated(f"{label} = {p!r} is negative beyond tolerance")
@@ -155,7 +149,7 @@ def _build_step(source, target, specs, case_tag, probs):
             relabeled[corr[j]] = x / scale
         post = SchmidtVector(tuple(sorted(relabeled, reverse=True)))
         for got, want in zip(post.amps, target.amps):
-            if abs(got - want) > TOL_BRANCH_STATE:
+            if abs(got - want) > EPS_CMP:
                 raise SolverInvariantViolated(
                     f"branch post-state {post.amps} misses target {target.amps}"
                 )
@@ -190,7 +184,7 @@ def solve3(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
         raise NotMajorized(report)
     if not source.is_source_grade():
         raise SourceHasZero(f"source {source.amps} has a vanishing coefficient")
-    if _states_equal(source, target):
+    if states_equal(source, target):
         return _trivial_step(source, target)
 
     a1, b1, c1 = source.amps
@@ -241,7 +235,7 @@ def solve2(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
         raise NotMajorized(report)
     if not source.is_source_grade():
         raise SourceHasZero(f"source {source.amps} has a vanishing coefficient")
-    if _states_equal(source, target):
+    if states_equal(source, target):
         return _trivial_step(source, target)
 
     a1, b1 = source.amps

@@ -225,3 +225,52 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "majorization holds: True" in proc.stdout
+
+
+GAP_CERT = (
+    "[link_not_majorized at step 2] intermediate state 1 is not majorized by "
+    "state 2 (tail k=2, margin -5.000e-02); the smallest-first ladder cannot "
+    "transform this pair"
+)
+GF_GAP_LINES = [
+    "greatest-first chain is feasible for this pair:",
+    "  state 0: lambda = (0.25, 0.25, 0.25, 0.25)",
+    "  state 1: lambda = (0.3, 0.25, 0.25, 0.2)",
+    "  state 2: lambda = (0.3, 0.3, 0.25, 0.15)",
+    "  state 3: lambda = (0.3, 0.3, 0.3, 0.1)",
+]
+
+
+@pytest.mark.parametrize(
+    "command, payload, code, lines, note",
+    [
+        ("plan", FAILING, 2,
+         ["majorization fails at k=2; no deterministic plan"], None),
+        ("simulate", FAILING, 2,
+         ["majorization fails at k=2; nothing to simulate"], None),
+        ("demo-infeasible", FAILING, 2, ["majorization fails at k=2"], None),
+        ("plan", LADDER_GAP, 3,
+         ["majorization holds, but the smallest-first ladder cannot",
+          "realize this pair:", "  " + GAP_CERT],
+         "pair is majorization-feasible but the ladder construction is not"),
+        ("simulate", LADDER_GAP, 3,
+         ["ladder construction infeasible: " + GAP_CERT], None),
+        # demo-infeasible never runs the ladder, so the gap pair is no refusal.
+        ("demo-infeasible", LADDER_GAP, 0, GF_GAP_LINES,
+         "greatest-first chain is feasible for this pair"),
+    ],
+)
+def test_refusal_wording_per_command(command, payload, code, lines, note):
+    got, out, err = run_cli([command, "--squared"], payload)
+    assert (got, out, err) == (code, "".join(line + "\n" for line in lines), "")
+    got, out, err = run_cli([command, "--squared", "--format", "machine"], payload)
+    assert (got, err) == (code, "")
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_schema())
+    assert doc["command"] == command
+    assert doc["note"] == note
+    assert doc["majorization"]["holds"] is (payload is LADDER_GAP)
+    assert (doc["certificate"] is not None) is (code == 3)
+    if code == 3:
+        assert doc["certificate"]["message"] in GAP_CERT
+    assert (doc["steps"], doc["frequencies"], doc["verification"]) == (None,) * 3

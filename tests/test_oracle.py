@@ -202,3 +202,44 @@ class TestTrajectories:
         plan = plan_full(*n4_pair)
         with pytest.raises(ValidationError):
             sample_trajectories(plan, 0, seed=1)
+
+
+N10_PAIR = (
+    [0.19, 0.17, 0.15, 0.13, 0.11, 0.09, 0.07, 0.05, 0.03, 0.01],
+    [0.25, 0.19, 0.15, 0.12, 0.1, 0.07, 0.05, 0.04, 0.02, 0.01],
+)
+
+
+class TestSamplerMatchesPerShotReference:
+    """sample_trajectories aggregates exactly what run_trajectory yields shot
+    by shot, so a faster sampler can be checked against the per-shot walk."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    @pytest.mark.parametrize(
+        "pair", [([0.4, 0.3, 0.2, 0.1], [0.55, 0.25, 0.15, 0.05]), N10_PAIR]
+    )
+    def test_aggregates_equal_per_shot_runs(self, pair, seed):
+        plan = plan_full(*(validate(x, squared=True) for x in pair))
+        shots = 150
+        report = sample_trajectories(plan, shots, seed, keep_records=5)
+        runs = [run_trajectory(plan, seed, i) for i in range(shots)]
+        target = np.diag(np.asarray(plan.chain.layouts[-1], dtype=float))
+
+        path_counts = {}
+        branch_counts = [[0] * len(step.branches) for step in plan.steps]
+        for run in runs:
+            key = tuple(branch for _, branch in run.path)
+            path_counts[key] = path_counts.get(key, 0) + 1
+            for k, branch in run.path:
+                branch_counts[k][branch] += 1
+        devs = [float(np.max(np.abs(r.final_state.matrix - target))) for r in runs]
+
+        assert len(plan.steps) == len(pair[0]) // 2
+        assert report.path_counts == path_counts
+        assert report.branch_frequencies == tuple(
+            tuple(c / shots for c in counts) for counts in branch_counts
+        )
+        assert report.max_final_dev == max(devs)
+        assert report.match_rate == sum(r.matched_target for r in runs) / shots
+        assert [r.path for r in report.records] == [r.path for r in runs[:5]]
+        assert [r.shot_index for r in report.records] == list(range(5))
