@@ -3,8 +3,11 @@
 States live here as full n x n amplitude matrices in the product basis, and
 measurement operators are applied as literal matrix products, so a defective
 operator cannot hide behind the diagonal shortcut used by the planner.
-Trajectory sampling is serial and draws from per-shot counter-based
-streams, so a report depends only on (plan, shots, seed).
+Trajectory sampling draws from per-shot counter-based streams, so a report
+depends only on (plan, shots, seed).  It runs in one thread, in blocks of
+shots: the block's streams are computed together as one Philox array, and
+shots that share a path prefix share that prefix's matrix arithmetic.  The
+result is bit-identical to walking each shot alone (run_trajectory).
 """
 
 from __future__ import annotations
@@ -311,12 +314,61 @@ def _shot_rng(seed: int, shot_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Shots whose draws and walk are held in memory at once; bounds the
+# sampler's footprint at any shot count.
+SHOT_BLOCK = 1 << 13
+
+# Philox4x64-10 constants (Salmon et al., SC'11), as in numpy's Philox.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of a * b, from 32-bit halves."""
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
+    lo_lo, lo_hi = a_lo * b_lo, a_lo * b_hi
+    hi_lo, hi_hi = a_hi * b_lo, a_hi * b_hi
+    mid = (lo_lo >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
+    hi = hi_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, a * b
+
+
+def _shot_draws(seed: int, first_shot: int, count: int, depth: int) -> np.ndarray:
+    """Uniform draws of shots first_shot .. first_shot + count - 1, as rows.
+
+    Row s equals _shot_rng(seed, first_shot + s).random(depth) bit for bit:
+    numpy's Philox keys the stream by (seed mod 2^64, shot), increments its
+    counter (c, 0, 0, 0) before each block of four words, and maps a word
+    to the double (word >> 11) * 2^-53.  All shots' blocks are computed at
+    once, with uint64 arrays that wrap as the C code does.
+    """
+    blocks = -(-depth // 4)
+    k0 = np.full((count, 1), seed % (1 << 64), dtype=np.uint64)
+    k1 = np.arange(first_shot, first_shot + count, dtype=np.uint64)[:, None]
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (count, blocks))
+    c1 = c2 = c3 = np.zeros((count, blocks), dtype=np.uint64)
+    for r in range(10):
+        if r:
+            k0 = k0 + _PHILOX_W[0]
+            k1 = k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=2).reshape(count, 4 * blocks)
+    return (words[:, :depth] >> np.uint64(11)) * (1.0 / (1 << 53))
+
+
 class _PlanRuntime:
     """Precomputed arrays for the trajectory walk.
 
     Diagonal operators are applied by row scaling and corrections by index
     permutation; both reproduce the literal matrix products bit for bit on
     the full amplitude matrix, just without the per-shot allocations.
+    _walk (one shot) and _descend (a group of shots) share these arrays and
+    apply them with the same operations in the same order.
     """
 
     def __init__(self, plan: LadderPlan):
@@ -335,6 +387,7 @@ class _PlanRuntime:
 
 
 def _walk(runtime: _PlanRuntime, seed: int, shot_index: int):
+    """Reference walk of one shot; sample_trajectories must agree with it."""
     rng = _shot_rng(seed, shot_index)
     draws = rng.random(len(runtime.steps))
     psi = runtime.start
@@ -355,6 +408,41 @@ def _walk(runtime: _PlanRuntime, seed: int, shot_index: int):
         path.append((k, chosen))
     dev = float(np.max(np.abs(psi - runtime.target)))
     return tuple(path), psi, dev
+
+
+def _descend(runtime: _PlanRuntime, draws, shots, psi, path, leaves) -> None:
+    """Walk a group of shots that share a path prefix, depth first.
+
+    draws[k] holds step k's draws of every shot in the block and shots
+    indexes the group's rows there.  The prefix's state psi is computed
+    once for the whole group, by the same operations _walk applies, and
+    each shot takes the branch _walk would take for its draw.  Appends
+    (shots, path, final deviation) to leaves for every complete path.
+    """
+    k = len(path)
+    if k == len(runtime.steps):
+        leaves.append((shots, path, float(np.max(np.abs(psi - runtime.target)))))
+        return
+    diags, invs = runtime.steps[k]
+    outs = [d[:, None] * psi for d in diags]
+    # np.add.reduce is the reduction np.sum runs, minus its dispatch.
+    probs = [float(np.add.reduce(out * out, axis=None)) for out in outs]
+    u = draws[k][shots] * sum(probs)
+    # _walk picks the first branch whose running sum exceeds u, else the
+    # last; assigning from the last branch down leaves the first one.
+    bounds = []
+    acc = 0.0
+    for p in probs:
+        acc += p
+        bounds.append(acc)
+    chosen = np.full(len(shots), len(probs) - 1)
+    for i in reversed(range(len(probs))):
+        chosen[u < bounds[i]] = i
+    for i, inv in enumerate(invs):
+        group = shots[chosen == i]
+        if len(group):
+            child = outs[i][inv][:, inv] / math.sqrt(probs[i])
+            _descend(runtime, draws, group, child, path + (i,), leaves)
 
 
 def run_trajectory(plan: LadderPlan, seed: int, shot_index: int) -> TrajectoryRecord:
@@ -379,10 +467,16 @@ def sample_trajectories(
 ) -> FrequencyReport:
     """Monte Carlo sample of plan executions.
 
-    Shots run serially in index order, and identical (plan, shots, seed)
-    produce identical reports because every shot owns its own stream.
-    workers is accepted for compatibility (it must be >= 1) and does not
-    change how or where the shots run.
+    Every shot owns its own counter-based stream, so identical (plan,
+    shots, seed) produce identical reports.  Shots go in blocks of
+    SHOT_BLOCK: one pass computes the block's draws (_shot_draws), and one
+    depth-first walk (_descend) computes each distinct path prefix once
+    for all shots that share it.  The draws, the per-prefix arithmetic and
+    the branch choice are those of the per-shot walk, so the report equals,
+    bit for bit, the aggregate of run_trajectory over shots 0 .. shots - 1,
+    and kept records come from run_trajectory itself.  workers is accepted
+    for compatibility (it must be >= 1) and does not change how or where
+    the shots run.
     """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
@@ -390,21 +484,27 @@ def sample_trajectories(
         raise ValidationError(f"workers must be >= 1, got {workers}")
 
     runtime = _PlanRuntime(plan)
+    depth = len(runtime.steps)
     path_counts: dict = {}
     branch_counts = [[0] * len(step.branches) for step in plan.steps]
     matches = 0
     max_dev = 0.0
-    records = []
-    for shot in range(shots):
-        path, _, dev = _walk(runtime, seed, shot)
-        key = tuple(branch for _, branch in path)
-        path_counts[key] = path_counts.get(key, 0) + 1
-        for step_idx, branch_idx in path:
-            branch_counts[step_idx][branch_idx] += 1
-        matches += dev <= TOL_TRAJECTORY
-        max_dev = max(max_dev, dev)
-        if shot < keep_records:
-            records.append(run_trajectory(plan, seed, shot))
+    for first in range(0, shots, SHOT_BLOCK):
+        count = min(SHOT_BLOCK, shots - first)
+        draws = _shot_draws(seed, first, count, depth).T
+        leaves = []
+        _descend(runtime, draws, np.arange(count), runtime.start, (), leaves)
+        # Insert paths in order of their first shot, as a shot loop would.
+        for group, path, dev in sorted(leaves, key=lambda leaf: leaf[0][0]):
+            hits = len(group)
+            path_counts[path] = path_counts.get(path, 0) + hits
+            for k, branch in enumerate(path):
+                branch_counts[k][branch] += hits
+            if dev <= TOL_TRAJECTORY:
+                matches += hits
+            max_dev = max(max_dev, dev)
+    kept = range(min(keep_records, shots))
+    records = [run_trajectory(plan, seed, shot) for shot in kept]
     return FrequencyReport(
         shots=shots,
         seed=seed,

@@ -17,7 +17,9 @@ from locc_ladder import (
     validate,
     verify_plan,
 )
+from locc_ladder import oracle
 from locc_ladder.errors import ValidationError
+from locc_ladder.oracle import _shot_draws, _shot_rng
 
 
 def perturb_plan(plan, step_idx, branch_idx, entry_idx, delta):
@@ -210,29 +212,64 @@ N10_PAIR = (
 )
 
 
+def _n32_pair():
+    """A 16-step ladder pair whose 150 shots share some path prefixes: the
+    source is a decaying target averaged over adjacent indices."""
+    target = 0.9 ** np.arange(32)
+    target /= target.sum()
+    source = target.copy()
+    for i in range(31):
+        a, b = source[i], source[i + 1]
+        source[i], source[i + 1] = 0.9 * a + 0.1 * b, 0.1 * a + 0.9 * b
+    return sorted(source.tolist(), reverse=True), target.tolist()
+
+
+N32_PAIR = _n32_pair()
+SEEDS = [0, 7, 2**63 + 5, 2**64 + 3, -1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("depth", [1, 2, 5, 8, 16])
+def test_batched_draws_equal_per_shot_streams(seed, depth):
+    """One Philox pass over a block of shots gives each shot's numpy stream;
+    depths past 4 cross Philox's four-word blocks."""
+    batched = _shot_draws(seed, 3, 40, depth)
+    per_shot = np.stack([_shot_rng(seed, s).random(depth) for s in range(3, 43)])
+    assert batched.dtype == np.float64
+    assert np.array_equal(batched.view(np.uint64), per_shot.view(np.uint64))
+
+
+def _per_shot_runs(plan, seed, shots):
+    """run_trajectory for each shot, with the aggregates a report holds."""
+    runs = [run_trajectory(plan, seed, i) for i in range(shots)]
+    target = np.diag(np.asarray(plan.chain.layouts[-1], dtype=float))
+    path_counts = {}
+    branch_counts = [[0] * len(step.branches) for step in plan.steps]
+    for run in runs:
+        key = tuple(branch for _, branch in run.path)
+        path_counts[key] = path_counts.get(key, 0) + 1
+        for k, branch in run.path:
+            branch_counts[k][branch] += 1
+    devs = [float(np.max(np.abs(r.final_state.matrix - target))) for r in runs]
+    return runs, path_counts, branch_counts, devs
+
+
 class TestSamplerMatchesPerShotReference:
     """sample_trajectories aggregates exactly what run_trajectory yields shot
     by shot, so a faster sampler can be checked against the per-shot walk."""
 
-    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize(
-        "pair", [([0.4, 0.3, 0.2, 0.1], [0.55, 0.25, 0.15, 0.05]), N10_PAIR]
+        "pair",
+        [([0.4, 0.3, 0.2, 0.1], [0.55, 0.25, 0.15, 0.05]), N10_PAIR, N32_PAIR],
     )
-    def test_aggregates_equal_per_shot_runs(self, pair, seed):
+    def test_aggregates_equal_per_shot_runs(self, pair, seed, monkeypatch):
+        # 150 shots in blocks of 64 cross two block boundaries.
+        monkeypatch.setattr(oracle, "SHOT_BLOCK", 64)
         plan = plan_full(*(validate(x, squared=True) for x in pair))
         shots = 150
         report = sample_trajectories(plan, shots, seed, keep_records=5)
-        runs = [run_trajectory(plan, seed, i) for i in range(shots)]
-        target = np.diag(np.asarray(plan.chain.layouts[-1], dtype=float))
-
-        path_counts = {}
-        branch_counts = [[0] * len(step.branches) for step in plan.steps]
-        for run in runs:
-            key = tuple(branch for _, branch in run.path)
-            path_counts[key] = path_counts.get(key, 0) + 1
-            for k, branch in run.path:
-                branch_counts[k][branch] += 1
-        devs = [float(np.max(np.abs(r.final_state.matrix - target))) for r in runs]
+        runs, path_counts, branch_counts, devs = _per_shot_runs(plan, seed, shots)
 
         assert len(plan.steps) == len(pair[0]) // 2
         assert report.path_counts == path_counts
@@ -243,3 +280,17 @@ class TestSamplerMatchesPerShotReference:
         assert report.match_rate == sum(r.matched_target for r in runs) / shots
         assert [r.path for r in report.records] == [r.path for r in runs[:5]]
         assert [r.shot_index for r in report.records] == list(range(5))
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3])
+    def test_broken_operator_shows_in_every_shot_it_touches(self, n4_pair, seed):
+        # Shots that share a prefix share its arithmetic; a defective
+        # operator must still miss the target on exactly the per-shot runs.
+        bad = perturb_plan(plan_full(*n4_pair), 1, 0, 0, 1e-6)
+        shots = 300
+        report = sample_trajectories(bad, shots, seed)
+        runs, path_counts, _, devs = _per_shot_runs(bad, seed, shots)
+
+        assert 0 < report.match_rate < 1
+        assert report.match_rate == sum(r.matched_target for r in runs) / shots
+        assert report.max_final_dev == max(devs)
+        assert report.path_counts == path_counts
