@@ -1,8 +1,13 @@
 """Brute-force verification layer.
 
-States live here as full n x n amplitude matrices in the product basis, and
-measurement operators are applied as literal matrix products, so a defective
-operator cannot hide behind the diagonal shortcut used by the planner.
+States live here as full n x n amplitude matrices in the product basis, so a
+defective operator cannot hide behind the diagonal shortcut used by the
+planner.  verify_plan's per-step checks apply operators and corrections as
+literal matrix products.  Its branch-path walk and the trajectory sampler
+apply them by row scaling and index permutation of the full matrix, which
+gives the literal products' values bit for bit (a product with a diagonal
+or permutation matrix adds only exact zeros), without building the
+matrices; the walk moves batches of path prefixes as one array.
 Trajectory sampling draws from per-shot counter-based streams, so a report
 depends only on (plan, shots, seed).  It runs in one thread, in blocks of
 shots: the block's streams are computed together as one Philox array, and
@@ -176,9 +181,24 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     """Recheck a plan step by step against full-matrix arithmetic.
 
     Verifies per-index completeness, branch probabilities, post-correction
-    states and reduced spectra against the chain, then walks every branch
-    path end to end (when their number is within path_limit).
+    states and reduced spectra against the chain, with literal matrix
+    products (apply_kraus, apply_correction) and eigvalsh.  Then walks
+    every branch path end to end (when their number is within path_limit)
+    on full amplitude matrices, by row scaling and index permutation
+    (_walk_paths); the path check equals, bit for bit, that of walking
+    each path with apply_kraus and apply_correction.
+
+    Deviations are reported, not raised.  A plan that cannot be applied at
+    all raises: DimensionMismatch for an operator of the wrong dimension,
+    ValidationError for an outcome of zero probability or, when the paths
+    are walked, for a correction that is not a permutation of the basis
+    labels.
     """
+    path_count = 1
+    for step in plan.steps:
+        path_count *= len(step.branches)
+    # Built first, so a malformed correction is named before any check runs.
+    runtime = _PlanRuntime(plan) if path_count <= path_limit else None
     layouts = plan.chain.layouts
     n = plan.source.n
     step_checks = []
@@ -209,26 +229,8 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
         )
         worst = max(worst, completeness_dev, prob_sum_dev)
 
-    path_count = 1
-    for step in plan.steps:
-        path_count *= len(step.branches)
-    target_matrix = np.diag(np.asarray(layouts[-1], dtype=float))
-    if path_count <= path_limit:
-        total_prob = 0.0
-        max_final_dev = 0.0
-        stack = [(0, FullState.from_layout(layouts[0]), 1.0)]
-        while stack:
-            depth, state, acc = stack.pop()
-            if depth == len(plan.steps):
-                total_prob += acc
-                dev = float(np.max(np.abs(state.matrix - target_matrix)))
-                max_final_dev = max(max_final_dev, dev)
-                continue
-            for br in plan.steps[depth].branches:
-                post, prob = apply_kraus(state, br.op, "A")
-                stack.append(
-                    (depth + 1, apply_correction(post, br.correction), acc * prob)
-                )
+    if runtime is not None:
+        total_prob, max_final_dev = _walk_paths(runtime)
         path = PathCheck(
             enumerated=True,
             path_count=path_count,
@@ -362,28 +364,95 @@ def _shot_draws(seed: int, first_shot: int, count: int, depth: int) -> np.ndarra
 
 
 class _PlanRuntime:
-    """Precomputed arrays for the trajectory walk.
+    """Precomputed arrays for the trajectory and branch-path walks.
 
     Diagonal operators are applied by row scaling and corrections by index
     permutation; both reproduce the literal matrix products bit for bit on
     the full amplitude matrix, just without the per-shot allocations.
-    _walk (one shot) and _descend (a group of shots) share these arrays and
-    apply them with the same operations in the same order.
+    _walk (one shot), _descend (a group of shots) and _walk_paths (every
+    path) share these arrays and apply them with the same operations in
+    the same order.  A correction must permute the basis labels; its
+    inverse is what the walks index by.
     """
 
     def __init__(self, plan: LadderPlan):
         self.start = np.diag(np.asarray(plan.chain.layouts[0], dtype=float))
         self.target = np.diag(np.asarray(plan.chain.layouts[-1], dtype=float))
+        labels = list(range(len(self.start)))
         self.steps = []
-        for step in plan.steps:
+        for k, step in enumerate(plan.steps):
             diags = [np.asarray(br.op.diag, dtype=float) for br in step.branches]
             invs = []
-            for br in step.branches:
-                inv = np.empty(len(br.correction), dtype=np.intp)
-                for j, t in enumerate(br.correction):
-                    inv[t] = j
-                invs.append(inv)
+            for i, br in enumerate(step.branches):
+                if sorted(br.correction) != labels:
+                    raise ValidationError(
+                        f"step {k} branch {i}: correction {tuple(br.correction)} "
+                        f"is not a permutation of 0..{len(labels) - 1}"
+                    )
+                invs.append(np.argsort(br.correction))
             self.steps.append((diags, invs))
+
+
+# Matrix entries walked as one array: a batch holds this many entries' worth
+# of path prefixes (10 at n = 16, 1 from n = 36), at least one.  Pending
+# chunks keep their matrices until their subtrees come up, so the walk's
+# memory grows with this times the plan's depth, whatever n is.
+PATH_BATCH_ENTRIES = 2560
+
+
+def _walk_paths(runtime: _PlanRuntime) -> tuple[float, float]:
+    """Total probability and worst final deviation over every branch path.
+
+    Depth first over batches of path prefixes, each batch one C-contiguous
+    (B, n, n) array of amplitude matrices in ascending path order.  Per
+    branch the batch is row-scaled by the operator's diagonal, each
+    matrix's probability is the pairwise sum of its n*n squares in row
+    order (np.sum's order on the C-ordered matmul output of apply_kraus),
+    and the matrices are divided by sqrt(prob) and permuted on both axes.
+    These are the values apply_kraus and apply_correction produce: their
+    products with a diagonal or permutation matrix add exact zeros to the
+    single nonzero term.  The children, ascending, go back on the stack in
+    chunks (copies, so a pending chunk does not keep its siblings alive),
+    the last chunk on top, so complete paths come off in descending order,
+    the order of the literal stack walk, which pops the last branch first.
+    Path probabilities are summed one by one in that order, since a
+    pairwise sum would round differently.
+    """
+    depth = len(runtime.steps)
+    n = len(runtime.start)
+    batch = max(1, PATH_BATCH_ENTRIES // (n * n))
+    # The start state meets FullState's checks, as in the literal walk.
+    stack = [(0, FullState(runtime.start).matrix[None], np.ones(1))]
+    # Filled from the end, as complete paths come off in descending order.
+    path_probs = np.empty(math.prod(len(diags) for diags, _ in runtime.steps))
+    end = len(path_probs)
+    max_dev = 0.0
+    while stack:
+        k, states, acc = stack.pop()
+        if k == depth:
+            path_probs[end - len(acc) : end] = acc
+            end -= len(acc)
+            max_dev = max(max_dev, float(np.max(np.abs(states - runtime.target))))
+            continue
+        diags, invs = runtime.steps[k]
+        kids = np.empty((len(states), len(diags), n, n))
+        probs = np.empty((len(states), len(diags)))
+        for i, (d, inv) in enumerate(zip(diags, invs)):
+            out = d[:, None] * states
+            prob = np.add.reduce((out * out).reshape(len(out), n * n), axis=1)
+            if not (np.all(prob > EPS_ZERO) and np.all(np.isfinite(prob))):
+                # FullState refuses the post state apply_kraus gives here.
+                raise ValidationError("amplitude matrix is not normalized")
+            probs[:, i] = prob
+            out /= np.sqrt(prob)[:, None, None]
+            kids[:, i] = out[:, inv[:, None], inv]
+        kids = kids.reshape(-1, n, n)
+        kid_acc = (acc[:, None] * probs).reshape(-1)
+        for lo in range(0, len(kids), batch):
+            stack.append((k + 1, kids[lo : lo + batch].copy(), kid_acc[lo : lo + batch]))
+    if not len(path_probs):
+        return 0.0, 0.0
+    return float(np.add.accumulate(path_probs[::-1])[-1]), max_dev
 
 
 def _walk(runtime: _PlanRuntime, seed: int, shot_index: int):

@@ -1,10 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import locc_ladder
 from locc_ladder import Transcript, load_schema
 from locc_ladder.cli import main
 
@@ -217,11 +220,16 @@ class TestDemoInfeasible:
 
 
 def test_console_entry_point_runs():
+    # The child imports the package from where this process found it, so
+    # the test also runs on an uninstalled checkout.
+    src = str(Path(locc_ladder.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "locc_ladder", "check", "--squared"],
         input=json.dumps(N4),
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "majorization holds: True" in proc.stdout

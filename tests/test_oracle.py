@@ -18,8 +18,10 @@ from locc_ladder import (
     verify_plan,
 )
 from locc_ladder import oracle
-from locc_ladder.errors import ValidationError
+from locc_ladder.errors import LadderInfeasible, ValidationError
 from locc_ladder.oracle import _shot_draws, _shot_rng
+
+from helpers import literal_path_check
 
 
 def perturb_plan(plan, step_idx, branch_idx, entry_idx, delta):
@@ -294,3 +296,191 @@ class TestSamplerMatchesPerShotReference:
         assert report.match_rate == sum(r.matched_target for r in runs) / shots
         assert report.max_final_dev == max(devs)
         assert report.path_counts == path_counts
+
+
+def _plan(pair):
+    return plan_full(*(validate(x, squared=True) for x in pair))
+
+
+def _ladder_plan(n, rng):
+    """A random plan at dimension n: a Dirichlet target and a source made
+    from it by pairwise averaging, redrawn until the ladder exists."""
+    while True:
+        target = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+        source = target.copy()
+        for _ in range(2 * n):
+            i, j = rng.choice(n, size=2, replace=False)
+            t = rng.random()
+            source[i], source[j] = (
+                t * source[i] + (1 - t) * source[j],
+                (1 - t) * source[i] + t * source[j],
+            )
+        try:
+            return _plan((sorted(source, reverse=True), list(target)))
+        except LadderInfeasible:
+            continue
+
+
+def _sparse_pair(n, rng):
+    """Large n, two adjacent averaging moves near the tail: nearly every
+    ladder step is trivial, so the path count stays small."""
+    target = np.sort(rng.dirichlet(np.ones(n)))[::-1] + 1e-9
+    target /= target.sum()
+    source = target.copy()
+    for _ in range(2):
+        i = int(rng.integers(n - 8, n - 1))
+        source[i], source[i + 1] = (
+            0.7 * source[i] + 0.3 * source[i + 1],
+            0.3 * source[i] + 0.7 * source[i + 1],
+        )
+    return sorted(source, reverse=True), list(target)
+
+
+DEGENERATE_PAIRS = [
+    # Ties.
+    ([0.25] * 4, [0.375, 0.25, 0.25, 0.125]),
+    ([0.2] * 5, [0.4, 0.2, 0.2, 0.2, 0.0]),
+    ([0.25, 0.25, 0.125, 0.125, 0.125, 0.125], [0.375, 0.25, 0.125, 0.125, 0.125, 0.0]),
+    # Zero tails.
+    ([0.3, 0.25, 0.2, 0.15, 0.1, 0.0, 0.0], [0.5, 0.3, 0.2, 0.0, 0.0, 0.0, 0.0]),
+    # 1e-13 coefficients.
+    (
+        [0.3, 0.25, 0.2, 0.15, 0.1 - 1e-13, 1e-13],
+        [0.35, 0.25, 0.2, 0.1, 0.1 - 1e-13, 1e-13],
+    ),
+    (
+        [0.2, 0.2, 0.2, 0.2, 0.2 - 1e-13, 1e-13],
+        [0.4, 0.2, 0.2, 0.1, 0.1 - 1e-13, 1e-13],
+    ),
+]
+
+
+def _path_outcome(check, plan, **kwargs):
+    """check(plan)'s path check, or the error it raised."""
+    try:
+        return check(plan, **kwargs)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _batched(plan, **kwargs):
+    return verify_plan(plan, **kwargs).path_check
+
+
+class TestPathWalkMatchesLiteralWalk:
+    """verify_plan walks paths in batches by row scaling and permutation;
+    its path check must equal the literal apply_kraus/apply_correction
+    walk's, field for field and bit for bit."""
+
+    @pytest.mark.parametrize("n", range(3, 17))
+    def test_ladder_plans(self, n):
+        # From n = 12 a matrix has more than 128 entries, so the pairwise
+        # sum behind each probability splits into blocks.
+        plan = _ladder_plan(n, np.random.default_rng([20261018, n]))
+        assert verify_plan(plan).path_check == literal_path_check(plan)
+
+    @pytest.mark.parametrize("pair", DEGENERATE_PAIRS)
+    def test_degenerate_pairs(self, pair):
+        plan = _plan(pair)
+        assert _path_outcome(_batched, plan) == _path_outcome(literal_path_check, plan)
+
+    @pytest.mark.parametrize("n", [24, 32, 40, 48])
+    def test_sparse_pairs(self, n):
+        plan = _plan(_sparse_pair(n, np.random.default_rng([20261018, n])))
+        check = verify_plan(plan).path_check
+        assert check.enumerated
+        assert check == literal_path_check(plan)
+
+    def test_zero_step_plan(self):
+        v = validate([0.5, 0.3, 0.2], squared=True)
+        plan = dataclasses.replace(plan_full(v, v), steps=())
+        check = verify_plan(plan).path_check
+        assert check.path_count == 1
+        assert check == literal_path_check(plan)
+
+    def test_step_without_branches(self, n4_pair):
+        plan = plan_full(*n4_pair)
+        empty = dataclasses.replace(plan.steps[1], branches=())
+        plan = dataclasses.replace(plan, steps=(plan.steps[0], empty))
+        check = verify_plan(plan).path_check
+        assert check.path_count == 0
+        assert check == literal_path_check(plan)
+
+    def test_zero_probability_path(self, n4_pair):
+        # Step 0's first outcome keeps only index 0, which step 1's first
+        # outcome removes: no step check sees that path's zero probability.
+        plan = plan_full(*n4_pair)
+        for e in (1, 2, 3):
+            plan = perturb_plan(plan, 0, 0, e, -plan.steps[0].branches[0].op.diag[e])
+        plan = perturb_plan(plan, 1, 0, 0, -plan.steps[1].branches[0].op.diag[0])
+        expected = _path_outcome(literal_path_check, plan)
+        assert expected == (ValidationError, "amplitude matrix is not normalized")
+        assert _path_outcome(_batched, plan) == expected
+
+    @pytest.mark.parametrize("below", [0, 1])
+    def test_path_limit_edge(self, below):
+        plan = _ladder_plan(9, np.random.default_rng(3))
+        limit = literal_path_check(plan).path_count - below
+        check = verify_plan(plan, path_limit=limit).path_check
+        assert check.enumerated == (below == 0)
+        assert check == literal_path_check(plan, path_limit=limit)
+
+    @pytest.mark.parametrize("batch", [1, 2, 5])
+    @pytest.mark.parametrize("n", [4, 9, 13])
+    def test_chunk_boundaries(self, n, batch, monkeypatch):
+        # batch path prefixes to an array, so chunks split every expansion.
+        monkeypatch.setattr(oracle, "PATH_BATCH_ENTRIES", batch * n * n)
+        plan = _ladder_plan(n, np.random.default_rng([20261018, n]))
+        assert verify_plan(plan).path_check == literal_path_check(plan)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _plan(([0.4, 0.3, 0.2, 0.1], [0.55, 0.25, 0.15, 0.05])),
+            lambda: _ladder_plan(7, np.random.default_rng(7)),
+        ],
+        ids=["n4", "n7"],
+    )
+    def test_every_injected_fault_matches(self, make):
+        # Criterion 7's faults: one operator entry shifted by +/-1e-6.
+        plan = make()
+        faults = 0
+        for s, step in enumerate(plan.steps):
+            for b, branch in enumerate(step.branches):
+                for e, entry in enumerate(branch.op.diag):
+                    for delta in (1e-6, -1e-6):
+                        if entry + delta < 0:
+                            continue
+                        bad = perturb_plan(plan, s, b, e, delta)
+                        check = verify_plan(bad).path_check
+                        assert check.enumerated
+                        assert check == literal_path_check(bad), (s, b, e, delta)
+                        faults += 1
+        assert faults >= 40
+
+
+class TestCorrectionMustPermute:
+    """A correction that repeats a label is no relabelling, and every walk
+    refuses it, naming the step and branch."""
+
+    @pytest.fixture
+    def bad_plan(self, n4_pair):
+        plan = plan_full(*n4_pair)
+        step = plan.steps[0]
+        branches = list(step.branches)
+        branches[1] = dataclasses.replace(branches[1], correction=(0, 0, 2, 3))
+        bad_step = dataclasses.replace(step, branches=tuple(branches))
+        return dataclasses.replace(plan, steps=(bad_step,) + plan.steps[1:])
+
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            lambda plan: run_trajectory(plan, seed=1, shot_index=0),
+            lambda plan: sample_trajectories(plan, 100, seed=1),
+            verify_plan,
+        ],
+        ids=["run_trajectory", "sample_trajectories", "verify_plan"],
+    )
+    def test_raises(self, bad_plan, walk):
+        with pytest.raises(ValidationError, match=r"step 0 branch 1: correction \(0, 0, 2, 3\)"):
+            walk(bad_plan)
