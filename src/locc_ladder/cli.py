@@ -5,11 +5,18 @@ result document (JSON transcript or human-readable text) to stdout.
 
 Exit codes: 0 success, 1 input error, 2 majorization fails,
 3 pair is feasible but the ladder construction is not.
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused: ``parse_args`` leaves it unchanged, so calls stay independent.
+Its help and usage errors go to the streams passed to ``main``, by
+redirecting ``sys.stdout`` and ``sys.stderr`` while the arguments are parsed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -38,6 +45,7 @@ EXIT_LADDER_INFEASIBLE = 3
 SEED_ENV_VAR = "DLT_SEED"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locc-ladder",
@@ -305,9 +313,9 @@ def main(
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

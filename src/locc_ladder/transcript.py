@@ -9,7 +9,7 @@ with the package.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Optional
 
@@ -90,7 +90,13 @@ class Transcript:
     note: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a dict, in declaration order.
+
+        The dict is shallow: it shares the section objects this transcript
+        holds, which the ``*_section`` helpers and the reports' ``to_dict``
+        built fresh for it.  Callers must not mutate what it returns.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Transcript":

@@ -5,6 +5,8 @@ the library (math.fsum over explicit slices, literal matrix products), so
 tests of numerical claims do not reuse the code under test.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,6 +18,24 @@ from locc_ladder.oracle import (
     apply_correction,
     apply_kraus,
 )
+
+
+def asdict_json(transcript):
+    """Transcript.to_json by the deep-copying dataclasses.asdict path."""
+    return json.dumps(dataclasses.asdict(transcript), indent=2, sort_keys=True) + "\n"
+
+
+def dense_n32_pair():
+    """A 16-step n=32 ladder pair, every step a three-outcome measurement,
+    as (source, target) squared coefficients: the source is a decaying
+    target averaged over adjacent indices."""
+    target = 0.9 ** np.arange(32)
+    target /= target.sum()
+    source = target.copy()
+    for i in range(31):
+        a, b = source[i], source[i + 1]
+        source[i], source[i + 1] = 0.9 * a + 0.1 * b, 0.1 * a + 0.9 * b
+    return sorted(source.tolist(), reverse=True), target.tolist()
 
 
 def fsum_tail_margins(source_sq, target_sq):

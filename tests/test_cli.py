@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 import locc_ladder
-from locc_ladder import Transcript, load_schema
-from locc_ladder.cli import main
+from locc_ladder import Transcript, cli, load_schema
+from locc_ladder.cli import _build_parser, main
 
 import jsonschema
+
+from helpers import asdict_json, dense_n32_pair
 
 
 def run_cli(argv, payload=None, env_seed=None, monkeypatch=None):
@@ -282,3 +284,76 @@ def test_refusal_wording_per_command(command, payload, code, lines, note):
     if code == 3:
         assert doc["certificate"]["message"] in GAP_CERT
     assert (doc["steps"], doc["frequencies"], doc["verification"]) == (None,) * 3
+
+
+class TestCachedParser:
+    """main reuses one parser per process; every call must parse afresh."""
+
+    def test_simulate_defaults_after_explicit_flags(self, monkeypatch):
+        code, out, _ = run_cli(
+            ["simulate", "--squared", "--seed", "5", "--shots", "7",
+             "--format", "machine"],
+            N4,
+        )
+        doc = json.loads(out)
+        assert (code, doc["seed"], doc["shots"]) == (0, 5, 7)
+        code, out, _ = run_cli(
+            ["simulate", "--squared", "--format", "machine"],
+            N4,
+            env_seed=31,
+            monkeypatch=monkeypatch,
+        )
+        doc = json.loads(out)
+        assert (code, doc["seed"], doc["shots"]) == (0, 31, 10000)
+
+    def test_plan_flags_do_not_carry_over(self):
+        code, _, _ = run_cli(["plan", "--squared"], N4)
+        assert code == 0
+        amplitudes = {key: [x**0.5 for x in v] for key, v in N4.items()}
+        code, out, _ = run_cli(["plan", "--format", "machine"], amplitudes)
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["problem"]["squared"] is False
+
+    def test_help_and_usage_go_to_main_streams(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = _build_parser.__wrapped__()
+        run_cli(["check", "--squared"], N4)  # the cached parser has been used
+        assert run_cli(["--help"]) == (0, fresh.format_help(), "")
+        usage_error = "locc-ladder: error: unrecognized arguments: --bogus\n"
+        assert run_cli(["plan", "--bogus"]) == (2, "", fresh.format_usage() + usage_error)
+        assert capsys.readouterr() == ("", "")
+
+
+N32 = dict(zip(("source", "target"), dense_n32_pair()))
+
+
+@pytest.mark.parametrize(
+    "argv, payload, code",
+    [
+        (["check"], N4, 0),
+        (["plan"], N4, 0),
+        (["plan"], N32, 0),
+        (["simulate", "--shots", "300", "--seed", "9"], N4, 0),
+        (["plan"], FAILING, 2),
+        (["plan"], LADDER_GAP, 3),
+        (["demo-infeasible"], GF_FIXTURE, 0),
+        (["demo-infeasible"], LADDER_GAP, 0),
+    ],
+    ids=["check", "plan-n4", "plan-n32", "simulate", "not-majorized",
+         "ladder-infeasible", "demo-certificate", "demo-chain"],
+)
+def test_to_json_bytes_equal_the_asdict_path(monkeypatch, argv, payload, code):
+    written = []
+    emit = cli._emit
+
+    def capture(transcript, *args):
+        written.append(transcript)
+        emit(transcript, *args)
+
+    monkeypatch.setattr(cli, "_emit", capture)
+    got, out, err = run_cli([*argv, "--squared", "--format", "machine"], payload)
+    assert (got, err) == (code, "")
+    (t,) = written
+    assert out == t.to_json() == asdict_json(t)
+    assert Transcript.from_json(t.to_json()) == t

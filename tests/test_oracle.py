@@ -21,7 +21,7 @@ from locc_ladder import oracle
 from locc_ladder.errors import LadderInfeasible, ValidationError
 from locc_ladder.oracle import _shot_draws, _shot_rng
 
-from helpers import literal_path_check
+from helpers import dense_n32_pair, literal_path_check
 
 
 def perturb_plan(plan, step_idx, branch_idx, entry_idx, delta):
@@ -214,19 +214,8 @@ N10_PAIR = (
 )
 
 
-def _n32_pair():
-    """A 16-step ladder pair whose 150 shots share some path prefixes: the
-    source is a decaying target averaged over adjacent indices."""
-    target = 0.9 ** np.arange(32)
-    target /= target.sum()
-    source = target.copy()
-    for i in range(31):
-        a, b = source[i], source[i + 1]
-        source[i], source[i + 1] = 0.9 * a + 0.1 * b, 0.1 * a + 0.9 * b
-    return sorted(source.tolist(), reverse=True), target.tolist()
-
-
-N32_PAIR = _n32_pair()
+# A 16-step ladder pair whose 150 shots share some path prefixes.
+N32_PAIR = dense_n32_pair()
 SEEDS = [0, 7, 2**63 + 5, 2**64 + 3, -1]
 
 
