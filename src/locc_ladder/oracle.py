@@ -7,12 +7,14 @@ literal matrix products.  Its branch-path walk and the trajectory sampler
 apply them by row scaling and index permutation of the full matrix, which
 gives the literal products' values bit for bit (a product with a diagonal
 or permutation matrix adds only exact zeros), without building the
-matrices; the walk moves batches of path prefixes as one array.
+matrices.  Both move batches of path prefixes as one array through one
+kernel (_scale, _relabel).
 Trajectory sampling draws from per-shot counter-based streams, so a report
 depends only on (plan, shots, seed).  It runs in one thread, in blocks of
 shots: the block's streams are computed together as one Philox array, and
-shots that share a path prefix share that prefix's matrix arithmetic.  The
-result is bit-identical to walking each shot alone (run_trajectory).
+the walk goes a step at a time over chunks of distinct path prefixes, so
+shots that share a prefix share its arithmetic.  The result is
+bit-identical to walking each shot alone (run_trajectory).
 """
 
 from __future__ import annotations
@@ -369,10 +371,10 @@ class _PlanRuntime:
     Diagonal operators are applied by row scaling and corrections by index
     permutation; both reproduce the literal matrix products bit for bit on
     the full amplitude matrix, just without the per-shot allocations.
-    _walk (one shot), _descend (a group of shots) and _walk_paths (every
-    path) share these arrays and apply them with the same operations in
-    the same order.  A correction must permute the basis labels; its
-    inverse is what the walks index by.
+    _walk (one shot), _sample_block (chunks of shots' path prefixes) and
+    _walk_paths (every path) share these arrays and apply them with the
+    same operations in the same order.  A correction must permute the basis
+    labels; its inverse is what the walks index by.
     """
 
     def __init__(self, plan: LadderPlan):
@@ -399,19 +401,48 @@ class _PlanRuntime:
 # memory grows with this times the plan's depth, whatever n is.
 PATH_BATCH_ENTRIES = 2560
 
+# The sampler's chunks, by the same measure (16 prefixes at n = 32, 64 at
+# n = 16).  A few chunks wait at each step of the plan, so the walk's memory
+# grows with this times the plan's depth, whatever the shot count.
+SAMPLE_BATCH_ENTRIES = 16384
+
+
+def _scale(states: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One outcome on a C-contiguous (G, n, n) batch of amplitude matrices.
+
+    Returns the batch row-scaled by the operator's diagonal d and each
+    matrix's probability: the pairwise sum of its n*n squares in row order,
+    np.sum's order on the C-ordered matmul output of apply_kraus.  The row
+    scale gives that matmul's values, whose products with a diagonal matrix
+    add exact zeros to the single nonzero term.
+    """
+    out = d[:, None] * states
+    return out, np.add.reduce((out * out).reshape(len(out), -1), axis=1)
+
+
+def _relabel(out: np.ndarray, prob: np.ndarray, inv: np.ndarray, dest: np.ndarray):
+    """Post states of one outcome, written to dest.
+
+    Each row-scaled matrix of out (as _scale makes it) is permuted on both
+    axes by inv, the inverse of the branch's correction, and divided by the
+    square root of its probability: the values apply_kraus then
+    apply_correction give.
+    """
+    g, n, _ = out.shape
+    # One gather of each flattened matrix at the permuted flat positions.
+    flat = (inv[:, None] * n + inv).ravel()
+    moved = np.take(out.reshape(g, n * n), flat, axis=1).reshape(g, n, n)
+    np.divide(moved, np.sqrt(prob)[:, None, None], out=dest)
+
 
 def _walk_paths(runtime: _PlanRuntime) -> tuple[float, float]:
     """Total probability and worst final deviation over every branch path.
 
     Depth first over batches of path prefixes, each batch one C-contiguous
     (B, n, n) array of amplitude matrices in ascending path order.  Per
-    branch the batch is row-scaled by the operator's diagonal, each
-    matrix's probability is the pairwise sum of its n*n squares in row
-    order (np.sum's order on the C-ordered matmul output of apply_kraus),
-    and the matrices are divided by sqrt(prob) and permuted on both axes.
-    These are the values apply_kraus and apply_correction produce: their
-    products with a diagonal or permutation matrix add exact zeros to the
-    single nonzero term.  The children, ascending, go back on the stack in
+    branch the batch is scaled (_scale) and every matrix's post state is
+    computed (_relabel), so the values are those of apply_kraus and
+    apply_correction.  The children, ascending, go back on the stack in
     chunks (copies, so a pending chunk does not keep its siblings alive),
     the last chunk on top, so complete paths come off in descending order,
     the order of the literal stack walk, which pops the last branch first.
@@ -438,14 +469,12 @@ def _walk_paths(runtime: _PlanRuntime) -> tuple[float, float]:
         kids = np.empty((len(states), len(diags), n, n))
         probs = np.empty((len(states), len(diags)))
         for i, (d, inv) in enumerate(zip(diags, invs)):
-            out = d[:, None] * states
-            prob = np.add.reduce((out * out).reshape(len(out), n * n), axis=1)
+            out, prob = _scale(states, d)
             if not (np.all(prob > EPS_ZERO) and np.all(np.isfinite(prob))):
                 # FullState refuses the post state apply_kraus gives here.
                 raise ValidationError("amplitude matrix is not normalized")
             probs[:, i] = prob
-            out /= np.sqrt(prob)[:, None, None]
-            kids[:, i] = out[:, inv[:, None], inv]
+            _relabel(out, prob, inv, kids[:, i])
         kids = kids.reshape(-1, n, n)
         kid_acc = (acc[:, None] * probs).reshape(-1)
         for lo in range(0, len(kids), batch):
@@ -455,7 +484,7 @@ def _walk_paths(runtime: _PlanRuntime) -> tuple[float, float]:
     return float(np.add.accumulate(path_probs[::-1])[-1]), max_dev
 
 
-def _walk(runtime: _PlanRuntime, seed: int, shot_index: int):
+def _walk(runtime: _PlanRuntime, seed: int, shot_index: int) -> TrajectoryRecord:
     """Reference walk of one shot; sample_trajectories must agree with it."""
     rng = _shot_rng(seed, shot_index)
     draws = rng.random(len(runtime.steps))
@@ -476,54 +505,103 @@ def _walk(runtime: _PlanRuntime, seed: int, shot_index: int):
         psi = outs[chosen][inv][:, inv] / math.sqrt(probs[chosen])
         path.append((k, chosen))
     dev = float(np.max(np.abs(psi - runtime.target)))
-    return tuple(path), psi, dev
+    return TrajectoryRecord(
+        seed=seed,
+        shot_index=shot_index,
+        path=tuple(path),
+        final_state=FullState(psi),
+        matched_target=dev <= TOL_TRAJECTORY,
+    )
 
 
-def _descend(runtime: _PlanRuntime, draws, shots, psi, path, leaves) -> None:
-    """Walk a group of shots that share a path prefix, depth first.
+def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
+    """Walk one block of shots, where draws[s, k] is shot s's draw at step k.
 
-    draws[k] holds step k's draws of every shot in the block and shots
-    indexes the group's rows there.  The prefix's state psi is computed
-    once for the whole group, by the same operations _walk applies, and
-    each shot takes the branch _walk would take for its draw.  Appends
-    (shots, path, final deviation) to leaves for every complete path.
+    Returns the block's complete paths in order of their first shot, as a
+    (paths, depth) array of branch indices, with each path's shot count and
+    final deviation from the target.  A shot that meets a step without
+    outcomes stops there and counts in no path.
+
+    Level-synchronous within a chunk, depth first over chunks.  A chunk is
+    one C-contiguous (G, n, n) array of distinct path prefixes plus the
+    shots that share them, each shot carrying its prefix's index.  Every
+    outcome's probabilities come from scaling the whole chunk (_scale),
+    each shot takes the branch _walk takes for its draw, and post states
+    (_relabel) are made only for the (branch, prefix) pairs that some shot
+    takes, from those prefixes scaled again: holding every outcome's scaled
+    chunk instead costs more memory than the second multiply costs time.
+    Post states go back on the stack in chunks of at most
+    SAMPLE_BATCH_ENTRIES matrix entries, each its own array, so that a
+    pending chunk does not keep its siblings alive.  The arithmetic is
+    _walk's, operation for operation, and results land in per-shot and
+    per-path arrays, so the order in which chunks are walked does not
+    matter.
     """
-    k = len(path)
-    if k == len(runtime.steps):
-        leaves.append((shots, path, float(np.max(np.abs(psi - runtime.target)))))
-        return
-    diags, invs = runtime.steps[k]
-    outs = [d[:, None] * psi for d in diags]
-    # np.add.reduce is the reduction np.sum runs, minus its dispatch.
-    probs = [float(np.add.reduce(out * out, axis=None)) for out in outs]
-    u = draws[k][shots] * sum(probs)
-    # _walk picks the first branch whose running sum exceeds u, else the
-    # last; assigning from the last branch down leaves the first one.
-    bounds = []
-    acc = 0.0
-    for p in probs:
-        acc += p
-        bounds.append(acc)
-    chosen = np.full(len(shots), len(probs) - 1)
-    for i in reversed(range(len(probs))):
-        chosen[u < bounds[i]] = i
-    for i, inv in enumerate(invs):
-        group = shots[chosen == i]
-        if len(group):
-            child = outs[i][inv][:, inv] / math.sqrt(probs[i])
-            _descend(runtime, draws, group, child, path + (i,), leaves)
+    count, depth = draws.shape
+    n = len(runtime.start)
+    batch = max(1, SAMPLE_BATCH_ENTRIES // (n * n))
+    widest = max((len(diags) for diags, _ in runtime.steps), default=1)
+    choice = np.empty((count, depth), dtype=np.min_scalar_type(widest))
+    # Per complete path: first shot, shot count, deviation.  Seeded empty,
+    # so a block whose shots all stop short still concatenates.
+    leaves = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    stack = [(0, runtime.start[None], np.arange(count), np.zeros(count, dtype=np.intp))]
+    while stack:
+        k, states, shots, group = stack.pop()
+        if k == depth:
+            first = np.full(len(states), count)
+            np.minimum.at(first, group, shots)
+            diff = states - runtime.target
+            dev = np.max(np.abs(diff, out=diff), axis=(1, 2))
+            leaves.append((first, np.bincount(group, minlength=len(states)), dev))
+            continue
+        diags, invs = runtime.steps[k]
+        if not diags:
+            continue
+        probs = [_scale(states, d)[1] for d in diags]
+        # Running sums in branch order, the last one sum(probs), as in _walk.
+        bounds = np.add.accumulate(probs)[:, group]
+        u = draws[shots, k] * bounds[-1]
+        # _walk picks the first branch whose running sum exceeds u, else the
+        # last; assigning from the last branch down leaves the first one.
+        chosen = np.full(len(shots), len(diags) - 1)
+        for i in reversed(range(len(diags))):
+            chosen[u < bounds[i]] = i
+        choice[shots, k] = chosen
+        # One child per (branch, prefix) pair taken, branch-major.
+        key = chosen * len(states) + group
+        slot = np.zeros(len(diags) * len(states), dtype=np.intp)
+        slot[key] = 1
+        taken = np.flatnonzero(slot)
+        slot[taken] = np.arange(len(taken))
+        child = slot[key]
+        branch, rows = np.divmod(taken, len(states))
+        edges = np.searchsorted(branch, range(len(diags) + 1)).tolist()
+        starts = range(0, len(taken), batch)
+        if len(starts) > 1:
+            # Shots sorted by child, so each chunk's shots are one slice.
+            order = np.argsort(child)
+            shots, child = shots[order], child[order]
+        cuts = np.searchsorted(child, [*starts, len(taken)]).tolist()
+        for j, lo in enumerate(starts):
+            hi = min(lo + batch, len(taken))
+            kids = np.empty((hi - lo, n, n))
+            for i in range(len(diags)):
+                a, b = max(lo, edges[i]), min(hi, edges[i + 1])
+                if a < b:
+                    r = rows[a:b]
+                    out = diags[i][:, None] * states[r]
+                    _relabel(out, probs[i][r], invs[i], kids[a - lo : b - lo])
+            part = slice(cuts[j], cuts[j + 1])
+            stack.append((k + 1, kids, shots[part], child[part] - lo))
+    first, hits, dev = (np.concatenate(x) for x in zip(*leaves))
+    order = np.argsort(first)
+    return choice[first[order]], hits[order], dev[order]
 
 
 def run_trajectory(plan: LadderPlan, seed: int, shot_index: int) -> TrajectoryRecord:
     """Sample one complete run through the plan."""
-    path, psi, dev = _walk(_PlanRuntime(plan), seed, shot_index)
-    return TrajectoryRecord(
-        seed=seed,
-        shot_index=shot_index,
-        path=path,
-        final_state=FullState(psi),
-        matched_target=dev <= TOL_TRAJECTORY,
-    )
+    return _walk(_PlanRuntime(plan), seed, shot_index)
 
 
 def sample_trajectories(
@@ -539,13 +617,14 @@ def sample_trajectories(
     Every shot owns its own counter-based stream, so identical (plan,
     shots, seed) produce identical reports.  Shots go in blocks of
     SHOT_BLOCK: one pass computes the block's draws (_shot_draws), and one
-    depth-first walk (_descend) computes each distinct path prefix once
-    for all shots that share it.  The draws, the per-prefix arithmetic and
-    the branch choice are those of the per-shot walk, so the report equals,
-    bit for bit, the aggregate of run_trajectory over shots 0 .. shots - 1,
-    and kept records come from run_trajectory itself.  workers is accepted
-    for compatibility (it must be >= 1) and does not change how or where
-    the shots run.
+    walk over chunks of path prefixes (_sample_block) computes each
+    distinct prefix once for all shots that share it.  The draws, the
+    per-prefix arithmetic and the branch choice are those of the per-shot
+    walk, so the report equals, bit for bit, the aggregate of
+    run_trajectory over shots 0 .. shots - 1, with paths in order of their
+    first shot; kept records come from the per-shot walk itself.  workers
+    is accepted for compatibility (it must be >= 1) and does not change how
+    or where the shots run.
     """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
@@ -555,33 +634,33 @@ def sample_trajectories(
     runtime = _PlanRuntime(plan)
     depth = len(runtime.steps)
     path_counts: dict = {}
-    branch_counts = [[0] * len(step.branches) for step in plan.steps]
+    branch_counts = [np.zeros(len(s.branches), dtype=np.int64) for s in plan.steps]
     matches = 0
     max_dev = 0.0
     for first in range(0, shots, SHOT_BLOCK):
         count = min(SHOT_BLOCK, shots - first)
-        draws = _shot_draws(seed, first, count, depth).T
-        leaves = []
-        _descend(runtime, draws, np.arange(count), runtime.start, (), leaves)
-        # Insert paths in order of their first shot, as a shot loop would.
-        for group, path, dev in sorted(leaves, key=lambda leaf: leaf[0][0]):
-            hits = len(group)
-            path_counts[path] = path_counts.get(path, 0) + hits
-            for k, branch in enumerate(path):
-                branch_counts[k][branch] += hits
-            if dev <= TOL_TRAJECTORY:
-                matches += hits
-            max_dev = max(max_dev, dev)
+        # The draws go in unnamed, so that they are freed with the block.
+        paths, hits, dev = _sample_block(
+            runtime, _shot_draws(seed, first, count, depth)
+        )
+        # Paths go in in order of their first shot, as a shot loop puts them.
+        for path, hit in zip(paths.tolist(), hits.tolist()):
+            path = tuple(path)
+            path_counts[path] = path_counts.get(path, 0) + hit
+        for k, counts in enumerate(branch_counts):
+            np.add.at(counts, paths[:, k], hits)
+        matches += int(hits[dev <= TOL_TRAJECTORY].sum())
+        # fmax skips a NaN deviation, as a running max() from 0.0 does.
+        max_dev = float(np.fmax.reduce(dev, initial=max_dev))
     kept = range(min(keep_records, shots))
-    records = [run_trajectory(plan, seed, shot) for shot in kept]
     return FrequencyReport(
         shots=shots,
         seed=seed,
         path_counts=path_counts,
         branch_frequencies=tuple(
-            tuple(c / shots for c in counts) for counts in branch_counts
+            tuple(c / shots for c in counts.tolist()) for counts in branch_counts
         ),
         match_rate=matches / shots,
         max_final_dev=max_dev,
-        records=tuple(records),
+        records=tuple(_walk(runtime, seed, shot) for shot in kept),
     )

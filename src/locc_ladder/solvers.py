@@ -113,8 +113,21 @@ def _trivial_step(source: SchmidtVector, target: SchmidtVector) -> MeasurementSt
     )
 
 
-def _clamp_prob(p: float, label: str) -> float:
-    if p < -EPS_CMP:
+def _cond(a: float, b: float, den: float) -> float:
+    """Condition of (a - b) / den: how much the division magnifies the
+    rounding that a and b carry in from the chain, at least 1."""
+    return max(1.0, (abs(a) + abs(b)) / den)
+
+
+def _clamp_prob(p: float, label: str, cond: float = 1.0) -> float:
+    """p clamped to [0, 1]; negative beyond EPS_CMP * cond is an error.
+
+    cond scales the bound to the conditioning of the formula behind p.  At
+    n >= 32 the coefficients reach a block with rounding of order 1e-14,
+    and tied middle coefficients give p = (sb1 - sb2) / (s2 - sb2) of order
+    -1e-12 where the exact value is 0.
+    """
+    if p < -EPS_CMP * cond:
         raise SolverInvariantViolated(f"{label} = {p!r} is negative beyond tolerance")
     return min(max(p, 0.0), 1.0)
 
@@ -199,9 +212,13 @@ def solve3(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
         _assert_ordering(
             [("a2", a2), ("a1", a1), ("b1", b1), ("b2", b2), ("c2", c2)], CASE_I
         )
-        p2 = _clamp_prob((sb1 - sb2) / (s2 - sb2), "p2")
-        p3 = _clamp_prob((sc1 - sc2) / (s2 - sc2), "p3")
-        p1 = _clamp_prob(s1 / s2 - (sb2 / s2) * p2 - (sc2 / s2) * p3, "p1")
+        cond2, cond3 = _cond(sb1, sb2, s2 - sb2), _cond(sc1, sc2, s2 - sc2)
+        p2 = _clamp_prob((sb1 - sb2) / (s2 - sb2), "p2", cond2)
+        p3 = _clamp_prob((sc1 - sc2) / (s2 - sc2), "p3", cond3)
+        # p2 and p3 enter with weights of at most 1.
+        p1 = _clamp_prob(
+            s1 / s2 - (sb2 / s2) * p2 - (sc2 / s2) * p3, "p1", 1 + cond2 + cond3
+        )
         specs = [
             ((a2 / a1, b2 / b1, c2 / c1), (0, 1, 2)),
             ((b2 / a1, a2 / b1, c2 / c1), (1, 0, 2)),
@@ -215,9 +232,10 @@ def solve3(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
     _assert_ordering(
         [("a2", a2), ("b2", b2), ("b1", b1), ("c1", c1), ("c2", c2)], CASE_II
     )
-    p2 = _clamp_prob((s2 - s1) / (s2 - sc2), "p2")
-    p3 = _clamp_prob((sb2 - sb1) / (sb2 - sc2), "p3")
-    p1 = _clamp_prob(s1 / s2 - (sc2 / s2) * p2 - p3, "p1")
+    cond2, cond3 = _cond(s2, s1, s2 - sc2), _cond(sb2, sb1, sb2 - sc2)
+    p2 = _clamp_prob((s2 - s1) / (s2 - sc2), "p2", cond2)
+    p3 = _clamp_prob((sb2 - sb1) / (sb2 - sc2), "p3", cond3)
+    p1 = _clamp_prob(s1 / s2 - (sc2 / s2) * p2 - p3, "p1", 1 + cond2 + cond3)
     specs = [
         ((a2 / a1, b2 / b1, c2 / c1), (0, 1, 2)),
         ((c2 / a1, b2 / b1, a2 / c1), (2, 1, 0)),
@@ -245,8 +263,8 @@ def solve2(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
     if s2 - sb2 <= EPS_ZERO:
         # Maximally entangled target: majorization forces source == target.
         return _trivial_step(source, target)
-    p1 = _clamp_prob((s1 - sb2) / (s2 - sb2), "p1'")
-    p2 = _clamp_prob((s2 - s1) / (s2 - sb2), "p2'")
+    p1 = _clamp_prob((s1 - sb2) / (s2 - sb2), "p1'", _cond(s1, sb2, s2 - sb2))
+    p2 = _clamp_prob((s2 - s1) / (s2 - sb2), "p2'", _cond(s2, s1, s2 - sb2))
     specs = [
         ((a2 / a1, b2 / b1), (0, 1)),
         ((b2 / a1, a2 / b1), (1, 0)),

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from locc_ladder import (
@@ -26,6 +27,7 @@ from locc_ladder import (
     plan_full,
     solve3,
     validate,
+    verify_plan,
 )
 from locc_ladder.sampling import random_feasible_pair
 
@@ -319,6 +321,34 @@ class TestEmbedStep:
             embed_step(trivial, bad, 4)
 
 
+def _linear_swept_pair():
+    """Target proportional to (32, ..., 1); the source is the target after a
+    forward sweep of adjacent 0.75/0.25 averaging moves, sorted."""
+    target = np.arange(32, 0, -1, dtype=float)
+    target /= target.sum()
+    source = target.copy()
+    for i in range(31):
+        a, b = source[i], source[i + 1]
+        source[i], source[i + 1] = 0.75 * a + 0.25 * b, 0.25 * a + 0.75 * b
+    return sorted(source.tolist(), reverse=True), target.tolist()
+
+
+def _dirichlet_swept_pair(seed, n=64):
+    """A Dirichlet(5) target and a source made from it by adjacent averaging
+    moves in random order, each pair taking part with probability 0.85."""
+    rng = np.random.default_rng(seed)
+    target = np.sort(rng.dirichlet(np.full(n, 5.0)))[::-1] + 1e-9
+    target /= target.sum()
+    source = target.copy()
+    for i in rng.permutation(n - 1):
+        if rng.random() < 0.85:
+            t = rng.random()
+            a, b = source[i], source[i + 1]
+            source[i], source[i + 1] = t * a + (1 - t) * b, (1 - t) * a + t * b
+    source = np.sort(source)[::-1]
+    return (source / source.sum()).tolist(), target.tolist()
+
+
 class TestPlanFull:
     def test_running_example_step_probabilities(self, n4_pair):
         plan = plan_full(*n4_pair)
@@ -395,6 +425,26 @@ class TestPlanFull:
         assert plan.steps[-1].target.squares == pytest.approx(
             target.squares, abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            _linear_swept_pair(),
+            # Dirichlet(5) targets, as the plan-dense benchmark draws them;
+            # p2 (seed 163) and p3 (seed 136) came out near -1.1e-12 and
+            # -2.6e-12.
+            _dirichlet_swept_pair(163),
+            _dirichlet_swept_pair(136),
+        ],
+        ids=["n32-linear", "n64-seed163", "n64-seed136"],
+    )
+    def test_rounded_ties_at_large_n_plan_and_verify(self, pair):
+        # Rounding in the chain grows with n; tied block coefficients must
+        # give a verified plan, not a negative probability.
+        source, target = (validate(x, squared=True) for x in pair)
+        plan = plan_full(source, target)
+        assert len(plan.steps) == source.n // 2
+        assert verify_plan(plan).passed
 
     def test_infeasible_pair_certificate(self, infeasible_ladder_pair):
         with pytest.raises(LadderInfeasible) as exc_info:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,89 @@ class TestSamplerMatchesPerShotReference:
         assert report.match_rate == sum(r.matched_target for r in runs) / shots
         assert report.max_final_dev == max(devs)
         assert report.path_counts == path_counts
+
+
+N4_PAIR = ([0.4, 0.3, 0.2, 0.1], [0.55, 0.25, 0.15, 0.05])
+
+
+def _assert_report_is_per_shot(report, plan, seed, shots):
+    """report aggregates run_trajectory shot by shot, paths in order of
+    their first shot."""
+    runs, path_counts, branch_counts, devs = _per_shot_runs(plan, seed, shots)
+    assert list(report.path_counts.items()) == list(path_counts.items())
+    assert report.branch_frequencies == tuple(
+        tuple(c / shots for c in counts) for counts in branch_counts
+    )
+    assert report.max_final_dev == max(devs)
+    assert report.match_rate == sum(r.matched_target for r in runs) / shots
+
+
+class TestSamplerChunks:
+    """The sampler walks path prefixes in chunks of SAMPLE_BATCH_ENTRIES
+    matrix entries; neither where chunks split nor how many there are may
+    change a report."""
+
+    @pytest.mark.parametrize("prefixes", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "pair", [N4_PAIR, N10_PAIR, N32_PAIR], ids=["n4", "n10", "n32"]
+    )
+    def test_chunk_sizes_keep_the_per_shot_report(self, pair, prefixes, monkeypatch):
+        n = len(pair[0])
+        monkeypatch.setattr(oracle, "SHOT_BLOCK", 64)
+        monkeypatch.setattr(oracle, "SAMPLE_BATCH_ENTRIES", prefixes * n * n)
+        plan = _plan(pair)
+        for seed in (0, 2**64 + 3):
+            report = sample_trajectories(plan, 150, seed)
+            _assert_report_is_per_shot(report, plan, seed, 150)
+
+    def test_broken_operator_in_one_prefix_chunks(self, n4_pair, monkeypatch):
+        monkeypatch.setattr(oracle, "SAMPLE_BATCH_ENTRIES", 16)
+        bad = perturb_plan(plan_full(*n4_pair), 1, 0, 0, 1e-6)
+        report = sample_trajectories(bad, 300, 7)
+        assert 0 < report.match_rate < 1
+        _assert_report_is_per_shot(report, bad, 7, 300)
+
+    def test_incomplete_measurement_in_one_chunk(self, n4_pair):
+        # Step 0's first outcome now leaves its own state, and step 1's
+        # operators no longer sum to the identity, so each prefix has its
+        # own probability total, which scales that prefix's draws; prefixes
+        # sharing a chunk must not trade totals.
+        bad = perturb_plan(plan_full(*n4_pair), 0, 0, 0, 0.3)
+        bad = perturb_plan(bad, 1, 0, 0, 0.3)
+        report = sample_trajectories(bad, 300, 7)
+        assert report.match_rate < 1
+        _assert_report_is_per_shot(report, bad, 7, 300)
+
+    def test_kept_records_are_the_per_shot_runs(self):
+        plan = _plan(N10_PAIR)
+        report = sample_trajectories(plan, 40, 11, keep_records=40)
+        for record in report.records:
+            run = run_trajectory(plan, 11, record.shot_index)
+            assert (record.seed, record.path, record.matched_target) == (
+                run.seed, run.path, run.matched_target
+            )
+            assert np.array_equal(record.final_state.matrix, run.final_state.matrix)
+
+    def test_memory_stays_within_half_a_budget_per_step(self):
+        # A few chunks wait at each step, so the walk adds well under half
+        # a budget of float64s per step (1 MB here) to the peak of computing
+        # a block's draws; it adds about 0.3 MB.  Holding whole levels adds
+        # about 20 MB on this plan, and keeping a block's draws alive while
+        # the next block's are made adds 1 MB.
+        plan = _plan(N32_PAIR)
+        depth = len(plan.steps)
+        assert depth == 16
+        sample_trajectories(plan, 10, 5)  # first-use allocations
+        tracemalloc.start()
+        try:
+            _shot_draws(5, 0, oracle.SHOT_BLOCK, depth)
+            draws_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sample_trajectories(plan, 20000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= draws_peak + oracle.SAMPLE_BATCH_ENTRIES * 8 * depth // 2
 
 
 def _plan(pair):

@@ -10,12 +10,14 @@ from locc_ladder import (
     TWO_OUTCOME,
     DimensionMismatch,
     NotMajorized,
+    SolverInvariantViolated,
     SourceHasZero,
     solve2,
     solve3,
     validate,
 )
 from locc_ladder.sampling import random_feasible_pair
+from locc_ladder.solvers import _clamp_prob, _cond
 
 
 def step_completeness(step):
@@ -114,6 +116,34 @@ class TestSolve3Fixtures:
         q1 = s1 / s2 - (sc2 / s2) * q2 - q3
         expect = sorted(q for q in (q1, q2, q3) if q > 1e-12)
         assert got == pytest.approx(expect, abs=1e-12)
+
+    def test_rounded_middle_tie_prunes_instead_of_raising(self):
+        # A block from the ladder of an n=32 pair (tests/test_ladder.py):
+        # the middle squares are equal but for rounding carried in from the
+        # chain, so p2 = (sb1 - sb2) / (s2 - sb2) comes out near -2.7e-12.
+        source = validate(
+            [0.3543307086612363, 0.33070866141738875, 0.31496062992137536],
+            squared=True,
+        )
+        target = validate(
+            [0.36220472440915596, 0.3307086614174747, 0.3070866141733693],
+            squared=True,
+        )
+        step = solve3(source, target)
+        assert step.case_tag == CASE_I
+        assert step.pruned_count == 1
+        assert step_completeness(step) < 1e-12
+        assert branch_post_dev(step, source, target) < 1e-12
+
+    def test_negative_probability_bound_scales_with_conditioning(self):
+        assert _cond(0.33, 0.32, 0.05) == pytest.approx(13.0)
+        assert _cond(0.1, 0.05, 0.5) == 1.0
+        assert _clamp_prob(-0.9e-12, "p") == 0.0
+        with pytest.raises(SolverInvariantViolated, match="p = -2e-12"):
+            _clamp_prob(-2e-12, "p")
+        assert _clamp_prob(-2e-12, "p", cond=3.0) == 0.0
+        with pytest.raises(SolverInvariantViolated):
+            _clamp_prob(-4e-12, "p", cond=3.0)
 
     def test_rank_dropping_target(self):
         source = validate([0.5, 0.3, 0.2], squared=True)
