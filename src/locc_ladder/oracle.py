@@ -2,13 +2,16 @@
 
 States live here as full n x n amplitude matrices in the product basis, so a
 defective operator cannot hide behind the diagonal shortcut used by the
-planner.  verify_plan's per-step checks apply operators and corrections as
-literal matrix products.  Its branch-path walk and the trajectory sampler
-apply them by row scaling and index permutation of the full matrix, which
-gives the literal products' values bit for bit (a product with a diagonal
-or permutation matrix adds only exact zeros), without building the
+planner.  verify_plan's per-step checks apply each operator with apply_kraus
+and the rest as literal matrix products, stacked per step: one np.matmul
+per product over the step's (branches, n, n) matrices and one batched
+eigvalsh.  Its branch-path walk and the trajectory sampler apply operators
+and corrections by row scaling and index permutation of the full matrix,
+which gives the literal products' values bit for bit (a product with a
+diagonal or permutation matrix adds only exact zeros), without building the
 matrices.  Both move batches of path prefixes as one array through one
-kernel (_scale, _relabel).
+kernel (_scale, _relabel); the walk expands a batch by all of a step's
+branches in one pass of it.
 Trajectory sampling draws from per-shot counter-based streams, so a report
 depends only on (plan, shots, seed).  It runs in one thread, in blocks of
 shots: the block's streams are computed together as one Philox array, and
@@ -179,16 +182,69 @@ class VerificationReport:
         }
 
 
+def _check_step(k, step, psi: FullState, next_matrix, next_spectrum) -> StepCheck:
+    """One step's checks, from psi to the chain's next state.
+
+    Each outcome is applied with apply_kraus, the literal reference, so a
+    branch's probability, its zero-probability case and the check on its
+    post state are apply_kraus's own (perfbench's tracer also counts these
+    calls).  The rest are literal matrix products on the step's stacked
+    (branches, n, n) operators, permutation matrices and post states, one
+    np.matmul each, and one batched eigvalsh.  numpy multiplies and
+    diagonalises each matrix of a stack as it does a lone one, so the values
+    are those of apply_correction and reduced_spectrum branch by branch, and
+    every corrected state meets FullState's checks, as in apply_correction.
+    """
+    n = psi.n
+    branches = step.branches
+    count = len(branches)
+    posts = np.empty((count, n, n))
+    probs = []
+    for i, br in enumerate(branches):
+        post, prob = apply_kraus(psi, br.op, "A")
+        posts[i] = post.matrix
+        probs.append(prob)
+    ops = np.zeros((count, n * n))
+    ops[:, :: n + 1] = np.reshape([br.op.diag for br in branches], (count, n))
+    ops = ops.reshape(count, n, n)
+    # Summed branch by branch, in branch order.
+    total = np.zeros((n, n))
+    for square in np.matmul(ops.transpose(0, 2, 1), ops):
+        total += square
+    total -= np.eye(n)
+    completeness_dev = float(np.abs(total, out=total).max())
+    prob_sum_dev = abs(sum(br.prob for br in branches) - 1.0)
+    # perms[i] has a one at (t, j) for each j -> t of branch i's correction.
+    labels = np.array([br.correction for br in branches], dtype=np.intp)
+    perms = np.zeros((count, n, n))
+    perms[np.arange(count)[:, None], labels.reshape(count, n), np.arange(n)] = 1.0
+    corrected = np.matmul(np.matmul(perms, posts), perms.transpose(0, 2, 1))
+    for matrix in corrected:
+        FullState(matrix)
+    spectra = np.linalg.eigvalsh(np.matmul(corrected, corrected.transpose(0, 2, 1)))
+    diff = corrected - next_matrix
+    post_devs = np.abs(diff, out=diff).max(axis=(1, 2)).tolist()
+    diff = spectra[:, ::-1] - next_spectrum
+    spectrum_devs = np.abs(diff, out=diff).max(axis=1).tolist()
+    branch_checks = []
+    for i, br in enumerate(branches):
+        prob_dev = abs(probs[i] - br.prob)
+        branch_checks.append(BranchCheck(i, prob_dev, post_devs[i], spectrum_devs[i]))
+    return StepCheck(k, completeness_dev, prob_sum_dev, tuple(branch_checks))
+
+
 def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport:
     """Recheck a plan step by step against full-matrix arithmetic.
 
     Verifies per-index completeness, branch probabilities, post-correction
-    states and reduced spectra against the chain, with literal matrix
-    products (apply_kraus, apply_correction) and eigvalsh.  Then walks
-    every branch path end to end (when their number is within path_limit)
-    on full amplitude matrices, by row scaling and index permutation
-    (_walk_paths); the path check equals, bit for bit, that of walking
-    each path with apply_kraus and apply_correction.
+    states and reduced spectra against the chain (_check_step): apply_kraus
+    per branch, then literal matrix products and eigvalsh stacked over the
+    step's branches, with the values of the per-branch apply_kraus,
+    apply_correction and reduced_spectrum.  Then walks every branch path end
+    to end (when their number is within path_limit) on full amplitude
+    matrices, by row scaling and index permutation (_walk_paths); the path
+    check equals, bit for bit, that of walking each path with apply_kraus
+    and apply_correction.
 
     Deviations are reported, not raised.  A plan that cannot be applied at
     all raises: DimensionMismatch for an operator of the wrong dimension,
@@ -202,34 +258,17 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     # Built first, so a malformed correction is named before any check runs.
     runtime = _PlanRuntime(plan) if path_count <= path_limit else None
     layouts = plan.chain.layouts
-    n = plan.source.n
     step_checks = []
     worst = 0.0
     for k, step in enumerate(plan.steps):
         psi = FullState.from_layout(layouts[k])
-        total = np.zeros((n, n))
-        for br in step.branches:
-            m = np.diag(np.asarray(br.op.diag, dtype=float))
-            total += m.T @ m
-        completeness_dev = float(np.max(np.abs(total - np.eye(n))))
-        prob_sum_dev = abs(sum(br.prob for br in step.branches) - 1.0)
         next_matrix = np.diag(np.asarray(layouts[k + 1], dtype=float))
         next_spectrum = np.asarray(plan.chain.states[k + 1].squares)
-        branch_checks = []
-        for i, br in enumerate(step.branches):
-            post, prob = apply_kraus(psi, br.op, "A")
-            prob_dev = abs(prob - br.prob)
-            corrected = apply_correction(post, br.correction)
-            post_state_dev = float(np.max(np.abs(corrected.matrix - next_matrix)))
-            spectrum_dev = float(
-                np.max(np.abs(corrected.reduced_spectrum() - next_spectrum))
-            )
-            branch_checks.append(BranchCheck(i, prob_dev, post_state_dev, spectrum_dev))
-            worst = max(worst, prob_dev, post_state_dev, spectrum_dev)
-        step_checks.append(
-            StepCheck(k, completeness_dev, prob_sum_dev, tuple(branch_checks))
-        )
-        worst = max(worst, completeness_dev, prob_sum_dev)
+        check = _check_step(k, step, psi, next_matrix, next_spectrum)
+        for b in check.branch_checks:
+            worst = max(worst, b.prob_dev, b.post_state_dev, b.spectrum_dev)
+        step_checks.append(check)
+        worst = max(worst, check.completeness_dev, check.prob_sum_dev)
 
     if runtime is not None:
         total_prob, max_final_dev = _walk_paths(runtime)
@@ -373,33 +412,45 @@ class _PlanRuntime:
     the full amplitude matrix, just without the per-shot allocations.
     _walk (one shot), _sample_block (chunks of shots' path prefixes) and
     _walk_paths (every path) share these arrays and apply them with the
-    same operations in the same order.  A correction must permute the basis
-    labels; its inverse is what the walks index by.
+    same operations in the same order.  Per step they are the operators'
+    diagonals as columns, (branches, n, 1), so that a product scales rows,
+    and the inverse corrections, (branches, n), which the walks index by.
+    Every operator must have the state's dimension and every correction
+    must permute the basis labels.
     """
 
     def __init__(self, plan: LadderPlan):
         self.start = np.diag(np.asarray(plan.chain.layouts[0], dtype=float))
         self.target = np.diag(np.asarray(plan.chain.layouts[-1], dtype=float))
-        labels = list(range(len(self.start)))
+        n = len(self.start)
+        labels = list(range(n))
         self.steps = []
         for k, step in enumerate(plan.steps):
-            diags = [np.asarray(br.op.diag, dtype=float) for br in step.branches]
-            invs = []
             for i, br in enumerate(step.branches):
+                if br.op.n != n:
+                    raise DimensionMismatch(
+                        f"step {k} branch {i}: operator dim {br.op.n} vs state dim {n}"
+                    )
                 if sorted(br.correction) != labels:
                     raise ValidationError(
                         f"step {k} branch {i}: correction {tuple(br.correction)} "
-                        f"is not a permutation of 0..{len(labels) - 1}"
+                        f"is not a permutation of 0..{n - 1}"
                     )
-                invs.append(np.argsort(br.correction))
-            self.steps.append((diags, invs))
+            count = len(step.branches)
+            diags = np.array([br.op.diag for br in step.branches], dtype=float)
+            perms = np.reshape([br.correction for br in step.branches], (count, n))
+            self.steps.append((diags.reshape(count, n, 1), np.argsort(perms, axis=1)))
 
 
 # Matrix entries walked as one array: a batch holds this many entries' worth
-# of path prefixes (10 at n = 16, 1 from n = 36), at least one.  Pending
-# chunks keep their matrices until their subtrees come up, so the walk's
-# memory grows with this times the plan's depth, whatever n is.
-PATH_BATCH_ENTRIES = 2560
+# of path prefixes (32 at n = 16, 8 at n = 32, 2 at n = 64), at least one.
+# Pending chunks keep their matrices until their subtrees come up, so the
+# walk's memory grows with this times the plan's depth, whatever n is.  An
+# expansion holds a batch's children and their row-scaled originals, each
+# as many entries as this times the step's branches.  At this budget the
+# walk peaks at about 0.95 MB on an n = 16 plan of depth 8, under the
+# 1.1 MB that serialising an n = 48 transcript takes; at twice it, 1.7 MB.
+PATH_BATCH_ENTRIES = 8192
 
 # The sampler's chunks, by the same measure (16 prefixes at n = 32, 64 at
 # n = 16).  A few chunks wait at each step of the plan, so the walk's memory
@@ -407,47 +458,68 @@ PATH_BATCH_ENTRIES = 2560
 SAMPLE_BATCH_ENTRIES = 16384
 
 
-def _scale(states: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One outcome on a C-contiguous (G, n, n) batch of amplitude matrices.
+def _scale(states: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes on a C-contiguous batch of amplitude matrices.
 
-    Returns the batch row-scaled by the operator's diagonal d and each
-    matrix's probability: the pairwise sum of its n*n squares in row order,
-    np.sum's order on the C-ordered matmul output of apply_kraus.  The row
-    scale gives that matmul's values, whose products with a diagonal matrix
-    add exact zeros to the single nonzero term.
+    scale holds operator diagonals as columns: (n, 1) for one operator on a
+    (G, n, n) batch, or (B, n, 1) for B operators on a (G, 1, n, n) view,
+    which gives (G, B, n, n) blocks.  Returns the row-scaled matrices and
+    each one's probability, shaped as the matrices are stacked: the
+    pairwise sum of its n*n squares in row order, np.sum's order on the
+    C-ordered matmul output of apply_kraus.  The row scale gives that
+    matmul's values, whose products with a diagonal matrix add exact zeros
+    to the single nonzero term.
     """
-    out = d[:, None] * states
-    return out, np.add.reduce((out * out).reshape(len(out), -1), axis=1)
+    out = scale * states
+    n = out.shape[-1]
+    return out, np.add.reduce((out * out).reshape(*out.shape[:-2], n * n), axis=-1)
 
 
-def _relabel(out: np.ndarray, prob: np.ndarray, inv: np.ndarray, dest: np.ndarray):
-    """Post states of one outcome, written to dest.
+def _gather_indices(invs: np.ndarray) -> np.ndarray:
+    """Flat positions of relabellings, one row per inverse correction.
 
-    Each row-scaled matrix of out (as _scale makes it) is permuted on both
-    axes by inv, the inverse of the branch's correction, and divided by the
-    square root of its probability: the values apply_kraus then
-    apply_correction give.
+    Taking a C-ordered n x n matrix's entries at row b's positions permutes
+    it on both axes: entry (j, l) of the result is entry (inv[j], inv[l])
+    of the matrix, which is where P @ M @ P.T puts it for the correction's
+    permutation matrix P.
     """
-    g, n, _ = out.shape
-    # One gather of each flattened matrix at the permuted flat positions.
-    flat = (inv[:, None] * n + inv).ravel()
-    moved = np.take(out.reshape(g, n * n), flat, axis=1).reshape(g, n, n)
-    np.divide(moved, np.sqrt(prob)[:, None, None], out=dest)
+    n = invs.shape[1]
+    return (invs[:, :, None] * n + invs[:, None, :]).reshape(len(invs), n * n)
+
+
+def _relabel(out: np.ndarray, prob: np.ndarray, gather: np.ndarray, dest: np.ndarray):
+    """Post states, written to the C-contiguous (G * B, n, n) array dest.
+
+    out holds G row-scaled matrices, or G blocks of B, as _scale makes
+    them, and prob their probabilities.  gather holds flat positions
+    (_gather_indices) into one matrix, or into one block.  Each matrix is
+    permuted on both axes and divided by the square root of its
+    probability: the values apply_kraus then apply_correction give.
+    """
+    g = len(out)
+    # Indices are in range; "clip" lets take write to dest unbuffered.
+    np.take(out.reshape(g, -1), gather, axis=1, out=dest.reshape(g, -1), mode="clip")
+    np.divide(dest, np.sqrt(prob).reshape(-1, 1, 1), out=dest)
 
 
 def _walk_paths(runtime: _PlanRuntime) -> tuple[float, float]:
     """Total probability and worst final deviation over every branch path.
 
     Depth first over batches of path prefixes, each batch one C-contiguous
-    (B, n, n) array of amplitude matrices in ascending path order.  Per
-    branch the batch is scaled (_scale) and every matrix's post state is
-    computed (_relabel), so the values are those of apply_kraus and
-    apply_correction.  The children, ascending, go back on the stack in
-    chunks (copies, so a pending chunk does not keep its siblings alive),
-    the last chunk on top, so complete paths come off in descending order,
-    the order of the literal stack walk, which pops the last branch first.
-    Path probabilities are summed one by one in that order, since a
-    pairwise sum would round differently.
+    (B, n, n) array of amplitude matrices in ascending path order.  A batch
+    is expanded by all of its step's branches at once: one _scale gives the
+    (B, branches) block of row-scaled matrices and their probabilities, and
+    one _relabel their post states, so the values are those of apply_kraus
+    and apply_correction, as (B * branches, n, n) children in prefix-major
+    order.  Children of the plan's last step are complete paths and are
+    evaluated where they are made: their probabilities fill one contiguous
+    slice of path_probs, and the block gives its worst deviation at once.
+    Other children go back on the stack in chunks (copies, so a pending
+    chunk does not keep its siblings alive), the last chunk on top, so
+    complete paths come off in descending order, the order of the literal
+    stack walk, which pops the last branch first.  Path probabilities are
+    summed one by one in that order, since a pairwise sum would round
+    differently.
     """
     depth = len(runtime.steps)
     n = len(runtime.start)
@@ -455,30 +527,36 @@ def _walk_paths(runtime: _PlanRuntime) -> tuple[float, float]:
     # The start state meets FullState's checks, as in the literal walk.
     stack = [(0, FullState(runtime.start).matrix[None], np.ones(1))]
     # Filled from the end, as complete paths come off in descending order.
-    path_probs = np.empty(math.prod(len(diags) for diags, _ in runtime.steps))
+    path_probs = np.empty(math.prod(len(scales) for scales, _ in runtime.steps))
     end = len(path_probs)
     max_dev = 0.0
     while stack:
         k, states, acc = stack.pop()
-        if k == depth:
-            path_probs[end - len(acc) : end] = acc
-            end -= len(acc)
-            max_dev = max(max_dev, float(np.max(np.abs(states - runtime.target))))
-            continue
-        diags, invs = runtime.steps[k]
-        kids = np.empty((len(states), len(diags), n, n))
-        probs = np.empty((len(states), len(diags)))
-        for i, (d, inv) in enumerate(zip(diags, invs)):
-            out, prob = _scale(states, d)
+        if k < depth:
+            scales, invs = runtime.steps[k]
+            out, prob = _scale(states[:, None], scales)
             if not (np.all(prob > EPS_ZERO) and np.all(np.isfinite(prob))):
                 # FullState refuses the post state apply_kraus gives here.
                 raise ValidationError("amplitude matrix is not normalized")
-            probs[:, i] = prob
-            _relabel(out, prob, inv, kids[:, i])
-        kids = kids.reshape(-1, n, n)
-        kid_acc = (acc[:, None] * probs).reshape(-1)
-        for lo in range(0, len(kids), batch):
-            stack.append((k + 1, kids[lo : lo + batch].copy(), kid_acc[lo : lo + batch]))
+            states = np.empty((prob.size, n, n))
+            # Branch b's positions, b matrices into each block.
+            gather = _gather_indices(invs) + n * n * np.arange(len(invs))[:, None]
+            _relabel(out, prob, gather.ravel(), states)
+            # Freed before the children are copied or compared.
+            del out
+            acc = (acc[:, None] * prob).reshape(-1)
+            k += 1
+            if k < depth:
+                for lo in range(0, len(states), batch):
+                    stack.append((k, states[lo : lo + batch].copy(), acc[lo : lo + batch]))
+                continue
+        # Complete paths: the children of a last-step batch, or the start of
+        # a plan without steps.
+        path_probs[end - len(acc) : end] = acc
+        end -= len(acc)
+        if len(acc):
+            diff = states - runtime.target
+            max_dev = max(max_dev, float(np.max(np.abs(diff, out=diff))))
     if not len(path_probs):
         return 0.0, 0.0
     return float(np.add.accumulate(path_probs[::-1])[-1]), max_dev
@@ -490,8 +568,8 @@ def _walk(runtime: _PlanRuntime, seed: int, shot_index: int) -> TrajectoryRecord
     draws = rng.random(len(runtime.steps))
     psi = runtime.start
     path = []
-    for k, (diags, invs) in enumerate(runtime.steps):
-        outs = [d[:, None] * psi for d in diags]
+    for k, (scales, invs) in enumerate(runtime.steps):
+        outs = [scale * psi for scale in scales]
         probs = [float(np.sum(out * out)) for out in outs]
         u = draws[k] * sum(probs)
         chosen = len(probs) - 1
@@ -519,8 +597,7 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
 
     Returns the block's complete paths in order of their first shot, as a
     (paths, depth) array of branch indices, with each path's shot count and
-    final deviation from the target.  A shot that meets a step without
-    outcomes stops there and counts in no path.
+    final deviation from the target.
 
     Level-synchronous within a chunk, depth first over chunks.  A chunk is
     one C-contiguous (G, n, n) array of distinct path prefixes plus the
@@ -540,11 +617,10 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
     count, depth = draws.shape
     n = len(runtime.start)
     batch = max(1, SAMPLE_BATCH_ENTRIES // (n * n))
-    widest = max((len(diags) for diags, _ in runtime.steps), default=1)
+    widest = max((len(scales) for scales, _ in runtime.steps), default=1)
     choice = np.empty((count, depth), dtype=np.min_scalar_type(widest))
-    # Per complete path: first shot, shot count, deviation.  Seeded empty,
-    # so a block whose shots all stop short still concatenates.
-    leaves = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    # Per complete path: first shot, shot count, deviation.
+    leaves = []
     stack = [(0, runtime.start[None], np.arange(count), np.zeros(count, dtype=np.intp))]
     while stack:
         k, states, shots, group = stack.pop()
@@ -555,43 +631,42 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
             dev = np.max(np.abs(diff, out=diff), axis=(1, 2))
             leaves.append((first, np.bincount(group, minlength=len(states)), dev))
             continue
-        diags, invs = runtime.steps[k]
-        if not diags:
-            continue
-        probs = [_scale(states, d)[1] for d in diags]
+        scales, invs = runtime.steps[k]
+        probs = [_scale(states, scale)[1] for scale in scales]
         # Running sums in branch order, the last one sum(probs), as in _walk.
         bounds = np.add.accumulate(probs)[:, group]
         u = draws[shots, k] * bounds[-1]
         # _walk picks the first branch whose running sum exceeds u, else the
         # last; assigning from the last branch down leaves the first one.
-        chosen = np.full(len(shots), len(diags) - 1)
-        for i in reversed(range(len(diags))):
+        chosen = np.full(len(shots), len(scales) - 1)
+        for i in reversed(range(len(scales))):
             chosen[u < bounds[i]] = i
         choice[shots, k] = chosen
         # One child per (branch, prefix) pair taken, branch-major.
         key = chosen * len(states) + group
-        slot = np.zeros(len(diags) * len(states), dtype=np.intp)
+        slot = np.zeros(len(scales) * len(states), dtype=np.intp)
         slot[key] = 1
         taken = np.flatnonzero(slot)
         slot[taken] = np.arange(len(taken))
         child = slot[key]
         branch, rows = np.divmod(taken, len(states))
-        edges = np.searchsorted(branch, range(len(diags) + 1)).tolist()
+        edges = np.searchsorted(branch, range(len(scales) + 1)).tolist()
         starts = range(0, len(taken), batch)
         if len(starts) > 1:
             # Shots sorted by child, so each chunk's shots are one slice.
             order = np.argsort(child)
             shots, child = shots[order], child[order]
         cuts = np.searchsorted(child, [*starts, len(taken)]).tolist()
+        gathers = _gather_indices(invs)
         for j, lo in enumerate(starts):
             hi = min(lo + batch, len(taken))
             kids = np.empty((hi - lo, n, n))
-            for i in range(len(diags)):
+            for i, gather in enumerate(gathers):
                 a, b = max(lo, edges[i]), min(hi, edges[i + 1])
                 if a < b:
                     r = rows[a:b]
-                    out = diags[i][:, None] * states[r]
-                    _relabel(out, probs[i][r], invs[i], kids[a - lo : b - lo])
+                    out = scales[i] * states[r]
+                    _relabel(out, probs[i][r], gather, kids[a - lo : b - lo])
             part = slice(cuts[j], cuts[j + 1])
             stack.append((k + 1, kids, shots[part], child[part] - lo))
     first, hits, dev = (np.concatenate(x) for x in zip(*leaves))
@@ -599,9 +674,18 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
     return choice[first[order]], hits[order], dev[order]
 
 
+def _sampling_runtime(plan: LadderPlan) -> _PlanRuntime:
+    """_PlanRuntime for the walks that draw one outcome per step, which
+    refuse a step without outcomes."""
+    for k, step in enumerate(plan.steps):
+        if not step.branches:
+            raise ValidationError(f"step {k} has no outcomes to sample")
+    return _PlanRuntime(plan)
+
+
 def run_trajectory(plan: LadderPlan, seed: int, shot_index: int) -> TrajectoryRecord:
     """Sample one complete run through the plan."""
-    return _walk(_PlanRuntime(plan), seed, shot_index)
+    return _walk(_sampling_runtime(plan), seed, shot_index)
 
 
 def sample_trajectories(
@@ -631,7 +715,7 @@ def sample_trajectories(
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
 
-    runtime = _PlanRuntime(plan)
+    runtime = _sampling_runtime(plan)
     depth = len(runtime.steps)
     path_counts: dict = {}
     branch_counts = [np.zeros(len(s.branches), dtype=np.int64) for s in plan.steps]

@@ -13,8 +13,10 @@ import numpy as np
 
 from locc_ladder.oracle import (
     TOL_PATH,
+    BranchCheck,
     FullState,
     PathCheck,
+    StepCheck,
     apply_correction,
     apply_kraus,
 )
@@ -25,17 +27,34 @@ def asdict_json(transcript):
     return json.dumps(dataclasses.asdict(transcript), indent=2, sort_keys=True) + "\n"
 
 
-def dense_n32_pair():
-    """A 16-step n=32 ladder pair, every step a three-outcome measurement,
-    as (source, target) squared coefficients: the source is a decaying
-    target averaged over adjacent indices."""
-    target = 0.9 ** np.arange(32)
+def dense_pair(n):
+    """A ladder pair at dimension n whose steps are three-outcome
+    measurements, all of them at n=32 and all but the last two-outcome one
+    at n=16, as (source, target) squared coefficients: the source is a
+    decaying target averaged over adjacent indices."""
+    target = 0.9 ** np.arange(n)
     target /= target.sum()
     source = target.copy()
-    for i in range(31):
+    for i in range(n - 1):
         a, b = source[i], source[i + 1]
         source[i], source[i + 1] = 0.9 * a + 0.1 * b, 0.1 * a + 0.9 * b
     return sorted(source.tolist(), reverse=True), target.tolist()
+
+
+def dirichlet_swept_pair(seed, n=64):
+    """A Dirichlet(5) target and a source made from it by adjacent averaging
+    moves in random order, each pair taking part with probability 0.85."""
+    rng = np.random.default_rng(seed)
+    target = np.sort(rng.dirichlet(np.full(n, 5.0)))[::-1] + 1e-9
+    target /= target.sum()
+    source = target.copy()
+    for i in rng.permutation(n - 1):
+        if rng.random() < 0.85:
+            t = rng.random()
+            a, b = source[i], source[i + 1]
+            source[i], source[i + 1] = t * a + (1 - t) * b, (1 - t) * a + t * b
+    source = np.sort(source)[::-1]
+    return (source / source.sum()).tolist(), target.tolist()
 
 
 def fsum_tail_margins(source_sq, target_sq):
@@ -112,3 +131,39 @@ def literal_path_check(plan, path_limit=20000):
         max_final_dev=max_final_dev,
         all_reach_target=max_final_dev <= TOL_PATH,
     )
+
+
+def literal_step_checks(plan):
+    """verify_plan's step checks by the literal per-branch loop.
+
+    Each branch is applied with apply_kraus and apply_correction, one
+    FullState at a time, and its reduced spectrum taken with
+    FullState.reduced_spectrum.
+    """
+    layouts = plan.chain.layouts
+    n = plan.source.n
+    step_checks = []
+    for k, step in enumerate(plan.steps):
+        psi = FullState.from_layout(layouts[k])
+        total = np.zeros((n, n))
+        for br in step.branches:
+            m = np.diag(np.asarray(br.op.diag, dtype=float))
+            total += m.T @ m
+        completeness_dev = float(np.max(np.abs(total - np.eye(n))))
+        prob_sum_dev = abs(sum(br.prob for br in step.branches) - 1.0)
+        next_matrix = np.diag(np.asarray(layouts[k + 1], dtype=float))
+        next_spectrum = np.asarray(plan.chain.states[k + 1].squares)
+        branch_checks = []
+        for i, br in enumerate(step.branches):
+            post, prob = apply_kraus(psi, br.op, "A")
+            prob_dev = abs(prob - br.prob)
+            corrected = apply_correction(post, br.correction)
+            post_state_dev = float(np.max(np.abs(corrected.matrix - next_matrix)))
+            spectrum_dev = float(
+                np.max(np.abs(corrected.reduced_spectrum() - next_spectrum))
+            )
+            branch_checks.append(BranchCheck(i, prob_dev, post_state_dev, spectrum_dev))
+        step_checks.append(
+            StepCheck(k, completeness_dev, prob_sum_dev, tuple(branch_checks))
+        )
+    return tuple(step_checks)

@@ -13,7 +13,7 @@ from locc_ladder.cli import _build_parser, main
 
 import jsonschema
 
-from helpers import asdict_json, dense_n32_pair
+from helpers import asdict_json, dense_pair
 
 
 def run_cli(argv, payload=None, env_seed=None, monkeypatch=None):
@@ -325,7 +325,7 @@ class TestCachedParser:
         assert capsys.readouterr() == ("", "")
 
 
-N32 = dict(zip(("source", "target"), dense_n32_pair()))
+N32 = dict(zip(("source", "target"), dense_pair(32)))
 
 
 @pytest.mark.parametrize(

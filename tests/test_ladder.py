@@ -32,6 +32,7 @@ from locc_ladder import (
 from locc_ladder.sampling import random_feasible_pair
 
 from helpers import (
+    dirichlet_swept_pair,
     forced_chain_layout_squares,
     fsum_majorized,
     window_inequality_defect,
@@ -333,22 +334,6 @@ def _linear_swept_pair():
     return sorted(source.tolist(), reverse=True), target.tolist()
 
 
-def _dirichlet_swept_pair(seed, n=64):
-    """A Dirichlet(5) target and a source made from it by adjacent averaging
-    moves in random order, each pair taking part with probability 0.85."""
-    rng = np.random.default_rng(seed)
-    target = np.sort(rng.dirichlet(np.full(n, 5.0)))[::-1] + 1e-9
-    target /= target.sum()
-    source = target.copy()
-    for i in rng.permutation(n - 1):
-        if rng.random() < 0.85:
-            t = rng.random()
-            a, b = source[i], source[i + 1]
-            source[i], source[i + 1] = t * a + (1 - t) * b, (1 - t) * a + t * b
-    source = np.sort(source)[::-1]
-    return (source / source.sum()).tolist(), target.tolist()
-
-
 class TestPlanFull:
     def test_running_example_step_probabilities(self, n4_pair):
         plan = plan_full(*n4_pair)
@@ -433,8 +418,8 @@ class TestPlanFull:
             # Dirichlet(5) targets, as the plan-dense benchmark draws them;
             # p2 (seed 163) and p3 (seed 136) came out near -1.1e-12 and
             # -2.6e-12.
-            _dirichlet_swept_pair(163),
-            _dirichlet_swept_pair(136),
+            dirichlet_swept_pair(163),
+            dirichlet_swept_pair(136),
         ],
         ids=["n32-linear", "n64-seed163", "n64-seed136"],
     )

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locc_ladder import (
     DiagonalKraus,
@@ -19,10 +21,15 @@ from locc_ladder import (
     verify_plan,
 )
 from locc_ladder import oracle
-from locc_ladder.errors import LadderInfeasible, ValidationError
+from locc_ladder.errors import LadderInfeasible, LoccLadderError, ValidationError
 from locc_ladder.oracle import _shot_draws, _shot_rng
 
-from helpers import dense_n32_pair, literal_path_check
+from helpers import (
+    dense_pair,
+    dirichlet_swept_pair,
+    literal_path_check,
+    literal_step_checks,
+)
 
 
 def perturb_plan(plan, step_idx, branch_idx, entry_idx, delta):
@@ -216,7 +223,7 @@ N10_PAIR = (
 
 
 # A 16-step ladder pair whose 150 shots share some path prefixes.
-N32_PAIR = dense_n32_pair()
+N32_PAIR = dense_pair(32)
 SEEDS = [0, 7, 2**63 + 5, 2**64 + 3, -1]
 
 
@@ -464,6 +471,12 @@ class TestPathWalkMatchesLiteralWalk:
         assert check.enumerated
         assert check == literal_path_check(plan)
 
+    def test_one_step_plan(self, case1_pair):
+        # The start's children are the leaves: no batch ever waits.
+        plan = plan_full(*case1_pair)
+        assert [len(step.branches) for step in plan.steps] == [3]
+        assert verify_plan(plan).path_check == literal_path_check(plan)
+
     def test_zero_step_plan(self):
         v = validate([0.5, 0.3, 0.2], squared=True)
         plan = dataclasses.replace(plan_full(v, v), steps=())
@@ -499,7 +512,7 @@ class TestPathWalkMatchesLiteralWalk:
         assert check == literal_path_check(plan, path_limit=limit)
 
     @pytest.mark.parametrize("batch", [1, 2, 5])
-    @pytest.mark.parametrize("n", [4, 9, 13])
+    @pytest.mark.parametrize("n", [4, 9, 13, 16])
     def test_chunk_boundaries(self, n, batch, monkeypatch):
         # batch path prefixes to an array, so chunks split every expansion.
         monkeypatch.setattr(oracle, "PATH_BATCH_ENTRIES", batch * n * n)
@@ -530,6 +543,188 @@ class TestPathWalkMatchesLiteralWalk:
                         assert check == literal_path_check(bad), (s, b, e, delta)
                         faults += 1
         assert faults >= 40
+
+    def test_memory_stays_within_two_budgets_per_step(self):
+        # At most two chunks wait at each step, and an expansion holds its
+        # batch's children and their row-scaled originals, so the walk's
+        # peak stays under two budgets of float64s per step: about 0.95 MB
+        # on this plan (depth 8, 4374 paths; the ladder's last step at even
+        # n has two outcomes).  The budget itself is pinned: the bound must
+        # stay within 1 MiB, under the per-document peak that serialising
+        # an n = 48 transcript takes anyway.  At 16384 entries the walk
+        # alone would peak at about 1.7 MB here.
+        plan = _plan(dense_pair(16))
+        depth = len(plan.steps)
+        # Also the first-use allocations.
+        assert (depth, verify_plan(plan).path_check.path_count) == (8, 4374)
+        tracemalloc.start()
+        try:
+            verify_plan(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 2 * oracle.PATH_BATCH_ENTRIES * 8 * depth
+        assert bound <= 2**20
+        assert peak <= bound
+
+
+class TestKernelMatchesLiteralProducts:
+    """_scale then _relabel must give apply_kraus then apply_correction bit
+    for bit, alone (as the sampler calls them) and on blocks of branches (as
+    the path walk does).  Non-diagonal matrices show what the walks' states,
+    always diagonal, cannot: a permutation applied the wrong way round."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12, 16])
+    def test_non_diagonal_batch(self, n):
+        rng = np.random.default_rng([20261018, n])
+        states = rng.standard_normal((5, n, n))
+        states /= np.sqrt(np.sum(states * states, axis=(1, 2)))[:, None, None]
+        diags = rng.random((3, n))
+        perms = [rng.permutation(n) for _ in range(3)]
+        invs = np.argsort(perms, axis=1)
+        out, prob = oracle._scale(states[:, None], diags[:, :, None])
+        block = np.empty((15, n, n))
+        gather = oracle._gather_indices(invs) + n * n * np.arange(3)[:, None]
+        oracle._relabel(out, prob, gather.ravel(), block)
+        for b, (d, perm) in enumerate(zip(diags, perms)):
+            out_b, prob_b = oracle._scale(states, d[:, None])
+            alone = np.empty((5, n, n))
+            oracle._relabel(out_b, prob_b, oracle._gather_indices(invs)[b], alone)
+            for g, state in enumerate(states):
+                post, p = apply_kraus(FullState(state.copy()), DiagonalKraus(tuple(d)))
+                corrected = apply_correction(post, tuple(perm)).matrix
+                assert prob_b[g] == p == prob[g, b]
+                assert np.array_equal(alone[g], corrected)
+                assert np.array_equal(block[3 * g + b], corrected)
+
+
+def _stacked_step_checks(plan):
+    # path_limit=0: the step checks alone, which a zero-probability path
+    # would otherwise cut short.
+    return verify_plan(plan, path_limit=0).step_checks
+
+
+def _step_outcome(check, plan):
+    """repr of check(plan)'s step checks, or the error it raised."""
+    try:
+        return repr(check(plan))
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def degenerate_pairs(draw):
+    """(source, target) squared coefficients with ties, zero tails and
+    1e-13 coefficients.  The source is the target averaged over pairs of
+    indices, so the target majorizes it."""
+    n = draw(st.integers(2, 8))
+    weights = draw(st.lists(st.sampled_from([1.0, 2.0, 4.0]), min_size=n, max_size=n))
+    target = sorted(weights, reverse=True)
+    zeros = draw(st.integers(0, n - 2))
+    target[n - zeros :] = [0.0] * zeros
+    target = [t / sum(target) for t in target]
+    last = n - zeros - 1
+    if last > 0 and draw(st.booleans()):
+        target[last - 1] += target[last] - 1e-13
+        target[last] = 1e-13
+    source = list(target)
+    moves = st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([0.5, 0.75])
+    )
+    for i, j, t in draw(st.lists(moves, max_size=2 * n)):
+        source[i], source[j] = (
+            t * source[i] + (1 - t) * source[j],
+            (1 - t) * source[i] + t * source[j],
+        )
+    return sorted(source, reverse=True), sorted(target, reverse=True)
+
+
+class TestStepChecksMatchLiteral:
+    """verify_plan's step checks, stacked per step, must equal the literal
+    per-branch loop's (apply_kraus, apply_correction, reduced_spectrum),
+    field for field and bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_ladder_plans(self, n):
+        plan = _ladder_plan(n, np.random.default_rng([20261018, n]))
+        assert repr(_stacked_step_checks(plan)) == repr(literal_step_checks(plan))
+
+    @pytest.mark.parametrize("pair", DEGENERATE_PAIRS)
+    def test_degenerate_pairs(self, pair):
+        plan = _plan(pair)
+        expected = _step_outcome(literal_step_checks, plan)
+        assert _step_outcome(_stacked_step_checks, plan) == expected
+
+    @pytest.mark.parametrize("n", [24, 32, 40, 48])
+    def test_sparse_pairs(self, n):
+        plan = _plan(_sparse_pair(n, np.random.default_rng([20261018, n])))
+        assert repr(_stacked_step_checks(plan)) == repr(literal_step_checks(plan))
+
+    @pytest.mark.parametrize(
+        "pair", [dense_pair(32), dirichlet_swept_pair(163)], ids=["n32", "n64"]
+    )
+    def test_dense_pairs(self, pair):
+        plan = _plan(pair)
+        assert len(plan.steps) == len(pair[0]) // 2
+        assert repr(_stacked_step_checks(plan)) == repr(literal_step_checks(plan))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _plan(([0.4, 0.3, 0.2, 0.1], [0.55, 0.25, 0.15, 0.05])),
+            lambda: _ladder_plan(7, np.random.default_rng(7)),
+        ],
+        ids=["n4", "n7"],
+    )
+    def test_every_injected_fault_matches(self, make):
+        # Criterion 7's faults: one operator entry shifted by +/-1e-6.
+        plan = make()
+        faults = 0
+        for s, step in enumerate(plan.steps):
+            for b, branch in enumerate(step.branches):
+                for e, entry in enumerate(branch.op.diag):
+                    for delta in (1e-6, -1e-6):
+                        if entry + delta < 0:
+                            continue
+                        bad = perturb_plan(plan, s, b, e, delta)
+                        expected = _step_outcome(literal_step_checks, bad)
+                        assert _step_outcome(_stacked_step_checks, bad) == expected
+                        faults += 1
+        assert faults >= 40
+
+    @given(pair=degenerate_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_degenerate_property(self, pair):
+        try:
+            plan = _plan(pair)
+        except LoccLadderError:
+            return  # refused pairs have no steps to check
+        expected = _step_outcome(literal_step_checks, plan)
+        assert _step_outcome(_stacked_step_checks, plan) == expected
+
+
+class TestStepWithoutOutcomes:
+    """A step without outcomes leaves nothing to draw: both sampling walks
+    refuse it, naming the step.  verify_plan reports such a plan instead
+    (test_step_without_branches)."""
+
+    @pytest.fixture
+    def empty_step_plan(self, n4_pair):
+        plan = plan_full(*n4_pair)
+        empty = dataclasses.replace(plan.steps[1], branches=())
+        return dataclasses.replace(plan, steps=(plan.steps[0], empty))
+
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            lambda plan: run_trajectory(plan, seed=1, shot_index=0),
+            lambda plan: sample_trajectories(plan, 100, seed=1),
+        ],
+        ids=["run_trajectory", "sample_trajectories"],
+    )
+    def test_raises(self, empty_step_plan, walk):
+        with pytest.raises(ValidationError, match=r"step 1 has no outcomes"):
+            walk(empty_step_plan)
 
 
 class TestCorrectionMustPermute:
