@@ -4,13 +4,26 @@ One invocation produces one JSON document.  Floats pass through Python's
 shortest-round-trip repr, so parsing a serialized transcript reproduces it
 exactly.  The document layout is pinned by transcript.schema.json shipped
 with the package.
+
+The document is written by a small private writer, not by ``json.dumps``:
+``json`` uses its C encoder only when ``indent`` is None, so with
+``indent=2`` it walks every float of a plan in pure-Python generators.  The
+writer's output equals ``json.dumps(doc, indent=2, sort_keys=True)`` for
+every value a transcript can hold.  It recurses in Python only over dicts
+and over lists that hold containers, writes each list of exact floats as
+one join over a per-document float-text memo (a plan's operator diagonals
+and post states repeat the same few values), and each other list of
+scalars in one call to the C encoder.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import __version__
@@ -48,8 +61,8 @@ class ProblemSpec:
             if key in payload and not isinstance(payload[key], bool):
                 raise ValidationError(f"'{key}' must be a boolean")
         return cls(
-            source=[float(x) for x in payload["source"]],
-            target=[float(x) for x in payload["target"]],
+            source=_numbers(payload, "source"),
+            target=_numbers(payload, "target"),
             squared=bool(payload.get("squared", False)) or squared,
             autosort=bool(payload.get("autosort", False)) or autosort,
         )
@@ -70,6 +83,105 @@ class ProblemSpec:
             "squared": self.squared,
             "autosort": self.autosort,
         }
+
+
+_JSON_KINDS = {
+    type(None): "null",
+    bool: "a boolean",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+}
+
+
+def _numbers(payload: dict, key: str) -> list[float]:
+    """payload[key] as floats; each entry must be a real number (from JSON an
+    int or a float; from Python also any ``numbers.Real`` such as numpy's
+    scalars or a Fraction), not a bool, and one that a float can hold."""
+    out = []
+    for i, x in enumerate(payload[key]):
+        # float and int first: the numbers.Real check alone is an ABC
+        # lookup, which made parsing 3.5x slower.
+        if isinstance(x, bool) or not isinstance(x, (float, int, numbers.Real)):
+            kind = _JSON_KINDS.get(type(x), type(x).__name__)
+            raise ValidationError(f"'{key}'[{i}] must be a number, not {kind}")
+        try:
+            out.append(float(x))
+        except OverflowError:
+            raise ValidationError(f"'{key}'[{i}] is too large for a float") from None
+    return out
+
+
+class _FloatText(dict):
+    """Float -> its JSON text, as ``json``'s floatstr writes it; made fresh
+    for each document.  Zeros are never stored: 0.0 == -0.0 and the two
+    share a hash, so a stored 0.0 would answer for -0.0."""
+
+    def __missing__(self, x: float) -> str:
+        if x != x:
+            text = "NaN"
+        elif x == float("inf"):
+            text = "Infinity"
+        elif x == float("-inf"):
+            text = "-Infinity"
+        else:
+            text = float.__repr__(x)
+        if x:
+            self[x] = text
+        return text
+
+
+@functools.cache
+def _scalar_list(indent: str):
+    """The C encoder's encode, writing a list of scalars one item per line
+    at indent."""
+    return json.JSONEncoder(separators=(",\n" + indent, ": ")).encode
+
+
+def _write(value, indent: str, floats: _FloatText, out: list) -> None:
+    """Append to out the text of value as ``json.dumps(value, indent=2,
+    sort_keys=True)`` writes it nested at indent, with floats from floats."""
+    kind = type(value)
+    if kind is float:
+        out.append(floats[value])
+    elif (kind is list or kind is tuple) and value:
+        inner = indent + "  "
+        sep = ",\n" + inner
+        kinds = set(map(type, value))
+        out.append("[\n" + inner)
+        if kinds == {float}:
+            out.append(sep.join(map(floats.__getitem__, value)))
+        elif any(issubclass(k, (list, tuple, dict)) for k in kinds):
+            for i, item in enumerate(value):
+                if i:
+                    out.append(sep)
+                _write(item, inner, floats, out)
+        else:
+            out.append(_scalar_list(inner)(value)[1:-1])
+        out.append("\n" + indent + "]")
+    elif kind is dict and value and set(map(type, value)) == {str}:
+        inner = indent + "  "
+        lead = "{\n" + inner
+        for key, item in sorted(value.items()):
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            lead = ",\n" + inner
+            _write(item, inner, floats, out)
+        out.append("\n" + indent + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    else:
+        # Empty containers, subclasses, non-str keys and values json
+        # rejects: json's own text or error.
+        text = json.dumps(value, indent=2, sort_keys=True)
+        out.append(text.replace("\n", "\n" + indent))
 
 
 @dataclass(frozen=True)
@@ -100,14 +212,39 @@ class Transcript:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Transcript":
+        """The transcript d holds; a ValidationError names the field when d
+        is not an object, has an unknown field or lacks a required one."""
+        if not isinstance(d, dict):
+            raise ValidationError("transcript must be a JSON object")
+        names = [f.name for f in fields(cls)]
+        for key in d:
+            if key not in names:
+                raise ValidationError(f"transcript has unknown field {key!r}")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in d:
+                raise ValidationError(f"transcript lacks '{f.name}'")
         return cls(**d)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """The document, equal to ``json.dumps(self.to_dict(), indent=2,
+        sort_keys=True) + "\\n"`` (see the module docstring for why it is
+        not written that way)."""
+        doc, out = self.to_dict(), []
+        try:
+            _write(doc, "", _FloatText(), out)
+            out.append("\n")
+            return "".join(out)
+        except RecursionError:
+            # A cycle or very deep nesting: json's own error or text.
+            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
-        return cls.from_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"transcript is not valid JSON: {exc}") from exc
+        return cls.from_dict(d)
 
 
 def majorization_section(report: MajorizationReport) -> dict:

@@ -23,8 +23,30 @@ from locc_ladder.oracle import (
 
 
 def asdict_json(transcript):
-    """Transcript.to_json by the deep-copying dataclasses.asdict path."""
+    """The standard-library reference for Transcript.to_json: json.dumps
+    with indent=2 and sort_keys over the deep-copying dataclasses.asdict."""
     return json.dumps(dataclasses.asdict(transcript), indent=2, sort_keys=True) + "\n"
+
+
+# Ladder pairs (source, target squared coefficients) with ties, zero tails
+# and 1e-13 coefficients.
+DEGENERATE_PAIRS = [
+    # Ties.
+    ([0.25] * 4, [0.375, 0.25, 0.25, 0.125]),
+    ([0.2] * 5, [0.4, 0.2, 0.2, 0.2, 0.0]),
+    ([0.25, 0.25, 0.125, 0.125, 0.125, 0.125], [0.375, 0.25, 0.125, 0.125, 0.125, 0.0]),
+    # Zero tails.
+    ([0.3, 0.25, 0.2, 0.15, 0.1, 0.0, 0.0], [0.5, 0.3, 0.2, 0.0, 0.0, 0.0, 0.0]),
+    # 1e-13 coefficients.
+    (
+        [0.3, 0.25, 0.2, 0.15, 0.1 - 1e-13, 1e-13],
+        [0.35, 0.25, 0.2, 0.1, 0.1 - 1e-13, 1e-13],
+    ),
+    (
+        [0.2, 0.2, 0.2, 0.2, 0.2 - 1e-13, 1e-13],
+        [0.4, 0.2, 0.2, 0.1, 0.1 - 1e-13, 1e-13],
+    ),
+]
 
 
 def dense_pair(n):

@@ -13,7 +13,7 @@ from locc_ladder.cli import _build_parser, main
 
 import jsonschema
 
-from helpers import asdict_json, dense_pair
+from helpers import DEGENERATE_PAIRS, asdict_json, dense_pair
 
 
 def run_cli(argv, payload=None, env_seed=None, monkeypatch=None):
@@ -69,6 +69,37 @@ class TestCheck:
             ["check"], stdin=io.StringIO("not json"), stdout=stdout, stderr=stderr
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (
+                {"source": [None, 0.5], "target": [1, 0]},
+                "'source'[0] must be a number, not null",
+            ),
+            (
+                {"source": [0.5, 0.5], "target": [1, [0]]},
+                "'target'[1] must be a number, not an array",
+            ),
+            (
+                {"source": [0.5, True], "target": [1, 0]},
+                "'source'[1] must be a number, not a boolean",
+            ),
+            (
+                {"source": ["0.5", 0.5], "target": [1, 0]},
+                "'source'[0] must be a number, not a string",
+            ),
+            (
+                {"source": [0.5, 0.5], "target": [10**400, 0]},
+                "'target'[0] is too large for a float",
+            ),
+        ],
+        ids=["null", "nested-array", "bool", "string", "400-digit-int"],
+    )
+    def test_malformed_entry_exit_one(self, payload, message):
+        for command in ("check", "plan"):
+            got = run_cli([command, "--squared", "--format", "machine"], payload)
+            assert got == (1, "", f"error: {message}\n")
 
     def test_unsorted_needs_autosort(self):
         payload = {"source": [0.3, 0.5, 0.2], "target": [0.7, 0.2, 0.1]}
@@ -326,6 +357,9 @@ class TestCachedParser:
 
 
 N32 = dict(zip(("source", "target"), dense_pair(32)))
+N64 = dict(zip(("source", "target"), dense_pair(64)))
+ZERO_TAIL = dict(zip(("source", "target"), DEGENERATE_PAIRS[3]))
+TINY = dict(zip(("source", "target"), DEGENERATE_PAIRS[4]))
 
 
 @pytest.mark.parametrize(
@@ -334,13 +368,17 @@ N32 = dict(zip(("source", "target"), dense_pair(32)))
         (["check"], N4, 0),
         (["plan"], N4, 0),
         (["plan"], N32, 0),
+        (["plan"], N64, 0),
+        (["plan"], ZERO_TAIL, 0),
+        (["plan"], TINY, 0),
         (["simulate", "--shots", "300", "--seed", "9"], N4, 0),
         (["plan"], FAILING, 2),
         (["plan"], LADDER_GAP, 3),
         (["demo-infeasible"], GF_FIXTURE, 0),
         (["demo-infeasible"], LADDER_GAP, 0),
     ],
-    ids=["check", "plan-n4", "plan-n32", "simulate", "not-majorized",
+    ids=["check", "plan-n4", "plan-n32", "plan-n64", "plan-zero-tail",
+         "plan-1e-13", "simulate", "not-majorized",
          "ladder-infeasible", "demo-certificate", "demo-chain"],
 )
 def test_to_json_bytes_equal_the_asdict_path(monkeypatch, argv, payload, code):

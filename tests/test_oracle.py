@@ -25,6 +25,7 @@ from locc_ladder.errors import LadderInfeasible, LoccLadderError, ValidationErro
 from locc_ladder.oracle import _shot_draws, _shot_rng
 
 from helpers import (
+    DEGENERATE_PAIRS,
     dense_pair,
     dirichlet_swept_pair,
     literal_path_check,
@@ -414,25 +415,6 @@ def _sparse_pair(n, rng):
             0.3 * source[i] + 0.7 * source[i + 1],
         )
     return sorted(source, reverse=True), list(target)
-
-
-DEGENERATE_PAIRS = [
-    # Ties.
-    ([0.25] * 4, [0.375, 0.25, 0.25, 0.125]),
-    ([0.2] * 5, [0.4, 0.2, 0.2, 0.2, 0.0]),
-    ([0.25, 0.25, 0.125, 0.125, 0.125, 0.125], [0.375, 0.25, 0.125, 0.125, 0.125, 0.0]),
-    # Zero tails.
-    ([0.3, 0.25, 0.2, 0.15, 0.1, 0.0, 0.0], [0.5, 0.3, 0.2, 0.0, 0.0, 0.0, 0.0]),
-    # 1e-13 coefficients.
-    (
-        [0.3, 0.25, 0.2, 0.15, 0.1 - 1e-13, 1e-13],
-        [0.35, 0.25, 0.2, 0.1, 0.1 - 1e-13, 1e-13],
-    ),
-    (
-        [0.2, 0.2, 0.2, 0.2, 0.2 - 1e-13, 1e-13],
-        [0.4, 0.2, 0.2, 0.1, 0.1 - 1e-13, 1e-13],
-    ),
-]
 
 
 def _path_outcome(check, plan, **kwargs):
