@@ -242,7 +242,7 @@ def cmd_simulate(args, stdin: TextIO, stdout: TextIO) -> int:
         "ladder construction infeasible: {cert}",
     )
     verification = verify_plan(plan)
-    freq = sample_trajectories(plan, args.shots, seed, workers=args.workers)
+    freq = sample_trajectories(plan, args.shots, seed)
     transcript = _transcript(
         args,
         spec,

@@ -16,14 +16,16 @@ Trajectory sampling draws from per-shot counter-based streams, so a report
 depends only on (plan, shots, seed).  It runs in one thread, in blocks of
 shots: the block's streams are computed together as one Philox array, and
 the walk goes a step at a time over chunks of distinct path prefixes, so
-shots that share a prefix share its arithmetic.  The result is
-bit-identical to walking each shot alone (run_trajectory).
+shots that share a prefix share its arithmetic.  run_trajectory is the same
+walk over a block of one shot.  Every shot's draws, path and final
+deviation are bit-identical to walking that shot alone with numpy's own
+Philox stream, the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -323,7 +325,7 @@ class TrajectoryRecord:
     seed: int
     shot_index: int
     path: tuple[tuple[int, int], ...]  # (step index, branch index)
-    final_state: FullState
+    final_dev: float  # entrywise distance of the final state from the target
     matched_target: bool
 
 
@@ -335,7 +337,6 @@ class FrequencyReport:
     branch_frequencies: tuple[tuple[float, ...], ...]
     match_rate: float
     max_final_dev: float
-    records: tuple[TrajectoryRecord, ...] = field(default=(), repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -349,12 +350,6 @@ class FrequencyReport:
             "match_rate": self.match_rate,
             "max_final_dev": self.max_final_dev,
         }
-
-
-def _shot_rng(seed: int, shot_index: int) -> np.random.Generator:
-    """Counter-based stream for one shot, derived from the master seed."""
-    key = np.array([seed % (1 << 64), shot_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 # Shots whose draws and walk are held in memory at once; bounds the
@@ -382,11 +377,12 @@ def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _shot_draws(seed: int, first_shot: int, count: int, depth: int) -> np.ndarray:
     """Uniform draws of shots first_shot .. first_shot + count - 1, as rows.
 
-    Row s equals _shot_rng(seed, first_shot + s).random(depth) bit for bit:
-    numpy's Philox keys the stream by (seed mod 2^64, shot), increments its
-    counter (c, 0, 0, 0) before each block of four words, and maps a word
-    to the double (word >> 11) * 2^-53.  All shots' blocks are computed at
-    once, with uint64 arrays that wrap as the C code does.
+    Row s holds the first depth values of shot first_shot + s's stream,
+    np.random.Generator(np.random.Philox(key=(seed mod 2^64, shot))), bit
+    for bit: numpy's Philox increments its counter (c, 0, 0, 0) before each
+    block of four words, and maps a word to the double (word >> 11) * 2^-53.
+    All shots' blocks are computed at once, with uint64 arrays that wrap as
+    the C code does.
     """
     blocks = -(-depth // 4)
     k0 = np.full((count, 1), seed % (1 << 64), dtype=np.uint64)
@@ -410,11 +406,11 @@ class _PlanRuntime:
     Diagonal operators are applied by row scaling and corrections by index
     permutation; both reproduce the literal matrix products bit for bit on
     the full amplitude matrix, just without the per-shot allocations.
-    _walk (one shot), _sample_block (chunks of shots' path prefixes) and
-    _walk_paths (every path) share these arrays and apply them with the
-    same operations in the same order.  Per step they are the operators'
-    diagonals as columns, (branches, n, 1), so that a product scales rows,
-    and the inverse corrections, (branches, n), which the walks index by.
+    _sample_block (chunks of shots' path prefixes) and _walk_paths (every
+    path) share these arrays and apply them with the same operations in the
+    same order.  Per step they are the operators' diagonals as columns,
+    (branches, n, 1), so that a product scales rows, and the inverse
+    corrections, (branches, n), which the walks index by.
     Every operator must have the state's dimension and every correction
     must permute the basis labels.
     """
@@ -562,36 +558,6 @@ def _walk_paths(runtime: _PlanRuntime) -> tuple[float, float]:
     return float(np.add.accumulate(path_probs[::-1])[-1]), max_dev
 
 
-def _walk(runtime: _PlanRuntime, seed: int, shot_index: int) -> TrajectoryRecord:
-    """Reference walk of one shot; sample_trajectories must agree with it."""
-    rng = _shot_rng(seed, shot_index)
-    draws = rng.random(len(runtime.steps))
-    psi = runtime.start
-    path = []
-    for k, (scales, invs) in enumerate(runtime.steps):
-        outs = [scale * psi for scale in scales]
-        probs = [float(np.sum(out * out)) for out in outs]
-        u = draws[k] * sum(probs)
-        chosen = len(probs) - 1
-        acc = 0.0
-        for i, p in enumerate(probs):
-            acc += p
-            if u < acc:
-                chosen = i
-                break
-        inv = invs[chosen]
-        psi = outs[chosen][inv][:, inv] / math.sqrt(probs[chosen])
-        path.append((k, chosen))
-    dev = float(np.max(np.abs(psi - runtime.target)))
-    return TrajectoryRecord(
-        seed=seed,
-        shot_index=shot_index,
-        path=tuple(path),
-        final_state=FullState(psi),
-        matched_target=dev <= TOL_TRAJECTORY,
-    )
-
-
 def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
     """Walk one block of shots, where draws[s, k] is shot s's draw at step k.
 
@@ -603,16 +569,17 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
     one C-contiguous (G, n, n) array of distinct path prefixes plus the
     shots that share them, each shot carrying its prefix's index.  Every
     outcome's probabilities come from scaling the whole chunk (_scale),
-    each shot takes the branch _walk takes for its draw, and post states
+    each shot takes the first branch whose running probability sum exceeds
+    its draw times the total (else the last), and post states
     (_relabel) are made only for the (branch, prefix) pairs that some shot
     takes, from those prefixes scaled again: holding every outcome's scaled
     chunk instead costs more memory than the second multiply costs time.
     Post states go back on the stack in chunks of at most
     SAMPLE_BATCH_ENTRIES matrix entries, each its own array, so that a
-    pending chunk does not keep its siblings alive.  The arithmetic is
-    _walk's, operation for operation, and results land in per-shot and
-    per-path arrays, so the order in which chunks are walked does not
-    matter.
+    pending chunk does not keep its siblings alive.  The arithmetic is that
+    of walking each shot alone, operation for operation, and results land
+    in per-shot and per-path arrays, so the order in which chunks are walked
+    does not matter.
     """
     count, depth = draws.shape
     n = len(runtime.start)
@@ -633,10 +600,11 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
             continue
         scales, invs = runtime.steps[k]
         probs = [_scale(states, scale)[1] for scale in scales]
-        # Running sums in branch order, the last one sum(probs), as in _walk.
+        # Running sums in branch order, the last one sum(probs), as a lone
+        # shot adds them.
         bounds = np.add.accumulate(probs)[:, group]
         u = draws[shots, k] * bounds[-1]
-        # _walk picks the first branch whose running sum exceeds u, else the
+        # A shot takes the first branch whose running sum exceeds u, else the
         # last; assigning from the last branch down leaves the first one.
         chosen = np.full(len(shots), len(scales) - 1)
         for i in reversed(range(len(scales))):
@@ -684,36 +652,35 @@ def _sampling_runtime(plan: LadderPlan) -> _PlanRuntime:
 
 
 def run_trajectory(plan: LadderPlan, seed: int, shot_index: int) -> TrajectoryRecord:
-    """Sample one complete run through the plan."""
-    return _walk(_sampling_runtime(plan), seed, shot_index)
+    """Sample one complete run through the plan: shot shot_index of
+    sample_trajectories(plan, shots, seed), walked as a block of one shot."""
+    runtime = _sampling_runtime(plan)
+    draws = _shot_draws(seed, shot_index, 1, len(runtime.steps))
+    paths, _, dev = _sample_block(runtime, draws)
+    final_dev = float(dev[0])
+    return TrajectoryRecord(
+        seed=seed,
+        shot_index=shot_index,
+        path=tuple(enumerate(paths[0].tolist())),
+        final_dev=final_dev,
+        matched_target=final_dev <= TOL_TRAJECTORY,
+    )
 
 
-def sample_trajectories(
-    plan: LadderPlan,
-    shots: int,
-    seed: int,
-    *,
-    workers: int = 1,
-    keep_records: int = 0,
-) -> FrequencyReport:
+def sample_trajectories(plan: LadderPlan, shots: int, seed: int) -> FrequencyReport:
     """Monte Carlo sample of plan executions.
 
     Every shot owns its own counter-based stream, so identical (plan,
     shots, seed) produce identical reports.  Shots go in blocks of
     SHOT_BLOCK: one pass computes the block's draws (_shot_draws), and one
     walk over chunks of path prefixes (_sample_block) computes each
-    distinct prefix once for all shots that share it.  The draws, the
-    per-prefix arithmetic and the branch choice are those of the per-shot
-    walk, so the report equals, bit for bit, the aggregate of
-    run_trajectory over shots 0 .. shots - 1, with paths in order of their
-    first shot; kept records come from the per-shot walk itself.  workers
-    is accepted for compatibility (it must be >= 1) and does not change how
-    or where the shots run.
+    distinct prefix once for all shots that share it.  The report
+    aggregates run_trajectory over shots 0 .. shots - 1, with paths in
+    order of their first shot, and equals, bit for bit, the aggregate of
+    walking each shot alone.
     """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
 
     runtime = _sampling_runtime(plan)
     depth = len(runtime.steps)
@@ -736,7 +703,6 @@ def sample_trajectories(
         matches += int(hits[dev <= TOL_TRAJECTORY].sum())
         # fmax skips a NaN deviation, as a running max() from 0.0 does.
         max_dev = float(np.fmax.reduce(dev, initial=max_dev))
-    kept = range(min(keep_records, shots))
     return FrequencyReport(
         shots=shots,
         seed=seed,
@@ -746,5 +712,4 @@ def sample_trajectories(
         ),
         match_rate=matches / shots,
         max_final_dev=max_dev,
-        records=tuple(_walk(runtime, seed, shot) for shot in kept),
     )

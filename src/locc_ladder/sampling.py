@@ -55,18 +55,3 @@ def random_feasible_pair(
     target = validate(target_sq.tolist(), squared=True, autosort=True)
     return source, target
 
-
-def random_infeasible_pair(
-    rng: np.random.Generator, n: int, *, max_tries: int = 1000
-) -> tuple[SchmidtVector, SchmidtVector]:
-    """A pair violating majorization (source strictly above target somewhere)."""
-    from .schmidt import majorizes
-
-    for _ in range(max_tries):
-        a = random_spectrum(rng, n)
-        b = random_spectrum(rng, n)
-        source = validate(a.tolist(), squared=True, autosort=True)
-        target = validate(b.tolist(), squared=True, autosort=True)
-        if not majorizes(source, target).holds:
-            return source, target
-    raise RuntimeError("could not sample an infeasible pair")

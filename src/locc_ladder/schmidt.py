@@ -66,9 +66,6 @@ class SchmidtVector:
     def is_source_grade(self) -> bool:
         return all(a > EPS_ZERO for a in self.amps)
 
-    def serialize(self) -> list[float]:
-        return list(self.amps)
-
 
 @dataclass(frozen=True)
 class MajorizationReport:

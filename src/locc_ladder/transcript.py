@@ -33,6 +33,9 @@ from .oracle import FrequencyReport, VerificationReport
 from .schmidt import MajorizationReport, SchmidtVector, validate
 
 
+_PAYLOAD_KEYS = ("source", "target", "squared", "autosort")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Raw problem statement as read from the input document."""
@@ -52,6 +55,9 @@ class ProblemSpec:
     ) -> "ProblemSpec":
         if not isinstance(payload, dict):
             raise ValidationError("input document must be a JSON object")
+        for key in payload:
+            if key not in _PAYLOAD_KEYS:
+                raise ValidationError(f"input document has unknown key {key!r}")
         for key in ("source", "target"):
             if key not in payload:
                 raise ValidationError(f"input document lacks '{key}'")

@@ -13,10 +13,12 @@ import numpy as np
 
 from locc_ladder.oracle import (
     TOL_PATH,
+    TOL_TRAJECTORY,
     BranchCheck,
     FullState,
     PathCheck,
     StepCheck,
+    TrajectoryRecord,
     apply_correction,
     apply_kraus,
 )
@@ -189,3 +191,46 @@ def literal_step_checks(plan):
             StepCheck(k, completeness_dev, prob_sum_dev, tuple(branch_checks))
         )
     return tuple(step_checks)
+
+
+def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
+    """Counter-based stream for one shot, derived from the master seed."""
+    key = np.array([seed % (1 << 64), shot_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def walk_one_shot(runtime, seed: int, shot_index: int) -> TrajectoryRecord:
+    """Reference walk of one shot; sample_trajectories and run_trajectory
+    must agree with it.
+
+    runtime is the plan's oracle._sampling_runtime.  The shot draws from
+    numpy's own Philox stream, adds each branch's probability in branch
+    order, takes the first branch whose running sum exceeds its draw times
+    the total (else the last), and makes one post state per step.
+    """
+    rng = shot_rng(seed, shot_index)
+    draws = rng.random(len(runtime.steps))
+    psi = runtime.start
+    path = []
+    for k, (scales, invs) in enumerate(runtime.steps):
+        outs = [scale * psi for scale in scales]
+        probs = [float(np.sum(out * out)) for out in outs]
+        u = draws[k] * sum(probs)
+        chosen = len(probs) - 1
+        acc = 0.0
+        for i, p in enumerate(probs):
+            acc += p
+            if u < acc:
+                chosen = i
+                break
+        inv = invs[chosen]
+        psi = outs[chosen][inv][:, inv] / math.sqrt(probs[chosen])
+        path.append((k, chosen))
+    dev = float(np.max(np.abs(psi - runtime.target)))
+    return TrajectoryRecord(
+        seed=seed,
+        shot_index=shot_index,
+        path=tuple(path),
+        final_dev=dev,
+        matched_target=dev <= TOL_TRAJECTORY,
+    )

@@ -93,8 +93,12 @@ class TestCheck:
                 {"source": [0.5, 0.5], "target": [10**400, 0]},
                 "'target'[0] is too large for a float",
             ),
+            (
+                {"source": [0.5, 0.5], "target": [1, 0], "sqaured": True},
+                "input document has unknown key 'sqaured'",
+            ),
         ],
-        ids=["null", "nested-array", "bool", "string", "400-digit-int"],
+        ids=["null", "nested-array", "bool", "string", "400-digit-int", "unknown-key"],
     )
     def test_malformed_entry_exit_one(self, payload, message):
         for command in ("check", "plan"):

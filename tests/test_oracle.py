@@ -22,7 +22,7 @@ from locc_ladder import (
 )
 from locc_ladder import oracle
 from locc_ladder.errors import LadderInfeasible, LoccLadderError, ValidationError
-from locc_ladder.oracle import _shot_draws, _shot_rng
+from locc_ladder.oracle import _sampling_runtime, _shot_draws
 
 from helpers import (
     DEGENERATE_PAIRS,
@@ -30,6 +30,8 @@ from helpers import (
     dirichlet_swept_pair,
     literal_path_check,
     literal_step_checks,
+    shot_rng,
+    walk_one_shot,
 )
 
 
@@ -162,8 +164,7 @@ class TestTrajectories:
         plan = plan_full(*n4_pair)
         first = run_trajectory(plan, seed=99, shot_index=17)
         second = run_trajectory(plan, seed=99, shot_index=17)
-        assert first.path == second.path
-        assert np.array_equal(first.final_state.matrix, second.final_state.matrix)
+        assert first == second
 
     def test_single_shot_reaches_target(self, n4_pair):
         plan = plan_full(*n4_pair)
@@ -190,15 +191,6 @@ class TestTrajectories:
         a = sample_trajectories(plan, 400, seed=123)
         b = sample_trajectories(plan, 400, seed=124)
         assert a.path_counts != b.path_counts
-
-    def test_workers_do_not_change_results(self, n4_pair):
-        plan = plan_full(*n4_pair)
-        serial = sample_trajectories(plan, 500, seed=7, keep_records=3)
-        threaded = sample_trajectories(plan, 500, seed=7, workers=4, keep_records=3)
-        assert serial.path_counts == threaded.path_counts
-        assert serial.branch_frequencies == threaded.branch_frequencies
-        assert serial.max_final_dev == threaded.max_final_dev
-        assert [r.path for r in serial.records] == [r.path for r in threaded.records]
 
     def test_frequencies_near_analytic(self, n4_pair):
         plan = plan_full(*n4_pair)
@@ -234,15 +226,15 @@ def test_batched_draws_equal_per_shot_streams(seed, depth):
     """One Philox pass over a block of shots gives each shot's numpy stream;
     depths past 4 cross Philox's four-word blocks."""
     batched = _shot_draws(seed, 3, 40, depth)
-    per_shot = np.stack([_shot_rng(seed, s).random(depth) for s in range(3, 43)])
+    per_shot = np.stack([shot_rng(seed, s).random(depth) for s in range(3, 43)])
     assert batched.dtype == np.float64
     assert np.array_equal(batched.view(np.uint64), per_shot.view(np.uint64))
 
 
 def _per_shot_runs(plan, seed, shots):
-    """run_trajectory for each shot, with the aggregates a report holds."""
-    runs = [run_trajectory(plan, seed, i) for i in range(shots)]
-    target = np.diag(np.asarray(plan.chain.layouts[-1], dtype=float))
+    """The reference walk of each shot, with the aggregates a report holds."""
+    runtime = _sampling_runtime(plan)
+    runs = [walk_one_shot(runtime, seed, i) for i in range(shots)]
     path_counts = {}
     branch_counts = [[0] * len(step.branches) for step in plan.steps]
     for run in runs:
@@ -250,13 +242,13 @@ def _per_shot_runs(plan, seed, shots):
         path_counts[key] = path_counts.get(key, 0) + 1
         for k, branch in run.path:
             branch_counts[k][branch] += 1
-    devs = [float(np.max(np.abs(r.final_state.matrix - target))) for r in runs]
+    devs = [r.final_dev for r in runs]
     return runs, path_counts, branch_counts, devs
 
 
 class TestSamplerMatchesPerShotReference:
-    """sample_trajectories aggregates exactly what run_trajectory yields shot
-    by shot, so a faster sampler can be checked against the per-shot walk."""
+    """sample_trajectories aggregates exactly what the reference walk
+    (helpers.walk_one_shot) yields shot by shot."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize(
@@ -268,7 +260,7 @@ class TestSamplerMatchesPerShotReference:
         monkeypatch.setattr(oracle, "SHOT_BLOCK", 64)
         plan = plan_full(*(validate(x, squared=True) for x in pair))
         shots = 150
-        report = sample_trajectories(plan, shots, seed, keep_records=5)
+        report = sample_trajectories(plan, shots, seed)
         runs, path_counts, branch_counts, devs = _per_shot_runs(plan, seed, shots)
 
         assert len(plan.steps) == len(pair[0]) // 2
@@ -278,8 +270,6 @@ class TestSamplerMatchesPerShotReference:
         )
         assert report.max_final_dev == max(devs)
         assert report.match_rate == sum(r.matched_target for r in runs) / shots
-        assert [r.path for r in report.records] == [r.path for r in runs[:5]]
-        assert [r.shot_index for r in report.records] == list(range(5))
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 3])
     def test_broken_operator_shows_in_every_shot_it_touches(self, n4_pair, seed):
@@ -300,7 +290,7 @@ N4_PAIR = ([0.4, 0.3, 0.2, 0.1], [0.55, 0.25, 0.15, 0.05])
 
 
 def _assert_report_is_per_shot(report, plan, seed, shots):
-    """report aggregates run_trajectory shot by shot, paths in order of
+    """report aggregates the reference walk shot by shot, paths in order of
     their first shot."""
     runs, path_counts, branch_counts, devs = _per_shot_runs(plan, seed, shots)
     assert list(report.path_counts.items()) == list(path_counts.items())
@@ -309,6 +299,30 @@ def _assert_report_is_per_shot(report, plan, seed, shots):
     )
     assert report.max_final_dev == max(devs)
     assert report.match_rate == sum(r.matched_target for r in runs) / shots
+
+
+class TestRunTrajectoryMatchesPerShotReference:
+    """run_trajectory walks one shot through the batched kernel; its path,
+    final deviation and verdict are the reference walk's, bit for bit."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: _plan(N4_PAIR),
+            lambda: _plan(N10_PAIR),
+            lambda: _plan(N32_PAIR),
+            lambda: perturb_plan(_plan(N4_PAIR), 1, 0, 0, 1e-6),
+        ],
+        ids=["n4", "n10", "n32", "n4-perturbed"],
+    )
+    def test_single_shots_equal_the_reference(self, make, seed):
+        plan = make()
+        runtime = _sampling_runtime(plan)
+        for shot in (0, 1, 2, 5, 17, 40, 149, 2**40 + 1):
+            got = run_trajectory(plan, seed, shot)
+            assert got == walk_one_shot(runtime, seed, shot)
+            assert type(got.final_dev) is float
 
 
 class TestSamplerChunks:
@@ -346,16 +360,6 @@ class TestSamplerChunks:
         report = sample_trajectories(bad, 300, 7)
         assert report.match_rate < 1
         _assert_report_is_per_shot(report, bad, 7, 300)
-
-    def test_kept_records_are_the_per_shot_runs(self):
-        plan = _plan(N10_PAIR)
-        report = sample_trajectories(plan, 40, 11, keep_records=40)
-        for record in report.records:
-            run = run_trajectory(plan, 11, record.shot_index)
-            assert (record.seed, record.path, record.matched_target) == (
-                run.seed, run.path, run.matched_target
-            )
-            assert np.array_equal(record.final_state.matrix, run.final_state.matrix)
 
     def test_memory_stays_within_half_a_budget_per_step(self):
         # A few chunks wait at each step, so the walk adds well under half

@@ -98,6 +98,7 @@ class TestProblemSpec:
             {"source": [10**400, 0.5], "target": [1, 0]},
             {"source": [True, 0.5], "target": [1, 0]},
             {"source": ["0.5", 0.5], "target": [1, 0]},
+            {"source": [0.5, 0.5], "target": [1, 0], "sqaured": True},
         ],
     )
     def test_bad_payloads(self, payload):
