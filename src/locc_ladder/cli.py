@@ -3,8 +3,8 @@
 Each invocation reads one JSON problem document from stdin and writes one
 result document (JSON transcript or human-readable text) to stdout.
 
-Exit codes: 0 success, 1 input error, 2 majorization fails,
-3 pair is feasible but the ladder construction is not.
+Exit codes: 0 success, 1 input error or a built plan that fails verification,
+2 majorization fails, 3 pair is feasible but the ladder construction is not.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused: ``parse_args`` leaves it unchanged, so calls stay independent.
@@ -22,7 +22,8 @@ import os
 import sys
 from typing import Optional, Sequence, TextIO
 
-from .errors import LadderInfeasible, LoccLadderError, NotMajorized, ValidationError
+from .errors import InvariantViolated, LadderInfeasible, LoccLadderError
+from .errors import NotMajorized, ValidationError
 from .ladder import InfeasibilityCertificate, greatest_first_chain, plan_full
 from .oracle import sample_trajectories, verify_plan
 from .schmidt import majorizes
@@ -174,6 +175,15 @@ def _planned(args, stdin: TextIO, not_majorized: str, infeasible: str, note=None
         raise _Refused(EXIT_LADDER_INFEASIBLE, transcript, lines) from exc
 
 
+def _verified(plan):
+    """verify_plan's report on plan; a plan that fails it is an error line."""
+    report = verify_plan(plan)
+    if not report.passed:
+        deviation = f"max deviation {report.max_deviation:.3e}"
+        raise InvariantViolated(f"built plan fails verification ({deviation})")
+    return report
+
+
 def cmd_check(args, stdin: TextIO, stdout: TextIO) -> int:
     spec, source, target, report = _parse(args, stdin)
     lines = [
@@ -197,7 +207,7 @@ def cmd_plan(args, stdin: TextIO, stdout: TextIO) -> int:
         "  {cert}",
         note="pair is majorization-feasible but the ladder construction is not",
     )
-    verification = verify_plan(plan)
+    verification = _verified(plan)
     transcript = _transcript(
         args,
         spec,
@@ -215,12 +225,9 @@ def cmd_plan(args, stdin: TextIO, stdout: TextIO) -> int:
         lines.append(
             f"step {k}: {step.case_tag} on indices {window}, outcome probs [{probs}]"
         )
-    lines.append(
-        f"verification: {'PASS' if verification.passed else 'FAIL'}"
-        f" (max deviation {verification.max_deviation:.3e})"
-    )
+    lines.append(f"verification: PASS (max deviation {verification.max_deviation:.3e})")
     _emit(transcript, args, stdout, lines)
-    return EXIT_OK if verification.passed else EXIT_INPUT
+    return EXIT_OK
 
 
 def cmd_simulate(args, stdin: TextIO, stdout: TextIO) -> int:
@@ -241,7 +248,7 @@ def cmd_simulate(args, stdin: TextIO, stdout: TextIO) -> int:
         "majorization fails at k={k}; nothing to simulate",
         "ladder construction infeasible: {cert}",
     )
-    verification = verify_plan(plan)
+    verification = _verified(plan)
     freq = sample_trajectories(plan, args.shots, seed)
     transcript = _transcript(
         args,

@@ -15,7 +15,9 @@ failure mode (rank collapse).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from itertools import compress, repeat
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -215,8 +217,8 @@ def _window_tail_inequalities(x, y, window) -> float:
 def _verify_chain(chain: IntermediateChain, target: SchmidtVector):
     n = chain.states[0].n
     for k, (x, y, w) in enumerate(zip(chain.layouts, chain.layouts[1:], chain.windows)):
-        for i in range(n):
-            if i not in w and x[i] != y[i]:
+        for i in compress(range(n), map(operator.ne, x, y)):
+            if i not in w:
                 raise ChainInvariantViolated(
                     f"step {k + 1} modifies untouched index {i}"
                 )
@@ -415,7 +417,16 @@ def embed_step(
     per-index completeness survives; corrections extend by the identity.
     When the positional window is unsorted, operators and corrections are
     conjugated by the sorting permutation so they act on the stated indices.
+    The step's source and target states are its two full layouts sorted.
     """
+    return _embed_step(block_step, decomposition, n, target_window, None, None)
+
+
+def _embed_step(block_step, decomposition, n, target_window, source, target):
+    """embed_step, given the step's source and target states, or None to
+    sort each from its layout where the checks before it have passed.
+    plan_full passes its chain's states, which _verify_chain has shown to be
+    the two layouts sorted, so they are not built twice."""
     idx = decomposition.index_range
     m = block_step.source.n
     if len(idx) != m or len(set(idx)) != m:
@@ -446,7 +457,8 @@ def embed_step(
     sigma_inv = _inverse(sigma)
     tau = _sort_perm(target_window)
 
-    target_state = _sorted_state(target_layout)
+    if target is None:
+        target = _sorted_state(target_layout)
     branches = []
     for br in block_step.branches:
         diag = [math.sqrt(br.prob)] * n
@@ -455,16 +467,21 @@ def embed_step(
             s = sigma_inv[r]
             diag[idx[r]] = br.op.diag[s]
             corr[idx[r]] = idx[tau[br.correction[s]]]
-        raw = tuple(d * a for d, a in zip(diag, source_layout))
-        norm = math.sqrt(sum(x * x for x in raw))
-        relabeled = [0.0] * n
-        for j, x in enumerate(raw):
-            relabeled[corr[j]] = x / norm
-        for got, want in zip(relabeled, target_layout):
-            if abs(got - want) > EPS_CMP:
-                raise ChainInvariantViolated(
-                    "embedded branch does not reproduce the next layout"
-                )
+        raw = tuple(map(operator.mul, diag, source_layout))
+        norm = math.sqrt(sum(map(operator.mul, raw, raw)))
+        # Scatter through corr: off the window corr is the identity, so
+        # only the window's entries move, onto a window of zeros.
+        scaled = list(map(operator.truediv, raw, repeat(norm)))
+        relabeled = scaled.copy()
+        for j in idx:
+            relabeled[j] = 0.0
+        for j in idx:
+            relabeled[corr[j]] = scaled[j]
+        devs = map(abs, map(operator.sub, relabeled, target_layout))
+        if any(map(operator.gt, devs, repeat(EPS_CMP))):
+            raise ChainInvariantViolated(
+                "embedded branch does not reproduce the next layout"
+            )
         branches.append(
             OutcomeBranch(
                 op=DiagonalKraus(tuple(diag)),
@@ -475,8 +492,8 @@ def embed_step(
         )
     step = MeasurementStep(
         branches=tuple(branches),
-        source=_sorted_state(source_layout),
-        target=target_state,
+        source=_sorted_state(source_layout) if source is None else source,
+        target=target,
         case_tag=block_step.case_tag,
         pruned_count=block_step.pruned_count,
         window=idx,
@@ -564,7 +581,8 @@ def plan_full(source: SchmidtVector, target: SchmidtVector) -> LadderPlan:
                 message=str(exc),
             )
             raise LadderInfeasible(cert) from exc
-        steps.append(embed_step(block_step, decom, n, target_window=tgt_window))
+        states = chain.states[k : k + 2]
+        steps.append(_embed_step(block_step, decom, n, tgt_window, *states))
     if len(steps) != n // 2:
         raise ChainInvariantViolated(
             f"emitted {len(steps)} steps, expected {n // 2}"

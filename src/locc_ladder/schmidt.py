@@ -7,7 +7,10 @@ amplitudes are the canonical stored representation.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, compress, count, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -32,6 +35,15 @@ EPS_COMPLETE = 1e-12
 _EPS_EXACT = 1e-13
 
 
+def _finite_nonnegative(values: Sequence[float]) -> bool:
+    """Whether every entry is a finite number >= 0 (-0.0 included).  False,
+    not an error, for an entry this cannot judge, such as a str."""
+    try:
+        return all(map(math.isfinite, values)) and min(values, default=0.0) >= 0.0
+    except (TypeError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class SchmidtVector:
     """Ordered non-negative amplitudes of a Schmidt-form bipartite state.
@@ -44,16 +56,24 @@ class SchmidtVector:
     amps: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.amps) < 2:
-            raise DimensionTooSmall(f"need dimension >= 2, got {len(self.amps)}")
-        for j, a in enumerate(self.amps):
-            if not (a >= 0.0) or a != a or a == float("inf"):
-                raise NegativeEntry(f"amplitude {a!r} at index {j}")
-            if j and self.amps[j - 1] < a - EPS_CMP:
-                raise NotSorted(f"amplitudes increase at index {j}")
-        drift = abs(sum(a * a for a in self.amps) - 1.0)
+        amps = self.amps
+        if len(amps) < 2:
+            raise DimensionTooSmall(f"need dimension >= 2, got {len(amps)}")
+        # The whole-tuple test passes exactly when the loop raises nothing;
+        # the loop runs only to name the first bad entry.
+        floors = map(operator.sub, amps[1:], repeat(EPS_CMP))
+        if not (_finite_nonnegative(amps) and all(map(operator.ge, amps, floors))):
+            for j, a in enumerate(amps):
+                if not (a >= 0.0) or a != a or a == float("inf"):
+                    raise NegativeEntry(f"amplitude {a!r} at index {j}")
+                if j and amps[j - 1] < a - EPS_CMP:
+                    raise NotSorted(f"amplitudes increase at index {j}")
+        squares = tuple(map(operator.mul, amps, amps))
+        drift = abs(sum(squares) - 1.0)
         if drift > EPS_NORM:
             raise NotNormalized(f"squared amplitudes sum off by {drift:.3e}")
+        # Outside the fields, so eq, repr and hash see amps alone.
+        object.__setattr__(self, "_squares", squares)
 
     @property
     def n(self) -> int:
@@ -61,10 +81,12 @@ class SchmidtVector:
 
     @property
     def squares(self) -> tuple[float, ...]:
-        return tuple(a * a for a in self.amps)
+        """The squared coefficients, a * a for each amplitude a.  Computed
+        once, at construction, and the same tuple on every read."""
+        return self._squares
 
     def is_source_grade(self) -> bool:
-        return all(a > EPS_ZERO for a in self.amps)
+        return all(map(operator.gt, self.amps, repeat(EPS_ZERO)))
 
 
 @dataclass(frozen=True)
@@ -125,19 +147,12 @@ def majorizes(source: SchmidtVector, target: SchmidtVector) -> MajorizationRepor
     """
     if source.n != target.n:
         raise DimensionMismatch(f"dimensions differ: {source.n} vs {target.n}")
-    n = source.n
     s2, t2 = source.squares, target.squares
-    margins = [0.0] * n
-    acc = 0.0
-    for k in range(n - 1, -1, -1):
-        acc += s2[k] - t2[k]
-        margins[k] = acc
-    failing_k = None
-    for k in range(n):
-        bad = margins[k] < -EPS_CMP if k else abs(margins[k]) > EPS_CMP
-        if bad:
-            failing_k = k + 1
-            break
+    # Sums from the last index on an accumulator that starts at 0.0.
+    diffs = map(operator.sub, reversed(s2), reversed(t2))
+    margins = list(accumulate(diffs, initial=0.0))[:0:-1]
+    short = map(operator.lt, margins[1:], repeat(-EPS_CMP))
+    failing_k = 1 if abs(margins[0]) > EPS_CMP else next(compress(count(2), short), None)
     return MajorizationReport(
         holds=failing_k is None,
         failing_k=failing_k,
@@ -147,7 +162,8 @@ def majorizes(source: SchmidtVector, target: SchmidtVector) -> MajorizationRepor
 
 def states_equal(a: SchmidtVector, b: SchmidtVector) -> bool:
     """Whether two states agree in every squared coefficient within EPS_CMP."""
-    return all(abs(s - t) <= EPS_CMP for s, t in zip(a.squares, b.squares))
+    diffs = map(abs, map(operator.sub, a.squares, b.squares))
+    return all(map(operator.le, diffs, repeat(EPS_CMP)))
 
 
 def effective_rank(v: SchmidtVector) -> int:

@@ -8,6 +8,7 @@ back to the target, so the transformation succeeds with unit probability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import (
     DimensionMismatch,
@@ -16,7 +17,7 @@ from .errors import (
     SourceHasZero,
 )
 from .schmidt import EPS_CMP, EPS_COMPLETE, EPS_ZERO, SchmidtVector, majorizes
-from .schmidt import states_equal
+from .schmidt import _finite_nonnegative, states_equal
 
 CASE_I = "CASE_I"
 CASE_II = "CASE_II"
@@ -31,9 +32,10 @@ class DiagonalKraus:
     diag: tuple[float, ...]
 
     def __post_init__(self):
-        for d in self.diag:
-            if not (d >= 0.0) or d == float("inf"):
-                raise ValueError(f"operator entry {d!r} must be finite and >= 0")
+        if not _finite_nonnegative(self.diag):
+            for d in self.diag:
+                if not (d >= 0.0) or d == float("inf"):
+                    raise ValueError(f"operator entry {d!r} must be finite and >= 0")
 
     @property
     def n(self) -> int:
@@ -82,12 +84,14 @@ class MeasurementStep:
 
 
 def completeness_defect(step: MeasurementStep) -> float:
-    """Max deviation of sum_i M_i^dag M_i from identity, per basis index."""
-    worst = 0.0
-    for j in range(step.branches[0].op.n):
-        total = sum(br.op.diag[j] ** 2 for br in step.branches)
-        worst = max(worst, abs(total - 1.0))
-    return worst
+    """Max deviation of sum_i M_i^dag M_i from identity, per basis index.
+
+    Index j sums diag[j] ** 2 in branch order, so indices with the same
+    column of entries have the same sum: each distinct column is summed
+    once, and an embedded step's untouched indices share one column.
+    """
+    columns = set(zip(*(br.op.diag for br in step.branches)))
+    return max((abs(sum(map(pow, col, repeat(2))) - 1.0) for col in columns), default=0.0)
 
 
 def probability_defect(step: MeasurementStep) -> float:

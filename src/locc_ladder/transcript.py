@@ -12,8 +12,8 @@ writer's output equals ``json.dumps(doc, indent=2, sort_keys=True)`` for
 every value a transcript can hold.  It recurses in Python only over dicts
 and over lists that hold containers, writes each list of exact floats as
 one join over a per-document float-text memo (a plan's operator diagonals
-and post states repeat the same few values), and each other list of
-scalars in one call to the C encoder.
+and post states repeat the same few values), each list of exact ints over
+an int-text memo, and each other list of scalars in one C encoder call.
 """
 
 from __future__ import annotations
@@ -137,6 +137,15 @@ class _FloatText(dict):
         return text
 
 
+class _IntText(dict):
+    """Int -> its JSON text; made fresh for each document.  Never given a
+    bool: True == 1 and shares its hash, so it would read 1's text."""
+
+    def __missing__(self, x: int) -> str:
+        text = self[x] = int.__repr__(x)
+        return text
+
+
 @functools.cache
 def _scalar_list(indent: str):
     """The C encoder's encode, writing a list of scalars one item per line
@@ -144,9 +153,10 @@ def _scalar_list(indent: str):
     return json.JSONEncoder(separators=(",\n" + indent, ": ")).encode
 
 
-def _write(value, indent: str, floats: _FloatText, out: list) -> None:
+def _write(value, indent: str, floats: _FloatText, ints: _IntText, out: list) -> None:
     """Append to out the text of value as ``json.dumps(value, indent=2,
-    sort_keys=True)`` writes it nested at indent, with floats from floats."""
+    sort_keys=True)`` writes it nested at indent, with floats from floats
+    and the items of int lists from ints."""
     kind = type(value)
     if kind is float:
         out.append(floats[value])
@@ -157,11 +167,13 @@ def _write(value, indent: str, floats: _FloatText, out: list) -> None:
         out.append("[\n" + inner)
         if kinds == {float}:
             out.append(sep.join(map(floats.__getitem__, value)))
+        elif kinds == {int}:
+            out.append(sep.join(map(ints.__getitem__, value)))
         elif any(issubclass(k, (list, tuple, dict)) for k in kinds):
             for i, item in enumerate(value):
                 if i:
                     out.append(sep)
-                _write(item, inner, floats, out)
+                _write(item, inner, floats, ints, out)
         else:
             out.append(_scalar_list(inner)(value)[1:-1])
         out.append("\n" + indent + "]")
@@ -171,7 +183,7 @@ def _write(value, indent: str, floats: _FloatText, out: list) -> None:
         for key, item in sorted(value.items()):
             out.append(lead + encode_basestring_ascii(key) + ": ")
             lead = ",\n" + inner
-            _write(item, inner, floats, out)
+            _write(item, inner, floats, ints, out)
         out.append("\n" + indent + "}")
     elif value is None:
         out.append("null")
@@ -237,7 +249,7 @@ class Transcript:
         not written that way)."""
         doc, out = self.to_dict(), []
         try:
-            _write(doc, "", _FloatText(), out)
+            _write(doc, "", _FloatText(), _IntText(), out)
             out.append("\n")
             return "".join(out)
         except RecursionError:

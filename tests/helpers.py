@@ -2,7 +2,9 @@
 
 Everything here recomputes quantities with a different arithmetic path than
 the library (math.fsum over explicit slices, literal matrix products), so
-tests of numerical claims do not reuse the code under test.
+tests of numerical claims do not reuse the code under test.  The literal_*
+loops are the planner's checks as per-entry loops, which the library's
+whole-tuple forms must equal bit for bit, refusals included.
 """
 
 import dataclasses
@@ -11,6 +13,12 @@ import math
 
 import numpy as np
 
+from locc_ladder.errors import (
+    DimensionTooSmall,
+    NegativeEntry,
+    NotNormalized,
+    NotSorted,
+)
 from locc_ladder.oracle import (
     TOL_PATH,
     TOL_TRAJECTORY,
@@ -22,6 +30,71 @@ from locc_ladder.oracle import (
     apply_correction,
     apply_kraus,
 )
+from locc_ladder.schmidt import EPS_CMP, EPS_NORM
+
+
+def literal_schmidt_squares(amps):
+    """SchmidtVector's checks by the literal per-entry loop: raises what
+    SchmidtVector(amps) must raise, else returns the squares it must hold."""
+    if len(amps) < 2:
+        raise DimensionTooSmall(f"need dimension >= 2, got {len(amps)}")
+    for j, a in enumerate(amps):
+        if not (a >= 0.0) or a != a or a == float("inf"):
+            raise NegativeEntry(f"amplitude {a!r} at index {j}")
+        if j and amps[j - 1] < a - EPS_CMP:
+            raise NotSorted(f"amplitudes increase at index {j}")
+    drift = abs(sum(a * a for a in amps) - 1.0)
+    if drift > EPS_NORM:
+        raise NotNormalized(f"squared amplitudes sum off by {drift:.3e}")
+    return tuple(a * a for a in amps)
+
+
+def literal_kraus_check(diag):
+    """DiagonalKraus's check by the literal per-entry loop."""
+    for d in diag:
+        if not (d >= 0.0) or d == float("inf"):
+            raise ValueError(f"operator entry {d!r} must be finite and >= 0")
+
+
+def literal_majorization(source_sq, target_sq):
+    """majorizes' tail margins and failing_k by the literal loops: the
+    margins accumulate from the last index, starting at 0.0."""
+    n = len(source_sq)
+    margins = [0.0] * n
+    acc = 0.0
+    for k in range(n - 1, -1, -1):
+        acc += source_sq[k] - target_sq[k]
+        margins[k] = acc
+    for k in range(n):
+        if (margins[k] < -EPS_CMP) if k else (abs(margins[k]) > EPS_CMP):
+            return tuple(margins), k + 1
+    return tuple(margins), None
+
+
+def literal_states_equal(a_sq, b_sq):
+    return all(abs(s - t) <= EPS_CMP for s, t in zip(a_sq, b_sq))
+
+
+def literal_completeness_defect(step):
+    """completeness_defect by the literal loop over every basis index."""
+    worst = 0.0
+    for j in range(step.branches[0].op.n):
+        total = sum(br.op.diag[j] ** 2 for br in step.branches)
+        worst = max(worst, abs(total - 1.0))
+    return worst
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def float_bits(values):
+    """values as hex strings, so that equal means bit-equal (-0.0 too)."""
+    return [float.hex(float(x)) for x in values]
 
 
 def asdict_json(transcript):

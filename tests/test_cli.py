@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -319,6 +320,26 @@ def test_refusal_wording_per_command(command, payload, code, lines, note):
     if code == 3:
         assert doc["certificate"]["message"] in GAP_CERT
     assert (doc["steps"], doc["frequencies"], doc["verification"]) == (None,) * 3
+
+
+# The planner calls these two states equal, since their squares agree to
+# EPS_CMP, but their amplitudes differ by 1e-6: the plan's one TRIVIAL step
+# fails verify_plan.
+UNVERIFIABLE = {
+    "source": [(1 - 3e-12) / 9] * 9 + [1e-12] * 3,
+    "target": [1 / 9] * 9 + [0.0] * 3,
+}
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_plan_failing_verification_is_one_error_line(monkeypatch, command, fmt):
+    sampled = []
+    monkeypatch.setattr(cli, "sample_trajectories", lambda *args: sampled.append(args))
+    code, out, err = run_cli([command, "--squared", "--format", fmt], UNVERIFIABLE)
+    assert (code, out, sampled) == (1, "", [])
+    pattern = r"error: built plan fails verification \(max deviation \d\.\d{3}e-\d+\)\n"
+    assert re.fullmatch(pattern, err)
 
 
 class TestCachedParser:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -24,19 +26,34 @@ from locc_ladder import (
     greatest_first_chain,
     intermediate_chain,
     majorizes,
-    plan_full,
     solve3,
     validate,
     verify_plan,
 )
+from locc_ladder import plan_full as _plan_full
+from locc_ladder.errors import ChainInvariantViolated
+from locc_ladder.ladder import _sorted_state, _verify_chain
 from locc_ladder.sampling import random_feasible_pair
+from locc_ladder.transcript import chain_section, steps_section
 
 from helpers import (
+    DEGENERATE_PAIRS,
+    dense_pair,
     dirichlet_swept_pair,
     forced_chain_layout_squares,
     fsum_majorized,
     window_inequality_defect,
 )
+
+
+def plan_full(source, target):
+    """plan_full, checking that each step's source and target states are its
+    two layouts sorted: plan_full hands its chain's states to the steps."""
+    plan = _plan_full(source, target)
+    for step in plan.steps:
+        assert step.source == _sorted_state(step.source_layout)
+        assert step.target == _sorted_state(step.target_layout)
+    return plan
 
 
 class TestBlockDecompose:
@@ -454,3 +471,48 @@ class TestPlanFull:
         embedded = [br.prob for br in plan.steps[0].branches]
         standalone = [br.prob for br in block_step.branches]
         assert embedded == pytest.approx(standalone, abs=1e-12)
+
+
+# sha256 of json.dumps({"chain": chain_section, "steps": steps_section},
+# sort_keys=True) for each pair (squared coefficients).  These sections hold
+# planner arithmetic only, no BLAS or LAPACK output, so the digests do not
+# depend on the machine.  A moved byte in the planner fails here.
+PLANNER_DIGESTS = [
+    ("dense-24", dense_pair(24), "3209aac6d125075115586f56688b9b5c867aa424c611b3ef35fc9e937b640ac3"),
+    ("dense-32", dense_pair(32), "81fa09e87852aca5180879385ef84f8cfa61fb353364db224da08ebfa4412eda"),
+    ("dense-48", dense_pair(48), "24ac76c9103395f55f936e257c0312a2b157ecba51f13f65417b874e41e72a42"),
+    ("dense-64", dense_pair(64), "e59859d469510178ef9f9fea2bbf450f72cd526735c4dbb497cca58b1a4ea55b"),
+    ("ties-4", DEGENERATE_PAIRS[0], "8a02d49133c209a1a7dd79619ac572d3291f3c2bb7e1af80f068584c0962b78c"),
+    ("ties-5", DEGENERATE_PAIRS[1], "755db8e1274c33c526bca7b65901be823dba2efd7a81b80149448dae52316e06"),
+    ("ties-6", DEGENERATE_PAIRS[2], "57a6e8fdea50961bfb4631e7484edc936ab928397ebae2c06f2d2cbe593e13ee"),
+    ("zero-tail-7", DEGENERATE_PAIRS[3], "2769ec1b34c83ffb3d4069002c1039316d27c6e6e2d39d792aec4d0b6088e155"),
+    ("tiny-6a", DEGENERATE_PAIRS[4], "b6bd5add734f1cf1dabd717b063e4cd1d346ced74756abbb51b5febae21ae905"),
+    ("tiny-6b", DEGENERATE_PAIRS[5], "2a49af894d6bb4edbf345c4094e503d59ebb3f75d2d1d22c4f00df4d995c9a4b"),
+    (
+        "readme-n4",
+        ([0.4, 0.3, 0.2, 0.1], [0.55, 0.25, 0.15, 0.05]),
+        "f4a379588f1a8b6b6e44e5bc510d15f78e5db538ead675019ed1de5b86f51d5f",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "pair, digest", [c[1:] for c in PLANNER_DIGESTS], ids=[c[0] for c in PLANNER_DIGESTS]
+)
+def test_planner_bytes_are_pinned(pair, digest):
+    plan = plan_full(*(validate(x, squared=True) for x in pair))
+    doc = {"chain": chain_section(plan.chain), "steps": steps_section(plan)}
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_verify_chain_names_the_first_modified_untouched_index(n4_pair):
+    source, target = n4_pair
+    chain = intermediate_chain(source, target, 3)
+    _verify_chain(chain, target)
+    (head, *rest), last = chain.layouts[1], chain.layouts[2]
+    # Window 1 is indices 1..3; index 0 changes between layouts 0 and 1.
+    moved = chain.layouts[:1] + ((head + 1e-15, *rest), last)
+    bad = type(chain)(chain.states, moved, chain.m, chain.tilde_values, chain.windows)
+    with pytest.raises(ChainInvariantViolated, match="^step 1 modifies untouched index 0$"):
+        _verify_chain(bad, target)

@@ -1,9 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locc_ladder import (
@@ -18,8 +19,17 @@ from locc_ladder import (
     validate,
 )
 from locc_ladder.sampling import mix_down, random_spectrum
+from locc_ladder.schmidt import EPS_CMP, EPS_ZERO, states_equal
 
-from helpers import fsum_majorized, fsum_tail_margins
+from helpers import (
+    float_bits,
+    fsum_majorized,
+    fsum_tail_margins,
+    literal_majorization,
+    literal_schmidt_squares,
+    literal_states_equal,
+    outcome,
+)
 
 
 def spectra(n=None, min_n=2, max_n=8):
@@ -76,6 +86,111 @@ class TestValidate:
             SchmidtVector((0.1, 0.9))
         with pytest.raises(NotNormalized):
             SchmidtVector((0.9, 0.1))
+
+
+def _third(second):
+    """The third amplitude of (0.6, second, third), normalised."""
+    return (1 - 0.36 - second * second) ** 0.5
+
+
+# (id, amplitudes, accepted): each edge of SchmidtVector's checks.
+SCHMIDT_EDGES = [
+    ("nan-first", (math.nan, 0.6, 0.8), False),
+    ("nan-after-negative", (1.0, -0.5, math.nan), False),
+    ("inf", (math.inf, 0.0), False),
+    ("minus-inf", (1.0, -math.inf), False),
+    ("minus-1e-300", (1.0, -1e-300), False),
+    ("minus-zero", (1.0, -0.0), True),
+    ("rise-of-eps", (0.6, 0.6 + EPS_CMP, _third(0.6 + EPS_CMP)), True),
+    ("rise-of-2eps", (0.6, 0.6 + 2 * EPS_CMP, _third(0.6 + 2 * EPS_CMP)), False),
+    ("drift-0.9e-9", ((0.5 + 0.9e-9) ** 0.5, 0.5**0.5), True),
+    ("drift-1.1e-9", ((0.5 + 1.1e-9) ** 0.5, 0.5**0.5), False),
+    ("length-1", (1.0,), False),
+    ("length-0", (), False),
+    ("strings", ("b", "a"), False),
+    ("fractions", (Fraction(4, 5), Fraction(3, 5)), True),
+    ("int-beyond-float", (10**400, 0), False),
+]
+
+
+def _squares(amps):
+    return SchmidtVector(amps).squares
+
+
+def _tied_amps(counts):
+    """Amplitudes of the squared weights counts, normalised and sorted:
+    equal counts give tied amplitudes."""
+    total = sum(counts)
+    return [(c / total) ** 0.5 for c in sorted(counts, reverse=True)]
+
+
+class TestChecksEqualTheLiteralLoops:
+    """SchmidtVector, majorizes and the predicates against the per-entry
+    loops in helpers: the same result bit for bit, or the same exception
+    type and message."""
+
+    @pytest.mark.parametrize(
+        "amps, accepted", [c[1:] for c in SCHMIDT_EDGES], ids=[c[0] for c in SCHMIDT_EDGES]
+    )
+    def test_edges(self, amps, accepted):
+        want = outcome(literal_schmidt_squares, amps)
+        assert outcome(_squares, amps) == want
+        assert (not isinstance(want[0], type)) == accepted
+        if accepted:
+            assert float_bits(_squares(amps)) == float_bits(want)
+
+    @given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, 1.0, EPS_CMP]), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_any_floats(self, amps):
+        assert outcome(_squares, tuple(amps)) == outcome(literal_schmidt_squares, tuple(amps))
+
+    @given(
+        st.lists(st.integers(1, 3), min_size=2, max_size=7),
+        st.integers(0, 6),
+        st.integers(-3, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ties_nudged_by_multiples_of_eps(self, counts, i, k):
+        amps = _tied_amps(counts)
+        amps[i % len(amps)] += k * EPS_CMP
+        want = outcome(literal_schmidt_squares, tuple(amps))
+        got = outcome(_squares, tuple(amps))
+        assert got == want
+        if not isinstance(want[0], type):
+            assert float_bits(got) == float_bits(want)
+
+    @given(
+        st.integers(2, 8).flatmap(lambda n: st.tuples(spectra(n), spectra(n))),
+        st.integers(0, 7),
+        st.integers(-40, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_margins_and_predicates(self, pair, i, k):
+        v, u = pair
+        amps = list(v.amps)
+        amps[i % v.n] += k * 1e-13
+        w = outcome(SchmidtVector, tuple(amps))
+        assume(isinstance(w, SchmidtVector))
+        assert float_bits(v.squares) == float_bits(literal_schmidt_squares(v.amps))
+        for a, b in ((v, w), (w, v), (v, u), (u, v), (v, v)):
+            report = majorizes(a, b)
+            margins, failing_k = literal_majorization(a.squares, b.squares)
+            assert float_bits(report.tail_margins) == float_bits(margins)
+            assert report.failing_k == failing_k
+            assert report.holds == (failing_k is None)
+            assert states_equal(a, b) == literal_states_equal(a.squares, b.squares)
+
+    @pytest.mark.parametrize("tail", [0.0, EPS_ZERO / 2, EPS_ZERO, 2 * EPS_ZERO, 1e-6])
+    def test_source_grade(self, tail):
+        v = SchmidtVector(((1 - tail * tail) ** 0.5, tail))
+        assert v.is_source_grade() == all(a > EPS_ZERO for a in v.amps)
+
+    def test_squares_stay_out_of_eq_repr_and_hash(self):
+        v = validate([0.5, 0.3, 0.2], squared=True)
+        w = SchmidtVector(v.amps)
+        assert v.squares is v.squares
+        assert v == w and hash(v) == hash(w)
+        assert repr(v) == f"SchmidtVector(amps={v.amps!r})"
 
 
 class TestMajorizes:

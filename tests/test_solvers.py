@@ -1,30 +1,37 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locc_ladder import (
     CASE_I,
     CASE_II,
     TRIVIAL,
     TWO_OUTCOME,
+    DiagonalKraus,
     DimensionMismatch,
     NotMajorized,
     SolverInvariantViolated,
     SourceHasZero,
+    plan_full,
     solve2,
     solve3,
     validate,
 )
 from locc_ladder.sampling import random_feasible_pair
-from locc_ladder.solvers import _clamp_prob, _cond
+from locc_ladder.solvers import _clamp_prob, _cond, completeness_defect
 
-
-def step_completeness(step):
-    n = step.branches[0].op.n
-    return max(
-        abs(sum(br.op.diag[j] ** 2 for br in step.branches) - 1.0) for j in range(n)
-    )
+from helpers import (
+    DEGENERATE_PAIRS,
+    dense_pair,
+    float_bits,
+    literal_completeness_defect,
+    literal_kraus_check,
+    outcome,
+)
 
 
 def branch_post_dev(step, source, target):
@@ -132,7 +139,7 @@ class TestSolve3Fixtures:
         step = solve3(source, target)
         assert step.case_tag == CASE_I
         assert step.pruned_count == 1
-        assert step_completeness(step) < 1e-12
+        assert literal_completeness_defect(step) < 1e-12
         assert branch_post_dev(step, source, target) < 1e-12
 
     def test_negative_probability_bound_scales_with_conditioning(self):
@@ -149,7 +156,7 @@ class TestSolve3Fixtures:
         source = validate([0.5, 0.3, 0.2], squared=True)
         target = validate([0.8, 0.2, 0.0], squared=True)
         step = solve3(source, target)
-        assert step_completeness(step) < 1e-12
+        assert literal_completeness_defect(step) < 1e-12
         assert branch_post_dev(step, source, target) < 1e-12
 
     def test_not_majorized(self):
@@ -216,7 +223,7 @@ class TestSolverProperties:
             alpha = (0.5, 1.0, 3.0)[trial % 3]
             source, target = random_feasible_pair(rng, 3, alpha=alpha)
             step = solve3(source, target)
-            assert step_completeness(step) < 1e-12
+            assert literal_completeness_defect(step) < 1e-12
             assert abs(sum(br.prob for br in step.branches) - 1.0) < 1e-12
             assert branch_post_dev(step, source, target) < 1e-10
             for br in step.branches:
@@ -226,7 +233,7 @@ class TestSolverProperties:
         for _ in range(1000):
             source, target = random_feasible_pair(rng, 2)
             step = solve2(source, target)
-            assert step_completeness(step) < 1e-12
+            assert literal_completeness_defect(step) < 1e-12
             assert branch_post_dev(step, source, target) < 1e-10
 
     def test_case_orderings_hold(self, rng):
@@ -241,3 +248,54 @@ class TestSolverProperties:
                 assert a2 >= a1 - eps >= b1 - 2 * eps >= b2 - 3 * eps >= c2 - 4 * eps
             elif step.case_tag == CASE_II:
                 assert a2 >= b2 - eps >= b1 - 2 * eps >= c1 - 3 * eps >= c2 - 4 * eps
+
+
+# (id, diagonal, accepted): each edge of DiagonalKraus's check.
+KRAUS_EDGES = [
+    ("nan", (0.5, math.nan), False),
+    ("nan-after-negative", (1.0, -0.5, math.nan), False),
+    ("inf", (math.inf,), False),
+    ("minus-inf", (1.0, -math.inf), False),
+    ("minus-1e-300", (-1e-300,), False),
+    ("minus-zero", (1.0, -0.0), True),
+    ("empty", (), True),
+    ("strings", ("a",), False),
+    ("int-beyond-float", (10**400, 0), True),
+]
+
+
+class TestChecksEqualTheLiteralLoops:
+    @pytest.mark.parametrize(
+        "diag, accepted", [c[1:] for c in KRAUS_EDGES], ids=[c[0] for c in KRAUS_EDGES]
+    )
+    def test_kraus_edges(self, diag, accepted):
+        want = outcome(literal_kraus_check, diag)
+        assert (want is None) == accepted
+        got = outcome(DiagonalKraus, diag)
+        assert isinstance(got, DiagonalKraus) if accepted else got == want
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda branches: st.lists(
+                st.tuples(*[st.floats(0.0, 2.0)] * branches), min_size=1, max_size=4
+            )
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_completeness_defect_with_repeated_columns(self, pool, data):
+        columns = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+        step = SimpleNamespace(
+            branches=[SimpleNamespace(op=DiagonalKraus(d)) for d in zip(*columns)]
+        )
+        got, want = completeness_defect(step), literal_completeness_defect(step)
+        assert float_bits([got]) == float_bits([want])
+
+    @pytest.mark.parametrize(
+        "pair", [dense_pair(24), *DEGENERATE_PAIRS], ids=["dense-24", *(f"degenerate-{i}" for i in range(6))]
+    )
+    def test_completeness_defect_on_planned_steps(self, pair):
+        plan = plan_full(*(validate(x, squared=True) for x in pair))
+        for step in plan.steps:
+            got, want = completeness_defect(step), literal_completeness_defect(step)
+            assert float_bits([got]) == float_bits([want])

@@ -217,14 +217,8 @@ def stdlib_json(t):
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e22, 0.0, -0.0]
 floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
 strings = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é ∑ 😀", "\n\t"])
-scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.sampled_from([2**63, 2**64 + 1, -(2**63) - 1, 10**40])
-    | floats
-    | strings
-)
+ints = st.integers() | st.sampled_from([2**63, 2**64 + 1, -(2**63) - 1, 10**40])
+scalars = st.none() | st.booleans() | ints | floats | strings
 
 
 def containers(children):
@@ -234,6 +228,8 @@ def containers(children):
         | st.dictionaries(strings, children)
         | st.lists(floats)
         | st.lists(floats | st.booleans())
+        | st.lists(ints)
+        | st.lists(ints | st.booleans())
     )
 
 
@@ -281,6 +277,15 @@ class TestEncoder:
         got = (first.to_json(), second.to_json())
         assert got == (stdlib_json(first), stdlib_json(second))
 
+    def test_int_lists_and_bools(self):
+        # 1 and True share a hash: the int memo must never answer a bool.
+        t = Transcript(
+            command="plan",
+            problem={"a": [1, 0, -1, 2**64], "b": [True, 1, False, 0], "c": [0, 1]},
+            steps=[[1, 1], [True], (0, -(2**63) - 1)],
+        )
+        assert t.to_json() == stdlib_json(t)
+
     def test_nested_tuples(self):
         t = Transcript(
             command="plan", problem={"w": [(1, 2), (0.5, -0.0), ()], "t": ((1.0,),)}
@@ -304,15 +309,17 @@ class TestEncoder:
         with pytest.raises(ValueError, match="Circular reference"):
             Transcript(command="plan", problem={"x": cycle}).to_json()
 
-    def test_each_document_gets_a_fresh_float_memo(self, monkeypatch, n4_pair):
+    @pytest.mark.parametrize("memo", ["_FloatText", "_IntText"])
+    def test_each_document_gets_a_fresh_memo(self, monkeypatch, n4_pair, memo):
         made = []
 
-        class Recorded(transcript._FloatText):
+        class Recorded(getattr(transcript, memo)):
             def __init__(self):
                 super().__init__()
                 made.append(self)
 
-        monkeypatch.setattr(transcript, "_FloatText", Recorded)
+        monkeypatch.setattr(transcript, memo, Recorded)
         t = plan_transcript(n4_pair)
         assert t.to_json() == t.to_json()
         assert len(made) == 2 and made[0] is not made[1] and made[0] == made[1]
+        assert made[0]
