@@ -4,14 +4,16 @@ States live here as full n x n amplitude matrices in the product basis, so a
 defective operator cannot hide behind the diagonal shortcut used by the
 planner.  verify_plan's per-step checks apply each operator with apply_kraus
 and the rest as literal matrix products, stacked per step: one np.matmul
-per product over the step's (branches, n, n) matrices and one batched
-eigvalsh.  Its branch-path walk and the trajectory sampler apply operators
-and corrections by row scaling and index permutation of the full matrix,
-which gives the literal products' values bit for bit (a product with a
-diagonal or permutation matrix adds only exact zeros), without building the
-matrices.  Both move batches of path prefixes as one array through one
-kernel (_scale, _relabel); the walk expands a batch by all of a step's
-branches in one pass of it.
+per product over the step's (branches, n, n) matrices.  Their reduced
+spectra come from _spectra: an exactly diagonal reduced density matrix
+takes its sorted diagonal, which is LAPACK's eigvalsh answer bit for bit,
+and anything else goes to one batched eigvalsh.  Its branch-path walk and
+the trajectory sampler apply operators and corrections by row scaling and
+index permutation of the full matrix, which gives the literal products'
+values bit for bit (a product with a diagonal or permutation matrix adds
+only exact zeros), without building the matrices.  Both move batches of
+path prefixes as one array through one kernel (_scale, _relabel); the walk
+expands a batch by all of a step's branches in one pass of it.
 Trajectory sampling draws from per-shot counter-based streams, so a report
 depends only on (plan, shots, seed).  It runs in one thread, in blocks of
 shots: the block's streams are computed together as one Philox array, and
@@ -46,6 +48,10 @@ TOL_TRAJECTORY = 1e-8
 
 # Keep the oracle matrices desk-scale.
 MAX_ORACLE_DIM = 64
+# Largest diagonal entries read off as they are (_spectra): well inside the
+# range of about [1e-146, 1e146] that LAPACK's dsyevd reduces without first
+# rescaling the matrix (and rounding it differently).
+_DIAGONAL_RANGE = (1e-140, 1e140)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +66,8 @@ class FullState:
             raise ValidationError(f"amplitude matrix must be square, got {m.shape}")
         if m.shape[0] > MAX_ORACLE_DIM:
             raise ValidationError(f"oracle capped at dimension {MAX_ORACLE_DIM}")
-        if abs(float(np.linalg.norm(m)) - 1.0) > EPS_NORM:
+        # Written so that a NaN norm fails it too.
+        if not abs(float(np.linalg.norm(m)) - 1.0) <= EPS_NORM:
             raise ValidationError("amplitude matrix is not normalized")
         m.flags.writeable = False
 
@@ -184,6 +191,28 @@ class VerificationReport:
         }
 
 
+def _spectra(rho):
+    """np.linalg.eigvalsh(rho) for a (B, n, n) stack, bit for bit.
+
+    When every matrix of the stack is exactly diagonal, with no -0.0 on its
+    diagonal and its largest entry in _DIAGONAL_RANGE, the answer is the
+    sorted diagonal: dsytrd's reflectors are then all zero (tau = 0), so it
+    hands dsterf the diagonal unchanged and zero off-diagonals, and dsterf
+    sorts the 1 x 1 blocks ascending.  Any other stack goes to eigvalsh,
+    one with a NaN or inf entry included.  The -0.0 and range guards keep
+    out the cases where LAPACK's answer differs from the sort's: it orders
+    -0.0 and 0.0 otherwise, and outside the range it rescales first.
+    """
+    diag = np.diagonal(rho, axis1=1, axis2=2)
+    if np.count_nonzero(rho) == np.count_nonzero(diag) and not np.signbit(diag).any():
+        # A NaN or inf diagonal entry makes its row's maximum fall outside.
+        low, high = _DIAGONAL_RANGE
+        top = diag.max(axis=1, initial=0.0)
+        if ((top >= low) & (top <= high)).all():
+            return np.sort(diag, axis=1)
+    return np.linalg.eigvalsh(rho)
+
+
 def _check_step(k, step, psi: FullState, next_matrix, next_spectrum) -> StepCheck:
     """One step's checks, from psi to the chain's next state.
 
@@ -192,10 +221,12 @@ def _check_step(k, step, psi: FullState, next_matrix, next_spectrum) -> StepChec
     post state are apply_kraus's own (perfbench's tracer also counts these
     calls).  The rest are literal matrix products on the step's stacked
     (branches, n, n) operators, permutation matrices and post states, one
-    np.matmul each, and one batched eigvalsh.  numpy multiplies and
-    diagonalises each matrix of a stack as it does a lone one, so the values
-    are those of apply_correction and reduced_spectrum branch by branch, and
-    every corrected state meets FullState's checks, as in apply_correction.
+    np.matmul each.  The reduced spectra are _spectra's: the sorted diagonal
+    of each exactly diagonal reduced density matrix, else one batched
+    eigvalsh, equal bit for bit.  numpy multiplies and diagonalises each
+    matrix of a stack as it does a lone one, so the values are those of
+    apply_correction and reduced_spectrum branch by branch, and every
+    corrected state meets FullState's checks, as in apply_correction.
     """
     n = psi.n
     branches = step.branches
@@ -223,7 +254,7 @@ def _check_step(k, step, psi: FullState, next_matrix, next_spectrum) -> StepChec
     corrected = np.matmul(np.matmul(perms, posts), perms.transpose(0, 2, 1))
     for matrix in corrected:
         FullState(matrix)
-    spectra = np.linalg.eigvalsh(np.matmul(corrected, corrected.transpose(0, 2, 1)))
+    spectra = _spectra(np.matmul(corrected, corrected.transpose(0, 2, 1)))
     diff = corrected - next_matrix
     post_devs = np.abs(diff, out=diff).max(axis=(1, 2)).tolist()
     diff = spectra[:, ::-1] - next_spectrum
@@ -240,13 +271,15 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
 
     Verifies per-index completeness, branch probabilities, post-correction
     states and reduced spectra against the chain (_check_step): apply_kraus
-    per branch, then literal matrix products and eigvalsh stacked over the
-    step's branches, with the values of the per-branch apply_kraus,
-    apply_correction and reduced_spectrum.  Then walks every branch path end
-    to end (when their number is within path_limit) on full amplitude
-    matrices, by row scaling and index permutation (_walk_paths); the path
-    check equals, bit for bit, that of walking each path with apply_kraus
-    and apply_correction.
+    per branch, then literal matrix products stacked over the step's
+    branches, with the values of the per-branch apply_kraus,
+    apply_correction and reduced_spectrum.  A reduced density matrix that is
+    exactly diagonal takes its sorted diagonal as its spectrum, which is
+    eigvalsh's answer bit for bit; any other goes to eigvalsh (_spectra).
+    Then walks every branch path end to end (when their number is within
+    path_limit) on full amplitude matrices, by row scaling and index
+    permutation (_walk_paths); the path check equals, bit for bit, that of
+    walking each path with apply_kraus and apply_correction.
 
     Deviations are reported, not raised.  A plan that cannot be applied at
     all raises: DimensionMismatch for an operator of the wrong dimension,

@@ -60,6 +60,16 @@ class TestFullState:
         with pytest.raises(ValidationError):
             FullState(np.diag([1.0, 1.0]))
 
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(ValidationError, match="not normalized"):
+            FullState(np.full((2, 2), np.nan))
+
+    def test_rejects_one_nan_entry(self):
+        matrix = np.diag([math.sqrt(0.5)] * 2)
+        matrix[0, 1] = np.nan
+        with pytest.raises(ValidationError, match="not normalized"):
+            FullState(matrix)
+
     def test_reduced_spectrum(self):
         v = validate([0.5, 0.3, 0.2], squared=True)
         state = FullState.from_layout(v.amps)
@@ -646,8 +656,11 @@ class TestStepChecksMatchLiteral:
         plan = _plan(_sparse_pair(n, np.random.default_rng([20261018, n])))
         assert repr(_stacked_step_checks(plan)) == repr(literal_step_checks(plan))
 
+    # numpy's LAPACK tridiagonalises blockwise above n = 32.
     @pytest.mark.parametrize(
-        "pair", [dense_pair(32), dirichlet_swept_pair(163)], ids=["n32", "n64"]
+        "pair",
+        [dense_pair(32), dense_pair(40), dense_pair(48), dirichlet_swept_pair(163)],
+        ids=["n32", "n40", "n48", "n64"],
     )
     def test_dense_pairs(self, pair):
         plan = _plan(pair)
@@ -687,6 +700,125 @@ class TestStepChecksMatchLiteral:
             return  # refused pairs have no steps to check
         expected = _step_outcome(literal_step_checks, plan)
         assert _step_outcome(_stacked_step_checks, plan) == expected
+
+
+def _diagonal_stack(diag):
+    """The (B, n, n) stack whose matrices have the rows of diag on their
+    diagonals and exact zeros elsewhere."""
+    b, n = diag.shape
+    rho = np.zeros((b, n, n))
+    rho[:, np.arange(n), np.arange(n)] = diag
+    return rho
+
+
+@st.composite
+def diagonal_stacks(draw):
+    """Exactly diagonal (B, n, n) stacks: entries on a 1/8 grid (ties and
+    zeros), uniform or within a few ulps below 1, scaled by 1 or by 1e-320
+    to 1e-130, with zeros and -0.0 sprinkled in."""
+    b = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "uniform", "near_one"]))
+    if kind == "grid":
+        diag = rng.integers(0, 9, (b, n)) / 8.0
+    elif kind == "uniform":
+        diag = rng.random((b, n))
+    else:
+        diag = 1.0 - rng.integers(0, 16, (b, n)) * 2.0**-53
+    diag *= draw(st.one_of(st.just(1.0), st.floats(-320, -130).map(lambda e: 10.0**e)))
+    diag[rng.random((b, n)) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    diag[rng.random((b, n)) < draw(st.sampled_from([0.0, 0.1]))] = -0.0
+    return _diagonal_stack(diag)
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """Random symmetric (B, n, n) stacks with off-diagonal entries: a
+    product A A^T, or a diagonal with one symmetric off-diagonal pair."""
+    b = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = rng.standard_normal((b, n, n))
+        return np.matmul(a, a.transpose(0, 2, 1))
+    rho = _diagonal_stack(rng.random((b, n)))
+    i, j = rng.choice(n, size=2, replace=False)
+    rho[:, i, j] = rho[:, j, i] = draw(st.sampled_from([1e-300, 1e-12, 0.25]))
+    return rho
+
+
+def _spectra_outcome(spectra, rho):
+    """spectra(rho)'s bytes, or the LinAlgError it raised."""
+    try:
+        return spectra(rho).tobytes()
+    except np.linalg.LinAlgError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Shapes of the stacks passed to np.linalg.eigvalsh while it is
+    patched with a counting wrapper."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+class TestSpectra:
+    """_spectra reads an exactly diagonal stack's spectrum off its diagonal
+    and must give np.linalg.eigvalsh's answer bit for bit; anything else
+    goes to eigvalsh."""
+
+    @given(rho=diagonal_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_diagonal_stacks_equal_eigvalsh(self, rho):
+        assert oracle._spectra(rho).tobytes() == np.linalg.eigvalsh(rho).tobytes()
+
+    @given(rho=symmetric_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_symmetric_stacks_equal_eigvalsh(self, rho):
+        assert oracle._spectra(rho).tobytes() == np.linalg.eigvalsh(rho).tobytes()
+
+    def test_ladder_plan_never_calls_eigvalsh(self, eigvalsh_calls):
+        report = verify_plan(_plan(dense_pair(64)))
+        assert report.passed
+        assert eigvalsh_calls == []
+
+    @pytest.mark.parametrize(
+        "scale, entry, value",
+        [
+            (1.0, (1, 0), 1e-300),
+            (1.0, (1, 1), -0.0),
+            (1.0, (1, 1), np.nan),
+            (1.0, (1, 1), np.inf),
+            (1e-141, (1, 1), 1e-142),
+            (1e141, (1, 1), 1e140),
+            (0.0, (1, 1), 0.0),
+        ],
+        ids=[
+            "off_diagonal_1e-300",
+            "negative_zero",
+            "nan",
+            "inf",
+            "scale_1e-141",
+            "scale_1e141",
+            "zero_matrix",
+        ],
+    )
+    def test_one_odd_matrix_calls_eigvalsh(self, eigvalsh_calls, scale, entry, value):
+        rho = _diagonal_stack(np.array([[0.5, 0.25, 0.25], [0.75, 0.125, 0.125]]))
+        rho[1] *= scale
+        rho[1][entry] = value
+        outcome = _spectra_outcome(oracle._spectra, rho)
+        assert eigvalsh_calls == [(2, 3, 3)]
+        assert outcome == _spectra_outcome(np.linalg.eigvalsh, rho)
 
 
 class TestStepWithoutOutcomes:
