@@ -481,10 +481,14 @@ class _PlanRuntime:
 # 1.1 MB that serialising an n = 48 transcript takes; at twice it, 1.7 MB.
 PATH_BATCH_ENTRIES = 8192
 
-# The sampler's chunks, by the same measure (16 prefixes at n = 32, 64 at
-# n = 16).  A few chunks wait at each step of the plan, so the walk's memory
-# grows with this times the plan's depth, whatever the shot count.
-SAMPLE_BATCH_ENTRIES = 16384
+# The sampler's chunks, by the same measure (16 prefixes at n = 64, 64 at
+# n = 32, 256 at n = 16).  A few chunks wait at each step of the plan, so the
+# walk's memory grows with this times the plan's depth, whatever the shot
+# count.  Shots split into distinct prefixes within a few steps, so small
+# chunks pay numpy's per-call overhead many times over: at a quarter of this
+# budget an n = 32 plan makes three times as many chunk steps and samples
+# about 1.4 times slower, for about 1 MB less peak memory over 20,000 shots.
+SAMPLE_BATCH_ENTRIES = 65536
 
 
 def _scale(states: np.ndarray, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -601,12 +605,17 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
     Level-synchronous within a chunk, depth first over chunks.  A chunk is
     one C-contiguous (G, n, n) array of distinct path prefixes plus the
     shots that share them, each shot carrying its prefix's index.  Every
-    outcome's probabilities come from scaling the whole chunk (_scale),
-    each shot takes the first branch whose running probability sum exceeds
-    its draw times the total (else the last), and post states
-    (_relabel) are made only for the (branch, prefix) pairs that some shot
-    takes, from those prefixes scaled again: holding every outcome's scaled
-    chunk instead costs more memory than the second multiply costs time.
+    outcome's probabilities come from scaling the whole chunk, as _scale
+    does, in one scratch array per chunk step: the row-scaled products, then
+    their squares written over them, then the pairwise sum of each C-ordered
+    row of n*n squares; the same operations on the same layout as _scale's,
+    so the same bits.  Each shot takes the first branch whose running
+    probability sum exceeds its draw times the total (else the last), and
+    post states (_relabel) are made only for the (branch, prefix) pairs that
+    some shot takes, from a copy of those prefixes scaled again in place.
+    The second multiply stays: keeping every outcome's scaled chunk for the
+    children holds G * branches matrices at once, and measured slower at
+    n = 32 than scaling again the few prefixes that are taken.
     Post states go back on the stack in chunks of at most
     SAMPLE_BATCH_ENTRIES matrix entries, each its own array, so that a
     pending chunk does not keep its siblings alive.  The arithmetic is that
@@ -632,7 +641,16 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
             leaves.append((first, np.bincount(group, minlength=len(states)), dev))
             continue
         scales, invs = runtime.steps[k]
-        probs = [_scale(states, scale)[1] for scale in scales]
+        g = len(states)
+        # _scale's probabilities, each outcome's in the same scratch array.
+        buf = np.empty_like(states)
+        probs = []
+        for scale in scales:
+            np.multiply(scale, states, out=buf)
+            np.multiply(buf, buf, out=buf)
+            probs.append(np.add.reduce(buf.reshape(g, n * n), axis=-1))
+        # Freed before the children are made.
+        del buf
         # Running sums in branch order, the last one sum(probs), as a lone
         # shot adds them.
         bounds = np.add.accumulate(probs)[:, group]
@@ -644,13 +662,13 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
             chosen[u < bounds[i]] = i
         choice[shots, k] = chosen
         # One child per (branch, prefix) pair taken, branch-major.
-        key = chosen * len(states) + group
-        slot = np.zeros(len(scales) * len(states), dtype=np.intp)
+        key = chosen * g + group
+        slot = np.zeros(len(scales) * g, dtype=np.intp)
         slot[key] = 1
         taken = np.flatnonzero(slot)
         slot[taken] = np.arange(len(taken))
         child = slot[key]
-        branch, rows = np.divmod(taken, len(states))
+        branch, rows = np.divmod(taken, g)
         edges = np.searchsorted(branch, range(len(scales) + 1)).tolist()
         starts = range(0, len(taken), batch)
         if len(starts) > 1:
@@ -666,7 +684,8 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
                 a, b = max(lo, edges[i]), min(hi, edges[i + 1])
                 if a < b:
                     r = rows[a:b]
-                    out = scales[i] * states[r]
+                    out = states[r]
+                    np.multiply(scales[i], out, out=out)
                     _relabel(out, probs[i][r], gather, kids[a - lo : b - lo])
             part = slice(cuts[j], cuts[j + 1])
             stack.append((k + 1, kids, shots[part], child[part] - lo))
@@ -687,6 +706,15 @@ def _sampling_runtime(plan: LadderPlan) -> _PlanRuntime:
 def run_trajectory(plan: LadderPlan, seed: int, shot_index: int) -> TrajectoryRecord:
     """Sample one complete run through the plan: shot shot_index of
     sample_trajectories(plan, shots, seed), walked as a block of one shot."""
+    # Philox keys the shot's stream with its index as one uint64 word.
+    if (
+        isinstance(shot_index, bool)
+        or not isinstance(shot_index, (int, np.integer))
+        or not 0 <= shot_index < 1 << 64
+    ):
+        raise ValidationError(
+            f"shot_index must be an integer in [0, 2**64), got {shot_index!r}"
+        )
     runtime = _sampling_runtime(plan)
     draws = _shot_draws(seed, shot_index, 1, len(runtime.steps))
     paths, _, dev = _sample_block(runtime, draws)
@@ -712,6 +740,8 @@ def sample_trajectories(plan: LadderPlan, shots: int, seed: int) -> FrequencyRep
     order of their first shot, and equals, bit for bit, the aggregate of
     walking each shot alone.
     """
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValidationError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
 

@@ -218,6 +218,35 @@ class TestTrajectories:
         with pytest.raises(ValidationError):
             sample_trajectories(plan, 0, seed=1)
 
+    @pytest.mark.parametrize("shots", [True, False, 2.0, 2.5, "2", None])
+    def test_shots_must_be_an_integer(self, n4_pair, shots):
+        plan = plan_full(*n4_pair)
+        with pytest.raises(ValidationError, match="shots must be an integer"):
+            sample_trajectories(plan, shots, seed=1)
+
+    def test_numpy_integer_shots(self, n4_pair):
+        plan = plan_full(*n4_pair)
+        report = sample_trajectories(plan, np.int64(40), seed=1)
+        assert report.path_counts == sample_trajectories(plan, 40, seed=1).path_counts
+
+    @pytest.mark.parametrize("shot_index", [-1, -(2**64), 2**64, 2**70, 1.5, 1.0, True])
+    def test_shot_index_out_of_range(self, n4_pair, shot_index, monkeypatch):
+        # Refused before any draw: Philox keys a shot by a uint64 index.  A
+        # float index once drew a stream that no shot of a report has.
+        def no_draws(*args):
+            raise AssertionError("drew for an out-of-range shot")
+
+        monkeypatch.setattr(oracle, "_shot_draws", no_draws)
+        plan = plan_full(*n4_pair)
+        with pytest.raises(ValidationError, match=r"\[0, 2\*\*64\)"):
+            run_trajectory(plan, seed=3, shot_index=shot_index)
+
+    @pytest.mark.parametrize("shot_index", [0, 2**64 - 1])
+    def test_shot_index_range_ends(self, n4_pair, shot_index):
+        plan = plan_full(*n4_pair)
+        expected = walk_one_shot(_sampling_runtime(plan), 3, shot_index)
+        assert run_trajectory(plan, seed=3, shot_index=shot_index) == expected
+
 
 N10_PAIR = (
     [0.19, 0.17, 0.15, 0.13, 0.11, 0.09, 0.07, 0.05, 0.03, 0.01],
@@ -373,10 +402,11 @@ class TestSamplerChunks:
 
     def test_memory_stays_within_half_a_budget_per_step(self):
         # A few chunks wait at each step, so the walk adds well under half
-        # a budget of float64s per step (1 MB here) to the peak of computing
-        # a block's draws; it adds about 0.3 MB.  Holding whole levels adds
-        # about 20 MB on this plan, and keeping a block's draws alive while
-        # the next block's are made adds 1 MB.
+        # of a 16384-entry budget of float64s per step (1 MiB here) to the
+        # peak of computing a block's draws; it adds about 0.3 MB.  Holding
+        # whole levels adds about 20 MB on this plan, and keeping a block's
+        # draws alive while the next block's are made adds 1 MB.  The bound
+        # is absolute, so that a larger SAMPLE_BATCH_ENTRIES cannot loosen it.
         plan = _plan(N32_PAIR)
         depth = len(plan.steps)
         assert depth == 16
@@ -390,7 +420,56 @@ class TestSamplerChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= draws_peak + oracle.SAMPLE_BATCH_ENTRIES * 8 * depth // 2
+        assert peak <= draws_peak + 2**20
+
+    def test_walk_memory_with_small_shot_blocks(self, monkeypatch):
+        # Blocks of 256 shots make draws of 33 KB, so the peak is the walk's
+        # own: its pending chunks, one chunk step's scratch array and the
+        # children it makes.  It is about 2.2 MB at the default budget (1.2
+        # MB at a quarter of it); holding whole levels would take far more.
+        monkeypatch.setattr(oracle, "SHOT_BLOCK", 256)
+        plan = _plan(N32_PAIR)
+        sample_trajectories(plan, 10, 5)  # first-use allocations
+        tracemalloc.start()
+        try:
+            sample_trajectories(plan, 20000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
+    @pytest.mark.parametrize(
+        "make, shots",
+        [
+            (lambda: _plan(N32_PAIR), 300),
+            # 600 shots of this plan take 211 distinct paths, one chunk.
+            (lambda: _ladder_plan(16, np.random.default_rng([20261018, 16])), 1200),
+        ],
+        ids=["n32", "n16"],
+    )
+    def test_default_budget_splits_chunks(self, make, shots):
+        # More distinct complete paths than a chunk holds, so the last
+        # levels split into several chunks at the default budget.
+        plan = make()
+        n = len(plan.chain.layouts[0])
+        report = sample_trajectories(plan, shots, 11)
+        assert len(report.path_counts) > oracle.SAMPLE_BATCH_ENTRIES // (n * n)
+        _assert_report_is_per_shot(report, plan, 11, shots)
+
+    def test_chunk_steps_are_few(self, monkeypatch):
+        # Machine-independent guard on the chunk size: one _relabel per
+        # (chunk, branch taken).  It makes 47 calls at 64 prefixes a chunk
+        # and 133 at 16.
+        calls = []
+        relabel = oracle._relabel
+
+        def counted(*args):
+            calls.append(1)
+            return relabel(*args)
+
+        monkeypatch.setattr(oracle, "_relabel", counted)
+        sample_trajectories(_plan(N32_PAIR), 190, 5)
+        assert len(calls) <= 60
 
 
 def _plan(pair):
