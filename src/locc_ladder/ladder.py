@@ -8,13 +8,15 @@ The smallest-first construction is not total: for some majorization-feasible
 pairs the forced intermediate state is not majorized by its successor, so no
 deterministic measurement exists for that link.  Such inputs raise
 LadderInfeasible carrying a certificate; they are never silently repaired.
-The greatest-first variant is provided purely as a demonstrator of its own
-failure mode (rank collapse).
+The greatest-first variant, a demonstrator of its own failure mode (rank
+collapse), mirrors the ladder's windows: both constructions build their
+layouts in one loop, _chain_layouts, over windows of basis indices.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from itertools import compress, repeat
@@ -46,15 +48,15 @@ from .solvers import (
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """A state split into an untouched remainder and a normalized active block.
+    """A layout with one normalized active block picked out of it.
 
-    window holds the block's positional amplitudes at full scale;
-    block is the same content normalized and sorted.  index_range gives the
-    0-based basis indices the block occupies.
+    layout holds the whole positional state; window holds the block's
+    positional amplitudes at full scale, gathered from layout at
+    index_range, the block's sorted 0-based basis indices; block is the
+    same content normalized and sorted.
     """
 
-    prefix: tuple[float, ...]
-    suffix: tuple[float, ...]
+    layout: tuple[float, ...]
     window: tuple[float, ...]
     block: SchmidtVector
     block_norm: float
@@ -130,20 +132,12 @@ def _window_decompose(layout: Sequence[float], window: Sequence[int]) -> BlockDe
     c = math.sqrt(norm_sq)
     block = SchmidtVector(tuple(sorted((x / c for x in vals), reverse=True)))
     return BlockDecomposition(
-        prefix=tuple(layout[: window[0]]),
-        suffix=tuple(layout[window[-1] + 1 :]),
+        layout=tuple(layout),
         window=vals,
         block=block,
         block_norm=c,
         index_range=window,
     )
-
-
-def block_decompose(state: SchmidtVector, m: int) -> BlockDecomposition:
-    """Split off the m smallest coefficients as a normalized active block."""
-    if m < 2 or m > state.n:
-        raise BlockTooLarge(f"block size {m} outside [2, {state.n}]")
-    return _window_decompose(state.amps, range(state.n - m, state.n))
 
 
 def choose_omega(
@@ -182,22 +176,53 @@ def choose_omega(
     return omega
 
 
-def _chain_positions(n: int, m: int) -> tuple[int, list[int]]:
-    """Step count l and 1-based tilde positions for k = 1..l-1."""
-    if n <= m:
-        return 1, []
-    l = 1 + math.ceil((n - m) / (m - 1))
-    return l, [n - k * (m - 1) for k in range(1, l)]
-
-
-def _windows(n: int, positions: list[int]) -> tuple[tuple[int, ...], ...]:
+def _chain_windows(n: int, m: int, greatest_first: bool = False) -> tuple[tuple[int, ...], ...]:
+    """The chain's windows, one per link: from the last m indices leftwards,
+    each sharing its first index with the next, and the last taking what is
+    left; greatest-first's are their mirror, from the first m indices."""
     wins = []
-    prev = n  # 1-based right edge
-    for p in positions:
-        wins.append(tuple(range(p - 1, prev)))
-        prev = p
-    wins.append(tuple(range(0, prev)))
+    hi = n  # right edge, exclusive
+    while hi > m:
+        wins.append(tuple(range(hi - m, hi)))
+        hi -= m - 1
+    wins.append(tuple(range(hi)))
+    l = 1 + math.ceil((n - m) / (m - 1)) if n > m else 1
+    if len(wins) != l:
+        raise ChainInvariantViolated(f"built {len(wins)} links, expected {l}")
+    if greatest_first:
+        return tuple(tuple(n - 1 - i for i in reversed(w)) for w in wins)
     return tuple(wins)
+
+
+def _amp(square: float) -> float:
+    return 0.0 if square <= EPS_ZERO else math.sqrt(square)
+
+
+def _chain_layouts(source, target, windows, at_start: bool) -> tuple[list, list[float]]:
+    """The chain's layouts over windows, and each inserted coefficient squared.
+
+    Every layout but the last copies the target's values onto its window,
+    except at one end of it (the first index when at_start, else the last):
+    there the inserted coefficient squared is sum(head[slot:]) -
+    sum(tail[slot + 1:]), head and tail being the source's and target's
+    squares, swapped when not at_start.  The last layout is the target.
+    """
+    head, tail = (source, target) if at_start else (target, source)
+    h2, t2 = head.squares, tail.squares
+    layout = list(source.amps)
+    layouts, tilde_sqs = [source.amps], []
+    for w in windows[:-1]:
+        slot = w[0] if at_start else w[-1]
+        tilde_sq = sum(h2[slot:]) - sum(t2[slot + 1 :])
+        for i in w:
+            layout[i] = target.amps[i]
+        # Clamp vanishing weight to an exact zero so rank counting stays
+        # consistent with the squared-domain tolerance.
+        layout[slot] = _amp(tilde_sq)
+        layouts.append(tuple(layout))
+        tilde_sqs.append(tilde_sq)
+    layouts.append(target.amps)
+    return layouts, tilde_sqs
 
 
 def _window_tail_inequalities(x, y, window) -> float:
@@ -249,8 +274,14 @@ def _verify_chain(chain: IntermediateChain, target: SchmidtVector):
             raise LadderInfeasible(cert)
 
 
-def _sorted_state(layout: Sequence[float]) -> SchmidtVector:
-    return SchmidtVector(tuple(sorted(layout, reverse=True)))
+def _sorted_state(layout: Sequence[float], given: Optional[SchmidtVector] = None) -> SchmidtVector:
+    """layout sorted: the given state, unvalidated, when it equals that."""
+    amps = tuple(sorted(layout, reverse=True))
+    if given is None:
+        return SchmidtVector(amps)
+    if given.amps != amps:
+        raise ChainInvariantViolated("given state is not its layout sorted")
+    return given
 
 
 def _trivial_chain(source: SchmidtVector, target: SchmidtVector, m: int) -> IntermediateChain:
@@ -263,6 +294,28 @@ def _trivial_chain(source: SchmidtVector, target: SchmidtVector, m: int) -> Inte
     )
 
 
+def _chain(layouts, tilde_sqs, m, windows) -> IntermediateChain:
+    return IntermediateChain(
+        states=tuple(_sorted_state(x) for x in layouts),
+        layouts=tuple(layouts),
+        m=m,
+        tilde_values=tuple(map(_amp, tilde_sqs)),
+        windows=windows,
+    )
+
+
+def _trivial_pair(source: SchmidtVector, target: SchmidtVector, m: int) -> bool:
+    """The chain builders' preamble: refuses a block size that is not an
+    integer >= 2 and a pair that is not majorized; True when source equals
+    target, so that one link is the whole chain."""
+    if not isinstance(m, numbers.Integral) or m < 2:
+        raise BlockTooLarge(f"block size {m!r} must be an integer >= 2")
+    report = majorizes(source, target)
+    if not report.holds:
+        raise NotMajorized(report)
+    return states_equal(source, target)
+
+
 def intermediate_chain(source: SchmidtVector, target: SchmidtVector, m: int) -> IntermediateChain:
     """Ladder of intermediate states fixing the target's smallest coefficients.
 
@@ -271,36 +324,10 @@ def intermediate_chain(source: SchmidtVector, target: SchmidtVector, m: int) -> 
     the forced chain is not majorized by its successor (the construction has
     no freedom left, so the failure is a property of the input pair).
     """
-    if m < 2:
-        raise BlockTooLarge(f"block size {m} must be at least 2")
-    report = majorizes(source, target)
-    if not report.holds:
-        raise NotMajorized(report)
-    if states_equal(source, target):
+    if _trivial_pair(source, target, m):
         return _trivial_chain(source, target, m)
-
-    n = source.n
-    s2, t2 = source.squares, target.squares
-    l, positions = _chain_positions(n, m)
-    layouts = [source.amps]
-    tildes = []
-    for p in positions:  # 1-based position of the inserted coefficient
-        tilde_sq = sum(s2[p - 1 :]) - sum(t2[p:])
-        # Clamp vanishing weight to an exact zero so rank counting stays
-        # consistent with the squared-domain tolerance.
-        tilde = 0.0 if tilde_sq <= EPS_ZERO else math.sqrt(tilde_sq)
-        tildes.append(tilde)
-        layouts.append(source.amps[: p - 1] + (tilde,) + target.amps[p:])
-    layouts.append(target.amps)
-    chain = IntermediateChain(
-        states=tuple(_sorted_state(x) for x in layouts),
-        layouts=tuple(layouts),
-        m=m,
-        tilde_values=tuple(tildes),
-        windows=_windows(n, positions),
-    )
-    if chain.l != l:
-        raise ChainInvariantViolated(f"built {chain.l} links, expected {l}")
+    windows = _chain_windows(source.n, m)
+    chain = _chain(*_chain_layouts(source, target, windows, True), m, windows)
     _verify_chain(chain, target)
     return chain
 
@@ -314,23 +341,14 @@ def greatest_first_chain(
     InfeasibilityCertificate.  The canonical failure is rank collapse: the
     inserted coefficient hits zero while the target still needs that rank.
     """
-    if m < 2:
-        raise BlockTooLarge(f"block size {m} must be at least 2")
-    report = majorizes(source, target)
-    if not report.holds:
-        raise NotMajorized(report)
-    if states_equal(source, target):
+    if _trivial_pair(source, target, m):
         return _trivial_chain(source, target, m)
-
-    n = source.n
-    s2, t2 = source.squares, target.squares
-    l, _ = _chain_positions(n, m)
+    windows = _chain_windows(source.n, m, greatest_first=True)
+    layouts, tilde_sqs = _chain_layouts(source, target, windows, False)
     target_rank = effective_rank(target)
-    layouts = [source.amps]
-    tildes = []
-    for k in range(1, l):
-        q = k * (m - 1) + 1  # 1-based position of the inserted coefficient
-        tilde_sq = sum(t2[q - 1 :]) - sum(s2[q:])
+    # Before any layout is sorted: a negative slot clamped to zero leaves a
+    # layout that is not normalized.
+    for k, (layout, tilde_sq) in enumerate(zip(layouts[1:], tilde_sqs), start=1):
         if tilde_sq < -EPS_ZERO:
             return InfeasibilityCertificate(
                 kind="negative_coefficient",
@@ -342,8 +360,6 @@ def greatest_first_chain(
                 tilde_sq=tilde_sq,
                 target_rank=target_rank,
             )
-        tilde = 0.0 if tilde_sq <= EPS_ZERO else math.sqrt(tilde_sq)
-        layout = target.amps[: q - 1] + (tilde,) + source.amps[q:]
         rank = sum(1 for a in layout if a > EPS_ZERO)
         if tilde_sq <= EPS_ZERO and target_rank > rank:
             return InfeasibilityCertificate(
@@ -357,12 +373,9 @@ def greatest_first_chain(
                 intermediate_rank=rank,
                 target_rank=target_rank,
             )
-        tildes.append(tilde)
-        layouts.append(layout)
-    layouts.append(target.amps)
 
-    states = tuple(_sorted_state(x) for x in layouts)
-    for k, (a, b) in enumerate(zip(states, states[1:])):
+    chain = _chain(layouts, tilde_sqs, m, windows)
+    for k, (a, b) in enumerate(zip(chain.states, chain.states[1:])):
         link = majorizes(a, b)
         if not link.holds:
             return InfeasibilityCertificate(
@@ -375,21 +388,7 @@ def greatest_first_chain(
                 failing_k=link.failing_k,
                 margin=link.tail_margins[link.failing_k - 1],
             )
-
-    wins = []
-    prev = 1
-    for k in range(1, l):
-        q = k * (m - 1) + 1
-        wins.append(tuple(range(prev - 1, q)))
-        prev = q
-    wins.append(tuple(range(prev - 1, n)))
-    return IntermediateChain(
-        states=states,
-        layouts=tuple(layouts),
-        m=m,
-        tilde_values=tuple(tildes),
-        windows=tuple(wins),
-    )
+    return chain
 
 
 def _inverse(perm: Sequence[int]) -> list[int]:
@@ -410,6 +409,8 @@ def embed_step(
     n: int,
     *,
     target_window: Optional[Sequence[float]] = None,
+    source: Optional[SchmidtVector] = None,
+    target: Optional[SchmidtVector] = None,
 ) -> MeasurementStep:
     """Lift a block measurement to dimension n.
 
@@ -417,48 +418,46 @@ def embed_step(
     per-index completeness survives; corrections extend by the identity.
     When the positional window is unsorted, operators and corrections are
     conjugated by the sorting permutation so they act on the stated indices.
-    The step's source and target states are its two full layouts sorted.
+    The step's source and target states are its two full layouts sorted; a
+    caller that holds those states passes them, so they are not validated again.
     """
-    return _embed_step(block_step, decomposition, n, target_window, None, None)
-
-
-def _embed_step(block_step, decomposition, n, target_window, source, target):
-    """embed_step, given the step's source and target states, or None to
-    sort each from its layout where the checks before it have passed.
-    plan_full passes its chain's states, which _verify_chain has shown to be
-    the two layouts sorted, so they are not built twice."""
     idx = decomposition.index_range
     m = block_step.source.n
     if len(idx) != m or len(set(idx)) != m:
         raise IndexRangeInvalid(f"index range {idx} incompatible with block size {m}")
     if any(i < 0 or i >= n for i in idx) or list(idx) != sorted(idx):
         raise IndexRangeInvalid(f"index range {idx} invalid for dimension {n}")
+    source_layout = decomposition.layout
+    if len(source_layout) != n:
+        raise IndexRangeInvalid(
+            f"decomposition spans {len(source_layout)} indices, expected {n}"
+        )
 
     c = decomposition.block_norm
     if target_window is None:
         target_window = tuple(a * c for a in block_step.target.amps)
     else:
         target_window = tuple(float(x) for x in target_window)
+        if len(target_window) != m:
+            raise IndexRangeInvalid(
+                f"target window has {len(target_window)} values for index range {idx}"
+            )
         scaled = sorted((x / c for x in target_window), reverse=True)
         for got, want in zip(scaled, block_step.target.amps):
             if abs(got - want) > EPS_CMP:
                 raise IndexRangeInvalid(
                     "target window content disagrees with the block target"
                 )
-
-    source_layout = decomposition.prefix + decomposition.window + decomposition.suffix
-    target_layout = decomposition.prefix + target_window + decomposition.suffix
-    if len(source_layout) != n:
-        raise IndexRangeInvalid(
-            f"decomposition spans {len(source_layout)} indices, expected {n}"
-        )
+    target_layout = list(source_layout)
+    for i, x in zip(idx, target_window):
+        target_layout[i] = x
+    source = _sorted_state(source_layout, source)
+    target = _sorted_state(target_layout, target)
 
     sigma = _sort_perm(decomposition.window)
     sigma_inv = _inverse(sigma)
     tau = _sort_perm(target_window)
 
-    if target is None:
-        target = _sorted_state(target_layout)
     branches = []
     for br in block_step.branches:
         diag = [math.sqrt(br.prob)] * n
@@ -492,7 +491,7 @@ def _embed_step(block_step, decomposition, n, target_window, source, target):
         )
     step = MeasurementStep(
         branches=tuple(branches),
-        source=_sorted_state(source_layout) if source is None else source,
+        source=source,
         target=target,
         case_tag=block_step.case_tag,
         pruned_count=block_step.pruned_count,
@@ -581,8 +580,8 @@ def plan_full(source: SchmidtVector, target: SchmidtVector) -> LadderPlan:
                 message=str(exc),
             )
             raise LadderInfeasible(cert) from exc
-        states = chain.states[k : k + 2]
-        steps.append(_embed_step(block_step, decom, n, tgt_window, *states))
+        sx, sy = chain.states[k : k + 2]
+        steps.append(embed_step(block_step, decom, n, target_window=tgt_window, source=sx, target=sy))
     if len(steps) != n // 2:
         raise ChainInvariantViolated(
             f"emitted {len(steps)} steps, expected {n // 2}"

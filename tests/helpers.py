@@ -154,6 +154,30 @@ def dirichlet_swept_pair(seed, n=64):
     return (source / source.sum()).tolist(), target.tolist()
 
 
+def degenerate_fuzz_pair(rng, trial, floor):
+    """One pair (source, target) of squared coefficients, n in 2..16, drawn
+    as the degenerate fuzz: a sorted Dirichlet target, alpha in {0.1, 1, 5},
+    plain, with a zeroed tail or rounded to multiples of 1/8 by trial % 3;
+    the source is the target after a few random pairwise averaging moves,
+    plus floor on every entry, renormalised and sorted."""
+    n = int(rng.integers(2, 17))
+    alpha = (0.1, 1.0, 5.0)[int(rng.integers(3))]
+    target = np.sort(rng.dirichlet(np.full(n, alpha)))[::-1]
+    if trial % 3 == 1 and n > 2:
+        target[n - int(rng.integers(1, n - 1)) :] = 0.0
+    elif trial % 3 == 2:
+        target = np.round(target * 8)
+        target[0] += target.sum() == 0
+    target /= target.sum()
+    source = target.copy()
+    for _ in range((1, 2, n, 2 * n)[int(rng.integers(4))]):
+        i, j = rng.choice(n, size=2, replace=False)
+        t, a, b = rng.random(), source[i], source[j]
+        source[i], source[j] = t * a + (1 - t) * b, (1 - t) * a + t * b
+    source = np.sort(source + floor)[::-1]
+    return (source / source.sum()).tolist(), target.tolist()
+
+
 def fsum_tail_margins(source_sq, target_sq):
     """Independent recomputation of the majorization tail margins."""
     n = len(source_sq)

@@ -1,9 +1,12 @@
 import hashlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locc_ladder import (
     CASE_I,
@@ -14,12 +17,12 @@ from locc_ladder import (
     InfeasibilityCertificate,
     IndexRangeInvalid,
     LadderInfeasible,
+    LadderPlan,
     NormalizationUnderflow,
     NotMajorized,
     OmegaNotMajorizing,
     OmegaNotSorted,
     ZeroBlockNorm,
-    block_decompose,
     choose_omega,
     effective_rank,
     embed_step,
@@ -30,14 +33,17 @@ from locc_ladder import (
     validate,
     verify_plan,
 )
+from locc_ladder import ladder
 from locc_ladder import plan_full as _plan_full
+from locc_ladder.cli import main as cli_main
 from locc_ladder.errors import ChainInvariantViolated
-from locc_ladder.ladder import _sorted_state, _verify_chain
+from locc_ladder.ladder import _chain_windows, _sorted_state, _verify_chain, _window_decompose
 from locc_ladder.sampling import random_feasible_pair
-from locc_ladder.transcript import chain_section, steps_section
+from locc_ladder.transcript import certificate_section, chain_section, steps_section
 
 from helpers import (
     DEGENERATE_PAIRS,
+    degenerate_fuzz_pair,
     dense_pair,
     dirichlet_swept_pair,
     forced_chain_layout_squares,
@@ -59,45 +65,40 @@ def plan_full(source, target):
 class TestBlockDecompose:
     def test_tail_block_fixture(self, n4_pair):
         source, _ = n4_pair
-        d = block_decompose(source, 3)
+        d = _window_decompose(source.amps, (1, 2, 3))
         assert d.block_norm**2 == pytest.approx(0.6, abs=1e-12)
         assert d.block.squares == pytest.approx((0.5, 1 / 3, 1 / 6), abs=1e-12)
         assert d.index_range == (1, 2, 3)
-        assert d.prefix == source.amps[:1]
-        assert d.suffix == ()
+        assert d.layout == source.amps
 
     def test_whole_state_block(self, n4_pair):
         source, _ = n4_pair
-        d = block_decompose(source, 4)
-        assert d.prefix == ()
+        d = _window_decompose(source.amps, (0, 1, 2, 3))
+        assert d.window == source.amps
         assert d.block_norm == pytest.approx(1.0, abs=1e-12)
         assert d.block.amps == pytest.approx(source.amps, abs=1e-15)
 
     def test_reassembly_is_exact(self, n4_pair):
         source, _ = n4_pair
-        d = block_decompose(source, 3)
-        assert d.prefix + d.window + d.suffix == source.amps  # bitwise copies
+        d = _window_decompose(source.amps, (0, 2, 3))
+        assert d.layout == source.amps  # bitwise copies
+        assert d.window == (source.amps[0], *source.amps[2:])
 
     def test_zero_tail_raises(self):
         v = validate([0.5, 0.5, 0.0, 0.0], squared=True)
         with pytest.raises(ZeroBlockNorm):
-            block_decompose(v, 2)
+            _window_decompose(v.amps, (2, 3))
 
     def test_product_state_head_included(self):
         v = validate([1.0, 0.0], squared=True)
-        d = block_decompose(v, 2)  # block spans the full state, norm 1
+        d = _window_decompose(v.amps, (0, 1))  # block spans the full state, norm 1
         assert d.block_norm == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("m", [1, 5])
-    def test_block_size_bounds(self, m, n4_pair):
-        with pytest.raises(BlockTooLarge):
-            block_decompose(n4_pair[0], m)
 
 
 class TestChooseOmega:
     def test_running_example(self, n4_pair):
         source, target = n4_pair
-        d = block_decompose(source, 3)
+        d = _window_decompose(source.amps, (1, 2, 3))
         omega = choose_omega(d.block, target.amps[2:], d.block_norm)
         assert omega.squares == pytest.approx((2 / 3, 1 / 4, 1 / 12), abs=1e-12)
 
@@ -111,7 +112,7 @@ class TestChooseOmega:
         # target's own coefficient at that slot.
         source = validate([0.4, 0.3, 0.2, 0.1], squared=True)
         target = validate([0.4, 0.35, 0.15, 0.1], squared=True)
-        d = block_decompose(source, 3)
+        d = _window_decompose(source.amps, (1, 2, 3))
         omega = choose_omega(d.block, target.amps[2:], d.block_norm)
         assert omega.amps[0] == pytest.approx(target.amps[1] / d.block_norm, abs=1e-12)
 
@@ -292,7 +293,7 @@ class TestGreatestFirstChain:
 class TestEmbedStep:
     def test_identity_block_any_range(self, n4_pair):
         source, _ = n4_pair
-        d = block_decompose(source, 3)
+        d = _window_decompose(source.amps, (1, 2, 3))
         block = d.block
         trivial = solve3(block, block)
         step = embed_step(trivial, d, 4)
@@ -325,11 +326,10 @@ class TestEmbedStep:
 
     def test_bad_index_range(self, n4_pair):
         source, _ = n4_pair
-        d = block_decompose(source, 3)
+        d = _window_decompose(source.amps, (1, 2, 3))
         trivial = solve3(d.block, d.block)
         bad = type(d)(
-            prefix=d.prefix,
-            suffix=d.suffix,
+            layout=d.layout,
             window=d.window,
             block=d.block,
             block_norm=d.block_norm,
@@ -337,6 +337,78 @@ class TestEmbedStep:
         )
         with pytest.raises(IndexRangeInvalid):
             embed_step(trivial, bad, 4)
+
+    @pytest.mark.parametrize("extra", [1, -1], ids=["block-plus-zero", "two-values"])
+    def test_target_window_length_must_match_the_window(self, n4_pair, extra):
+        source, _ = n4_pair
+        d = _window_decompose(source.amps, (1, 2, 3))
+        trivial = solve3(d.block, d.block)
+        values = (d.window + (0.0,))[: 3 + extra]
+        with pytest.raises(IndexRangeInvalid, match="^target window has"):
+            embed_step(trivial, d, 4, target_window=values)
+
+    def test_layout_length_must_match_the_dimension(self, n4_pair):
+        source, _ = n4_pair
+        d = _window_decompose(source.amps, (1, 2, 3))
+        trivial = solve3(d.block, d.block)
+        with pytest.raises(IndexRangeInvalid, match="^decomposition spans 4 indices, expected 5$"):
+            embed_step(trivial, d, 5, target_window=d.window)
+
+    def test_given_states_must_be_the_layouts_sorted(self, n4_pair):
+        source, target = n4_pair
+        d = _window_decompose(source.amps, (1, 2, 3))
+        trivial = solve3(d.block, d.block)
+        step = embed_step(trivial, d, 4, source=source, target=source)
+        assert step.source is source and step.target is source
+        with pytest.raises(ChainInvariantViolated, match="^given state is not its layout sorted$"):
+            embed_step(trivial, d, 4, source=source, target=target)
+
+    def test_plan_full_lifts_each_step_through_embed_step(self, n4_pair, monkeypatch):
+        # Through the module global, so that a wrapper (the benchmark's
+        # tracer) sees every step.
+        windows = []
+        lift = ladder.embed_step
+
+        def counted(block_step, decomposition, n, **kwargs):
+            windows.append(decomposition.index_range)
+            return lift(block_step, decomposition, n, **kwargs)
+
+        monkeypatch.setattr(ladder, "embed_step", counted)
+        plan_full(*n4_pair)
+        assert windows == [(1, 2, 3), (0, 1)]
+
+
+@pytest.mark.parametrize("build", [intermediate_chain, greatest_first_chain])
+def test_block_size_must_be_an_integer(build, n4_pair):
+    with pytest.raises(BlockTooLarge, match="^block size 2.5 must be an integer >= 2$"):
+        build(*n4_pair, 2.5)
+    assert build(*n4_pair, np.int64(3)) == build(*n4_pair, 3)
+
+
+def _greatest_first_windows_reference(n, m):
+    """greatest_first_chain's own window loop from before both builders
+    shared _chain_windows."""
+    l = 1 + math.ceil((n - m) / (m - 1)) if n > m else 1
+    wins, prev = [], 1
+    for k in range(1, l):
+        q = k * (m - 1) + 1
+        wins.append(tuple(range(prev - 1, q)))
+        prev = q
+    wins.append(tuple(range(prev - 1, n)))
+    return tuple(wins)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 64), m=st.integers(2, 8))
+def test_chain_windows_cover_and_link(n, m):
+    links = 1 + math.ceil((n - m) / (m - 1)) if n > m else 1
+    for wins in (_chain_windows(n, m), _chain_windows(n, m, greatest_first=True)):
+        assert set().union(*wins) == set(range(n))
+        assert all(list(w) == sorted(set(w)) for w in wins)
+        assert all(len(set(a) & set(b)) == 1 for a, b in zip(wins, wins[1:]))
+        assert all(len(w) == m for w in wins[:-1])
+        assert len(wins) == links
+    assert _chain_windows(n, m, greatest_first=True) == _greatest_first_windows_reference(n, m)
 
 
 def _linear_swept_pair():
@@ -465,7 +537,7 @@ class TestPlanFull:
         # solution of its normalized block.
         source, target = n4_pair
         plan = plan_full(source, target)
-        d = block_decompose(source, 3)
+        d = _window_decompose(source.amps, (1, 2, 3))
         omega = choose_omega(d.block, target.amps[2:], d.block_norm)
         block_step = solve3(d.block, omega)
         embedded = [br.prob for br in plan.steps[0].branches]
@@ -516,3 +588,55 @@ def test_verify_chain_names_the_first_modified_untouched_index(n4_pair):
     bad = type(chain)(chain.states, moved, chain.m, chain.tilde_values, chain.windows)
     with pytest.raises(ChainInvariantViolated, match="^step 1 modifies untouched index 0$"):
         _verify_chain(bad, target)
+
+
+PIN_FLOORS = (0.0, 1e-5, 1e-8, 1e-12)
+DEMO_PAYLOADS = {
+    "gf-fixture": {"source": [0.4, 0.3, 0.3], "target": [0.7, 0.2, 0.1]},
+    "ladder-gap": {"source": [0.25, 0.25, 0.25, 0.25], "target": [0.3, 0.3, 0.3, 0.1]},
+    "readme-n4": {"source": [0.4, 0.3, 0.2, 0.1], "target": [0.55, 0.25, 0.15, 0.05]},
+}
+
+
+def _pinned_outcome(fn, *args):
+    """What fn(*args) answers, as JSON-ready data: a chain's or plan's
+    sections, a certificate's, or the type and message of what it raised."""
+    try:
+        result = fn(*args)
+    except LadderInfeasible as exc:
+        return ["LadderInfeasible", certificate_section(exc.certificate)]
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    if isinstance(result, InfeasibilityCertificate):
+        return ["certificate", certificate_section(result)]
+    if isinstance(result, LadderPlan):
+        return ["plan", chain_section(result.chain), steps_section(result)]
+    return ["chain", chain_section(result)]
+
+
+def test_chain_builders_outcomes_are_pinned():
+    # 512 degenerate fuzz pairs through both chain builders at m = 2, 3, 4
+    # and plan_full, refusals and errors included, then demo-infeasible's
+    # machine output: one sha256 over all of it.  The digest was taken
+    # before the two builders shared one layout loop.
+    rng = np.random.default_rng(12)
+    outcomes, gf_kinds = [], set()
+    for trial in range(512):
+        pair = degenerate_fuzz_pair(rng, trial, PIN_FLOORS[trial % 4])
+        source, target = (validate(x, squared=True, autosort=True) for x in pair)
+        for m in (2, 3, 4):
+            outcomes.append(_pinned_outcome(intermediate_chain, source, target, m))
+            gf = _pinned_outcome(greatest_first_chain, source, target, m)
+            gf_kinds.add(gf[1]["kind"] if gf[0] == "certificate" else gf[0])
+            outcomes.append(gf)
+        outcomes.append(_pinned_outcome(_plan_full, source, target))
+    for name, payload in DEMO_PAYLOADS.items():
+        for m in ("2", "3"):
+            stdout = io.StringIO()
+            argv = ["demo-infeasible", "--squared", "--format", "machine", "--m", m]
+            code = cli_main(argv, io.StringIO(json.dumps(payload)), stdout, io.StringIO())
+            outcomes.append([name, m, code, stdout.getvalue()])
+    assert {"chain", "negative_coefficient", "rank_collapse", "link_not_majorized"} <= gf_kinds
+    assert any(o[0] == "plan" for o in outcomes)
+    text = json.dumps(outcomes, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == "477083377bb6a7978f46b899a8140897b64249160151c8e1c6b2f661b107a48b"
