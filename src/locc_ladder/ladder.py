@@ -47,23 +47,6 @@ from .solvers import (
 
 
 @dataclass(frozen=True)
-class BlockDecomposition:
-    """A layout with one normalized active block picked out of it.
-
-    layout holds the whole positional state; window holds the block's
-    positional amplitudes at full scale, gathered from layout at
-    index_range, the block's sorted 0-based basis indices; block is the
-    same content normalized and sorted.
-    """
-
-    layout: tuple[float, ...]
-    window: tuple[float, ...]
-    block: SchmidtVector
-    block_norm: float
-    index_range: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class IntermediateChain:
     """Ladder of states from source to target.
 
@@ -123,21 +106,15 @@ class LadderPlan:
     target: SchmidtVector
 
 
-def _window_decompose(layout: Sequence[float], window: Sequence[int]) -> BlockDecomposition:
-    window = tuple(window)
-    vals = tuple(layout[i] for i in window)
+def _window_decompose(layout: Sequence[float], window: Sequence[int]) -> tuple[SchmidtVector, float]:
+    """The block at window's basis indices of layout, normalized and
+    sorted, and the norm it was normalized by."""
+    vals = [layout[i] for i in window]
     norm_sq = sum(x * x for x in vals)
     if norm_sq <= EPS_ZERO:
-        raise ZeroBlockNorm(f"block at indices {window} carries no weight")
+        raise ZeroBlockNorm(f"block at indices {tuple(window)} carries no weight")
     c = math.sqrt(norm_sq)
-    block = SchmidtVector(tuple(sorted((x / c for x in vals), reverse=True)))
-    return BlockDecomposition(
-        layout=tuple(layout),
-        window=vals,
-        block=block,
-        block_norm=c,
-        index_range=window,
-    )
+    return SchmidtVector(tuple(sorted((x / c for x in vals), reverse=True))), c
 
 
 def choose_omega(
@@ -152,6 +129,8 @@ def choose_omega(
     must come out sorted and must majorize block_source, otherwise the block
     split is infeasible and the corresponding error is raised.
     """
+    if not (isinstance(block_norm, numbers.Real) and 0.0 < block_norm < math.inf):
+        raise ZeroBlockNorm(f"block norm {block_norm!r} must be a finite number > 0")
     m = block_source.n
     if len(target_tail) != m - 1:
         raise IndexRangeInvalid(f"need {m - 1} tail amplitudes, got {len(target_tail)}")
@@ -403,58 +382,45 @@ def _sort_perm(vals: Sequence[float]) -> list[int]:
     return sorted(range(len(vals)), key=lambda r: (-vals[r], r))
 
 
-def embed_step(
-    block_step: MeasurementStep,
-    decomposition: BlockDecomposition,
-    n: int,
-    *,
-    target_window: Optional[Sequence[float]] = None,
-    source: Optional[SchmidtVector] = None,
-    target: Optional[SchmidtVector] = None,
-) -> MeasurementStep:
-    """Lift a block measurement to dimension n.
+def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) -> MeasurementStep:
+    """Lift a block measurement onto link k of the chain.
 
-    Untouched indices carry sqrt(prob) on every branch operator so that
-    per-index completeness survives; corrections extend by the identity.
-    When the positional window is unsorted, operators and corrections are
-    conjugated by the sorting permutation so they act on the stated indices.
-    The step's source and target states are its two full layouts sorted; a
-    caller that holds those states passes them, so they are not validated again.
+    The step takes chain.layouts[k] to chain.layouts[k + 1] on the basis
+    indices chain.windows[k]; its source and target are chain.states[k] and
+    chain.states[k + 1], which must be those layouts sorted.  Untouched
+    indices carry sqrt(prob) on every branch operator so that per-index
+    completeness survives; corrections extend by the identity.  When the
+    positional window is unsorted, operators and corrections are conjugated
+    by the sorting permutation so they act on the stated indices.
     """
-    idx = decomposition.index_range
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k < chain.l:
+        raise IndexRangeInvalid(f"link {k!r} not in [0, {chain.l})")
+    idx = chain.windows[k]
+    source_layout, target_layout = chain.layouts[k], chain.layouts[k + 1]
+    n = len(source_layout)
     m = block_step.source.n
     if len(idx) != m or len(set(idx)) != m:
         raise IndexRangeInvalid(f"index range {idx} incompatible with block size {m}")
     if any(i < 0 or i >= n for i in idx) or list(idx) != sorted(idx):
         raise IndexRangeInvalid(f"index range {idx} invalid for dimension {n}")
-    source_layout = decomposition.layout
-    if len(source_layout) != n:
-        raise IndexRangeInvalid(
-            f"decomposition spans {len(source_layout)} indices, expected {n}"
-        )
+    if len(target_layout) != n:
+        raise IndexRangeInvalid(f"layout {k + 1} spans {len(target_layout)} indices, expected {n}")
 
-    c = decomposition.block_norm
-    if target_window is None:
-        target_window = tuple(a * c for a in block_step.target.amps)
-    else:
-        target_window = tuple(float(x) for x in target_window)
-        if len(target_window) != m:
+    source_window = tuple(source_layout[i] for i in idx)
+    target_window = tuple(target_layout[i] for i in idx)
+    c = math.sqrt(sum(x * x for x in source_window))
+    if not c:
+        raise ZeroBlockNorm(f"block at indices {idx} carries no weight")
+    scaled = sorted((x / c for x in target_window), reverse=True)
+    for got, want in zip(scaled, block_step.target.amps):
+        if abs(got - want) > EPS_CMP:
             raise IndexRangeInvalid(
-                f"target window has {len(target_window)} values for index range {idx}"
+                "target window content disagrees with the block target"
             )
-        scaled = sorted((x / c for x in target_window), reverse=True)
-        for got, want in zip(scaled, block_step.target.amps):
-            if abs(got - want) > EPS_CMP:
-                raise IndexRangeInvalid(
-                    "target window content disagrees with the block target"
-                )
-    target_layout = list(source_layout)
-    for i, x in zip(idx, target_window):
-        target_layout[i] = x
-    source = _sorted_state(source_layout, source)
-    target = _sorted_state(target_layout, target)
+    source = _sorted_state(source_layout, chain.states[k])
+    target = _sorted_state(target_layout, chain.states[k + 1])
 
-    sigma = _sort_perm(decomposition.window)
+    sigma = _sort_perm(source_window)
     sigma_inv = _inverse(sigma)
     tau = _sort_perm(target_window)
 
@@ -496,8 +462,6 @@ def embed_step(
         case_tag=block_step.case_tag,
         pruned_count=block_step.pruned_count,
         window=idx,
-        source_layout=tuple(source_layout),
-        target_layout=tuple(target_layout),
     )
     if completeness_defect(step) > EPS_COMPLETE:
         raise ChainInvariantViolated("embedded step loses completeness")
@@ -531,8 +495,6 @@ def _solve_block(block_src: SchmidtVector, omega: SchmidtVector) -> MeasurementS
         target=omega,
         case_tag=sub.case_tag,
         pruned_count=sub.pruned_count,
-        source_layout=block_src.amps,
-        target_layout=omega.amps,
     )
 
 
@@ -562,16 +524,11 @@ def plan_full(source: SchmidtVector, target: SchmidtVector) -> LadderPlan:
     chain = intermediate_chain(source, target, 3)
     steps = []
     for k, window in enumerate(chain.windows):
-        x, y = chain.layouts[k], chain.layouts[k + 1]
-        decom = _window_decompose(x, window)
-        tgt_window = tuple(y[i] for i in window)
+        block, norm = _window_decompose(chain.layouts[k], window)
+        tail = sorted((chain.layouts[k + 1][i] for i in window), reverse=True)[1:]
         try:
-            omega = choose_omega(
-                decom.block,
-                sorted(tgt_window, reverse=True)[1:],
-                decom.block_norm,
-            )
-            block_step = _solve_block(decom.block, omega)
+            omega = choose_omega(block, tail, norm)
+            block_step = _solve_block(block, omega)
         except (OmegaNotMajorizing, OmegaNotSorted, NotMajorized) as exc:
             # Defensive: with the chain links verified this should not occur.
             cert = InfeasibilityCertificate(
@@ -580,8 +537,7 @@ def plan_full(source: SchmidtVector, target: SchmidtVector) -> LadderPlan:
                 message=str(exc),
             )
             raise LadderInfeasible(cert) from exc
-        sx, sy = chain.states[k : k + 2]
-        steps.append(embed_step(block_step, decom, n, target_window=tgt_window, source=sx, target=sy))
+        steps.append(embed_step(block_step, chain, k))
     if len(steps) != n // 2:
         raise ChainInvariantViolated(
             f"emitted {len(steps)} steps, expected {n // 2}"

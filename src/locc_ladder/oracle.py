@@ -703,9 +703,17 @@ def _sampling_runtime(plan: LadderPlan) -> _PlanRuntime:
     return _PlanRuntime(plan)
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int: a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def run_trajectory(plan: LadderPlan, seed: int, shot_index: int) -> TrajectoryRecord:
     """Sample one complete run through the plan: shot shot_index of
     sample_trajectories(plan, shots, seed), walked as a block of one shot."""
+    seed = _integer("seed", seed)
     # Philox keys the shot's stream with its index as one uint64 word.
     if (
         isinstance(shot_index, bool)
@@ -721,7 +729,7 @@ def run_trajectory(plan: LadderPlan, seed: int, shot_index: int) -> TrajectoryRe
     final_dev = float(dev[0])
     return TrajectoryRecord(
         seed=seed,
-        shot_index=shot_index,
+        shot_index=int(shot_index),
         path=tuple(enumerate(paths[0].tolist())),
         final_dev=final_dev,
         matched_target=final_dev <= TOL_TRAJECTORY,
@@ -740,10 +748,10 @@ def sample_trajectories(plan: LadderPlan, shots: int, seed: int) -> FrequencyRep
     order of their first shot, and equals, bit for bit, the aggregate of
     walking each shot alone.
     """
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValidationError(f"shots must be an integer, got {shots!r}")
+    shots = _integer("shots", shots)
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
+    seed = _integer("seed", seed)
 
     runtime = _sampling_runtime(plan)
     depth = len(runtime.steps)

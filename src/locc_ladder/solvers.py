@@ -7,7 +7,7 @@ back to the target, so the transformation succeeds with unit probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import (
@@ -73,10 +73,6 @@ class MeasurementStep:
     case_tag: str
     pruned_count: int = 0
     window: tuple[int, ...] | None = None
-    # Positional amplitude layouts; differ from the sorted source/target
-    # vectors only when a ladder intermediate is unsorted in display order.
-    source_layout: tuple[float, ...] = field(default=(), repr=False)
-    target_layout: tuple[float, ...] = field(default=(), repr=False)
 
     @property
     def n(self) -> int:
@@ -112,8 +108,6 @@ def _trivial_step(source: SchmidtVector, target: SchmidtVector) -> MeasurementSt
         target=target,
         case_tag=TRIVIAL,
         pruned_count=0,
-        source_layout=source.amps,
-        target_layout=target.amps,
     )
 
 
@@ -177,8 +171,6 @@ def _build_step(source, target, specs, case_tag, probs):
         target=target,
         case_tag=case_tag,
         pruned_count=pruned,
-        source_layout=source.amps,
-        target_layout=target.amps,
     )
     if completeness_defect(step) > EPS_COMPLETE:
         raise SolverInvariantViolated("completeness sum deviates from identity")

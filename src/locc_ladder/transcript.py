@@ -9,16 +9,15 @@ The document is written by a small private writer, not by ``json.dumps``:
 ``json`` uses its C encoder only when ``indent`` is None, so with
 ``indent=2`` it walks every float of a plan in pure-Python generators.  The
 writer's output equals ``json.dumps(doc, indent=2, sort_keys=True)`` for
-every value a transcript can hold.  It recurses in Python only over dicts
-and over lists that hold containers, writes each list of exact floats as
+every value a transcript can hold.  It writes each list of exact floats as
 one join over a per-document float-text memo (a plan's operator diagonals
-and post states repeat the same few values), each list of exact ints over
-an int-text memo, and each other list of scalars in one C encoder call.
+and post states repeat the same few values) and each list of exact ints
+over an int-text memo; it recurses in Python over dicts and over every
+other list, item by item.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import numbers
 from dataclasses import MISSING, dataclass, fields
@@ -146,13 +145,6 @@ class _IntText(dict):
         return text
 
 
-@functools.cache
-def _scalar_list(indent: str):
-    """The C encoder's encode, writing a list of scalars one item per line
-    at indent."""
-    return json.JSONEncoder(separators=(",\n" + indent, ": ")).encode
-
-
 def _write(value, indent: str, floats: _FloatText, ints: _IntText, out: list) -> None:
     """Append to out the text of value as ``json.dumps(value, indent=2,
     sort_keys=True)`` writes it nested at indent, with floats from floats
@@ -169,13 +161,11 @@ def _write(value, indent: str, floats: _FloatText, ints: _IntText, out: list) ->
             out.append(sep.join(map(floats.__getitem__, value)))
         elif kinds == {int}:
             out.append(sep.join(map(ints.__getitem__, value)))
-        elif any(issubclass(k, (list, tuple, dict)) for k in kinds):
+        else:
             for i, item in enumerate(value):
                 if i:
                     out.append(sep)
                 _write(item, inner, floats, ints, out)
-        else:
-            out.append(_scalar_list(inner)(value)[1:-1])
         out.append("\n" + indent + "]")
     elif kind is dict and value and set(map(type, value)) == {str}:
         inner = indent + "  "

@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import locc_ladder
 from locc_ladder import Transcript, cli, load_schema
 from locc_ladder.cli import _build_parser, main
+from locc_ladder.sampling import random_feasible_pair
 
 import jsonschema
 
@@ -340,6 +342,25 @@ def test_plan_failing_verification_is_one_error_line(monkeypatch, command, fmt):
     assert (code, out, sampled) == (1, "", [])
     pattern = r"error: built plan fails verification \(max deviation \d\.\d{3}e-\d+\)\n"
     assert re.fullmatch(pattern, err)
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_oracle_dimension_cap(monkeypatch, command):
+    # The ladder plans this n = 65 pair; the oracle that checks the plan
+    # holds at most a 64 x 64 amplitude matrix.
+    source, target = random_feasible_pair(np.random.default_rng(1), 65, alpha=5.0, moves=3)
+    built = []
+    plan_full = cli.plan_full
+
+    def recorded(*args):
+        built.append(plan_full(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "plan_full", recorded)
+    payload = {"source": list(source.amps), "target": list(target.amps)}
+    code, out, err = run_cli([command, "--format", "machine"], payload)
+    assert (code, out, err) == (1, "", "error: oracle capped at dimension 64\n")
+    assert len(built) == 1 and len(built[0].steps) == 32
 
 
 class TestCachedParser:

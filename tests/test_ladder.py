@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from locc_ladder import (
     BlockTooLarge,
     InfeasibilityCertificate,
     IndexRangeInvalid,
+    IntermediateChain,
     LadderInfeasible,
     LadderPlan,
     NormalizationUnderflow,
@@ -54,35 +56,34 @@ from helpers import (
 
 def plan_full(source, target):
     """plan_full, checking that each step's source and target states are its
-    two layouts sorted: plan_full hands its chain's states to the steps."""
+    chain link's two layouts sorted: plan_full hands its chain's states to
+    the steps."""
     plan = _plan_full(source, target)
-    for step in plan.steps:
-        assert step.source == _sorted_state(step.source_layout)
-        assert step.target == _sorted_state(step.target_layout)
+    for k, step in enumerate(plan.steps):
+        assert step.source == _sorted_state(plan.chain.layouts[k])
+        assert step.target == _sorted_state(plan.chain.layouts[k + 1])
     return plan
 
 
 class TestBlockDecompose:
     def test_tail_block_fixture(self, n4_pair):
         source, _ = n4_pair
-        d = _window_decompose(source.amps, (1, 2, 3))
-        assert d.block_norm**2 == pytest.approx(0.6, abs=1e-12)
-        assert d.block.squares == pytest.approx((0.5, 1 / 3, 1 / 6), abs=1e-12)
-        assert d.index_range == (1, 2, 3)
-        assert d.layout == source.amps
+        block, norm = _window_decompose(source.amps, (1, 2, 3))
+        assert norm**2 == pytest.approx(0.6, abs=1e-12)
+        assert block.squares == pytest.approx((0.5, 1 / 3, 1 / 6), abs=1e-12)
 
     def test_whole_state_block(self, n4_pair):
         source, _ = n4_pair
-        d = _window_decompose(source.amps, (0, 1, 2, 3))
-        assert d.window == source.amps
-        assert d.block_norm == pytest.approx(1.0, abs=1e-12)
-        assert d.block.amps == pytest.approx(source.amps, abs=1e-15)
+        block, norm = _window_decompose(source.amps, (0, 1, 2, 3))
+        assert norm == pytest.approx(1.0, abs=1e-12)
+        assert block.amps == pytest.approx(source.amps, abs=1e-15)
 
     def test_reassembly_is_exact(self, n4_pair):
         source, _ = n4_pair
-        d = _window_decompose(source.amps, (0, 2, 3))
-        assert d.layout == source.amps  # bitwise copies
-        assert d.window == (source.amps[0], *source.amps[2:])
+        block, norm = _window_decompose(source.amps, (0, 2, 3))
+        window = (source.amps[0], *source.amps[2:])
+        assert norm == math.sqrt(sum(x * x for x in window))
+        assert block.amps == tuple(x / norm for x in window)
 
     def test_zero_tail_raises(self):
         v = validate([0.5, 0.5, 0.0, 0.0], squared=True)
@@ -91,15 +92,15 @@ class TestBlockDecompose:
 
     def test_product_state_head_included(self):
         v = validate([1.0, 0.0], squared=True)
-        d = _window_decompose(v.amps, (0, 1))  # block spans the full state, norm 1
-        assert d.block_norm == pytest.approx(1.0, abs=1e-12)
+        _, norm = _window_decompose(v.amps, (0, 1))  # block spans the full state, norm 1
+        assert norm == pytest.approx(1.0, abs=1e-12)
 
 
 class TestChooseOmega:
     def test_running_example(self, n4_pair):
         source, target = n4_pair
-        d = _window_decompose(source.amps, (1, 2, 3))
-        omega = choose_omega(d.block, target.amps[2:], d.block_norm)
+        block, norm = _window_decompose(source.amps, (1, 2, 3))
+        omega = choose_omega(block, target.amps[2:], norm)
         assert omega.squares == pytest.approx((2 / 3, 1 / 4, 1 / 12), abs=1e-12)
 
     def test_identity_choice(self):
@@ -112,9 +113,9 @@ class TestChooseOmega:
         # target's own coefficient at that slot.
         source = validate([0.4, 0.3, 0.2, 0.1], squared=True)
         target = validate([0.4, 0.35, 0.15, 0.1], squared=True)
-        d = _window_decompose(source.amps, (1, 2, 3))
-        omega = choose_omega(d.block, target.amps[2:], d.block_norm)
-        assert omega.amps[0] == pytest.approx(target.amps[1] / d.block_norm, abs=1e-12)
+        block, norm = _window_decompose(source.amps, (1, 2, 3))
+        omega = choose_omega(block, target.amps[2:], norm)
+        assert omega.amps[0] == pytest.approx(target.amps[1] / norm, abs=1e-12)
 
     def test_not_majorizing(self):
         block = validate([0.35 / 0.6, 0.25 / 0.6], squared=True)
@@ -130,6 +131,15 @@ class TestChooseOmega:
         block = validate([0.5, 0.5], squared=True)
         with pytest.raises(OmegaNotSorted):
             choose_omega(block, [0.9], 1.0)
+
+    @pytest.mark.parametrize("norm", [0.0, -0.0, -1.0, math.nan, math.inf, "1.0", None])
+    def test_block_norm_must_be_finite_and_positive(self, norm):
+        # Refused by name: 0.0 would divide by zero, and a negative or NaN
+        # norm would surface as a negative amplitude the caller never gave.
+        block = validate([0.5, 0.5], squared=True)
+        with pytest.raises(ZeroBlockNorm, match=rf"^block norm {re.escape(repr(norm))} must be"):
+            choose_omega(block, [0.1], norm)
+        assert choose_omega(block, [0.5], np.float64(1.0)) == choose_omega(block, [0.5], 1.0)
 
 
 class TestIntermediateChain:
@@ -290,16 +300,28 @@ class TestGreatestFirstChain:
             )
 
 
+def _identity_chain(state, window, layouts=None, states=None):
+    """A one-link chain from state to itself on window, with the layouts
+    and states it is given in place of the state's own."""
+    return IntermediateChain(
+        states=states or (state, state),
+        layouts=layouts or (state.amps, state.amps),
+        m=len(window),
+        tilde_values=(),
+        windows=(tuple(window),),
+    )
+
+
 class TestEmbedStep:
     def test_identity_block_any_range(self, n4_pair):
         source, _ = n4_pair
-        d = _window_decompose(source.amps, (1, 2, 3))
-        block = d.block
+        block, _ = _window_decompose(source.amps, (1, 2, 3))
         trivial = solve3(block, block)
-        step = embed_step(trivial, d, 4)
+        step = embed_step(trivial, _identity_chain(source, (1, 2, 3)), 0)
         assert step.branches[0].op.diag == (1.0, 1.0, 1.0, 1.0)
         assert step.branches[0].prob == 1.0
         assert step.branches[0].correction == (0, 1, 2, 3)
+        assert step.source is source and step.target is source
 
     def test_block_swap_becomes_full_swap(self, n4_pair):
         # Block relabel 1<->3 on indices {2,3,4} must surface as the full
@@ -326,42 +348,53 @@ class TestEmbedStep:
 
     def test_bad_index_range(self, n4_pair):
         source, _ = n4_pair
-        d = _window_decompose(source.amps, (1, 2, 3))
-        trivial = solve3(d.block, d.block)
-        bad = type(d)(
-            layout=d.layout,
-            window=d.window,
-            block=d.block,
-            block_norm=d.block_norm,
-            index_range=(1, 2, 9),
-        )
-        with pytest.raises(IndexRangeInvalid):
-            embed_step(trivial, bad, 4)
+        block, _ = _window_decompose(source.amps, (1, 2, 3))
+        trivial = solve3(block, block)
+        with pytest.raises(IndexRangeInvalid, match=r"^index range \(1, 2, 9\) invalid"):
+            embed_step(trivial, _identity_chain(source, (1, 2, 9)), 0)
+        with pytest.raises(IndexRangeInvalid, match="incompatible with block size 3$"):
+            embed_step(trivial, _identity_chain(source, (1, 2)), 0)
 
-    @pytest.mark.parametrize("extra", [1, -1], ids=["block-plus-zero", "two-values"])
-    def test_target_window_length_must_match_the_window(self, n4_pair, extra):
+    @pytest.mark.parametrize("k", [-1, 1, 2, True, False, 0.0, np.float64(0)])
+    def test_link_must_be_an_integer_in_range(self, n4_pair, k):
         source, _ = n4_pair
-        d = _window_decompose(source.amps, (1, 2, 3))
-        trivial = solve3(d.block, d.block)
-        values = (d.window + (0.0,))[: 3 + extra]
-        with pytest.raises(IndexRangeInvalid, match="^target window has"):
-            embed_step(trivial, d, 4, target_window=values)
+        block, _ = _window_decompose(source.amps, (1, 2, 3))
+        trivial = solve3(block, block)
+        chain = _identity_chain(source, (1, 2, 3))
+        with pytest.raises(IndexRangeInvalid, match=r"^link .* not in \[0, 1\)$"):
+            embed_step(trivial, chain, k)
+        assert embed_step(trivial, chain, np.int64(0)) == embed_step(trivial, chain, 0)
 
     def test_layout_length_must_match_the_dimension(self, n4_pair):
         source, _ = n4_pair
-        d = _window_decompose(source.amps, (1, 2, 3))
-        trivial = solve3(d.block, d.block)
-        with pytest.raises(IndexRangeInvalid, match="^decomposition spans 4 indices, expected 5$"):
-            embed_step(trivial, d, 5, target_window=d.window)
+        block, _ = _window_decompose(source.amps, (1, 2, 3))
+        trivial = solve3(block, block)
+        chain = _identity_chain(source, (1, 2, 3), layouts=(source.amps, source.amps + (0.0,)))
+        with pytest.raises(IndexRangeInvalid, match="^layout 1 spans 5 indices, expected 4$"):
+            embed_step(trivial, chain, 0)
+
+    def test_window_must_carry_weight(self):
+        v = validate([0.5, 0.5, 0.0, 0.0], squared=True)
+        block = validate([0.5, 0.5], squared=True)
+        trivial = ladder.solve2(block, block)
+        with pytest.raises(ZeroBlockNorm, match=r"^block at indices \(2, 3\) carries no weight$"):
+            embed_step(trivial, _identity_chain(v, (2, 3)), 0)
 
     def test_given_states_must_be_the_layouts_sorted(self, n4_pair):
         source, target = n4_pair
-        d = _window_decompose(source.amps, (1, 2, 3))
-        trivial = solve3(d.block, d.block)
-        step = embed_step(trivial, d, 4, source=source, target=source)
-        assert step.source is source and step.target is source
-        with pytest.raises(ChainInvariantViolated, match="^given state is not its layout sorted$"):
-            embed_step(trivial, d, 4, source=source, target=target)
+        block, _ = _window_decompose(source.amps, (1, 2, 3))
+        trivial = solve3(block, block)
+        for states in ((target, source), (source, target)):
+            chain = _identity_chain(source, (1, 2, 3), states=states)
+            with pytest.raises(ChainInvariantViolated, match="^given state is not its layout sorted$"):
+                embed_step(trivial, chain, 0)
+
+    def test_block_target_must_match_the_next_layout(self, n4_pair):
+        source, target = n4_pair
+        chain = intermediate_chain(source, target, 3)
+        block, _ = _window_decompose(chain.layouts[0], chain.windows[0])
+        with pytest.raises(IndexRangeInvalid, match="^target window content disagrees"):
+            embed_step(solve3(block, block), chain, 0)
 
     def test_plan_full_lifts_each_step_through_embed_step(self, n4_pair, monkeypatch):
         # Through the module global, so that a wrapper (the benchmark's
@@ -369,13 +402,37 @@ class TestEmbedStep:
         windows = []
         lift = ladder.embed_step
 
-        def counted(block_step, decomposition, n, **kwargs):
-            windows.append(decomposition.index_range)
-            return lift(block_step, decomposition, n, **kwargs)
+        def counted(block_step, chain, k):
+            windows.append(chain.windows[k])
+            return lift(block_step, chain, k)
 
         monkeypatch.setattr(ladder, "embed_step", counted)
         plan_full(*n4_pair)
         assert windows == [(1, 2, 3), (0, 1)]
+
+    def test_every_feasible_greatest_first_link_lifts(self):
+        # The layouts of a greatest-first chain need not be sorted (190 of
+        # these 211 chains have an unsorted one), so its links exercise
+        # embed_step's sorting permutations.
+        rng = np.random.default_rng(3)
+        lifted = 0
+        for _ in range(3000):
+            n = int(rng.integers(4, 12))
+            source, target = random_feasible_pair(rng, n)
+            chain = greatest_first_chain(source, target, 3)
+            if isinstance(chain, InfeasibilityCertificate):
+                continue
+            # Each link lifted as plan_full lifts the ladder's.
+            steps = []
+            for k, window in enumerate(chain.windows):
+                block, norm = _window_decompose(chain.layouts[k], window)
+                tail = sorted((chain.layouts[k + 1][i] for i in window), reverse=True)[1:]
+                block_step = ladder._solve_block(block, choose_omega(block, tail, norm))
+                steps.append(embed_step(block_step, chain, k))
+            plan = LadderPlan(chain=chain, steps=tuple(steps), source=source, target=target)
+            assert verify_plan(plan).passed
+            lifted += 1
+        assert lifted == 211
 
 
 @pytest.mark.parametrize("build", [intermediate_chain, greatest_first_chain])
@@ -537,9 +594,9 @@ class TestPlanFull:
         # solution of its normalized block.
         source, target = n4_pair
         plan = plan_full(source, target)
-        d = _window_decompose(source.amps, (1, 2, 3))
-        omega = choose_omega(d.block, target.amps[2:], d.block_norm)
-        block_step = solve3(d.block, omega)
+        block, norm = _window_decompose(source.amps, (1, 2, 3))
+        omega = choose_omega(block, target.amps[2:], norm)
+        block_step = solve3(block, omega)
         embedded = [br.prob for br in plan.steps[0].branches]
         standalone = [br.prob for br in block_step.branches]
         assert embedded == pytest.approx(standalone, abs=1e-12)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -228,6 +229,9 @@ class TestTrajectories:
         plan = plan_full(*n4_pair)
         report = sample_trajectories(plan, np.int64(40), seed=1)
         assert report.path_counts == sample_trajectories(plan, 40, seed=1).path_counts
+        # Kept as a Python int, so the report's numbers serialise.
+        assert type(report.shots) is int
+        assert {type(f) for fs in report.branch_frequencies for f in fs} == {float}
 
     @pytest.mark.parametrize("shot_index", [-1, -(2**64), 2**64, 2**70, 1.5, 1.0, True])
     def test_shot_index_out_of_range(self, n4_pair, shot_index, monkeypatch):
@@ -240,6 +244,37 @@ class TestTrajectories:
         plan = plan_full(*n4_pair)
         with pytest.raises(ValidationError, match=r"\[0, 2\*\*64\)"):
             run_trajectory(plan, seed=3, shot_index=shot_index)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [2.5, 3.0, True, False, "3", None, np.float64(3)],
+        ids=["2.5", "3.0", "True", "False", "str", "None", "np.float64"],
+    )
+    def test_seed_must_be_an_integer(self, n4_pair, seed, monkeypatch):
+        # Refused before any draw: the report and record name the seed as
+        # given, so 2.5 would name seed 2's streams and True seed 1's.
+        def no_draws(*args):
+            raise AssertionError("drew for a seed that is not an integer")
+
+        monkeypatch.setattr(oracle, "_shot_draws", no_draws)
+        plan = plan_full(*n4_pair)
+        message = rf"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValidationError, match=message):
+            sample_trajectories(plan, 10, seed=seed)
+        with pytest.raises(ValidationError, match=message):
+            run_trajectory(plan, seed=seed, shot_index=0)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(2**64 - 1), np.int8(-1)])
+    def test_numpy_integer_seed_is_the_python_int(self, n4_pair, seed):
+        # Kept as a Python int: a numpy integer overflows in the seed's
+        # reduction mod 2**64.
+        plan = plan_full(*n4_pair)
+        report = sample_trajectories(plan, 40, seed=seed)
+        assert report == sample_trajectories(plan, 40, seed=int(seed))
+        assert type(report.seed) is int
+        record = run_trajectory(plan, seed=seed, shot_index=np.uint64(5))
+        assert record == run_trajectory(plan, seed=int(seed), shot_index=5)
+        assert type(record.seed) is int and type(record.shot_index) is int
 
     @pytest.mark.parametrize("shot_index", [0, 2**64 - 1])
     def test_shot_index_range_ends(self, n4_pair, shot_index):

@@ -286,6 +286,22 @@ class TestEncoder:
         )
         assert t.to_json() == stdlib_json(t)
 
+    def test_lists_of_mixed_scalars(self):
+        # Written item by item through the scalar cases.
+        t = Transcript(
+            command="plan",
+            problem={
+                "a": [1.0, 2],
+                "b": [True, None, "a"],
+                "c": ["x", "é\n"],
+                "d": [False, True],
+                "e": [None],
+                "f": [0.5, -0.0, 3, float("nan"), "s", None, True],
+            },
+            steps=[[2, 1.0], (None, 0)],
+        )
+        assert t.to_json() == stdlib_json(t)
+
     def test_nested_tuples(self):
         t = Transcript(
             command="plan", problem={"w": [(1, 2), (0.5, -0.0), ()], "t": ((1.0,),)}
