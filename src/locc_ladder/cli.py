@@ -25,7 +25,7 @@ from typing import Optional, Sequence, TextIO
 from .errors import InvariantViolated, LadderInfeasible, LoccLadderError
 from .errors import NotMajorized, ValidationError
 from .ladder import InfeasibilityCertificate, greatest_first_chain, plan_full
-from .oracle import sample_trajectories, verify_plan
+from .oracle import MAX_ORACLE_DIM, sample_trajectories, verify_plan
 from .schmidt import majorizes
 from .transcript import (
     ProblemSpec,
@@ -160,10 +160,14 @@ def _majorized(args, stdin: TextIO, refusal: str):
 
 
 def _planned(args, stdin: TextIO, not_majorized: str, infeasible: str, note=None):
-    """_majorized, then plan_full; returns (spec, report, plan).  A pair the
-    ladder cannot realize is refused with exit 3, its certificate, note and
-    the human text infeasible, formatted with the certificate as cert."""
+    """_majorized, then plan_full; returns (spec, report, plan).  A pair
+    larger than the oracle can verify is an input error before any plan is
+    built.  A pair the ladder cannot realize is refused with exit 3, its
+    certificate, note and the human text infeasible, formatted with the
+    certificate as cert."""
     spec, source, target, report = _majorized(args, stdin, not_majorized)
+    if source.n > MAX_ORACLE_DIM:
+        raise ValidationError(f"oracle capped at dimension {MAX_ORACLE_DIM}")
     try:
         return spec, report, plan_full(source, target)
     except LadderInfeasible as exc:

@@ -1,10 +1,15 @@
 """The public API: the names ``locc_ladder`` exports.
 
 A name added to or removed from ``__all__`` has to be added to or removed
-from this list as well, so that the change is a reviewed edit.
+from this list as well, so that the change is a reviewed edit.  The same
+holds for the fields of ``IntermediateChain``, which the transcript's
+closed ``chain`` section and the benchmark read.
 """
 
+from dataclasses import fields
+
 import locc_ladder
+from locc_ladder import IntermediateChain
 
 PUBLIC_NAMES = [
     "BlockTooLarge",
@@ -73,3 +78,8 @@ def test_all_is_the_pinned_list():
 def test_every_name_resolves():
     missing = [name for name in locc_ladder.__all__ if not hasattr(locc_ladder, name)]
     assert missing == []
+
+
+def test_intermediate_chain_fields_are_pinned():
+    # states is derived from layouts, not stored beside them.
+    assert [f.name for f in fields(IntermediateChain)] == ["layouts", "m", "tilde_values", "windows"]

@@ -346,21 +346,19 @@ def test_plan_failing_verification_is_one_error_line(monkeypatch, command, fmt):
 
 @pytest.mark.parametrize("command", ["plan", "simulate"])
 def test_oracle_dimension_cap(monkeypatch, command):
-    # The ladder plans this n = 65 pair; the oracle that checks the plan
-    # holds at most a 64 x 64 amplitude matrix.
+    # The ladder would plan this n = 65 pair, but the oracle that checks the
+    # plan holds at most a 64 x 64 amplitude matrix: no plan is built.
     source, target = random_feasible_pair(np.random.default_rng(1), 65, alpha=5.0, moves=3)
+    assert len(cli.plan_full(source, target).steps) == 32
     built = []
-    plan_full = cli.plan_full
-
-    def recorded(*args):
-        built.append(plan_full(*args))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "plan_full", recorded)
+    monkeypatch.setattr(cli, "plan_full", lambda *args: built.append(args))
     payload = {"source": list(source.amps), "target": list(target.amps)}
     code, out, err = run_cli([command, "--format", "machine"], payload)
     assert (code, out, err) == (1, "", "error: oracle capped at dimension 64\n")
-    assert len(built) == 1 and len(built[0].steps) == 32
+    # The majorization refusal comes first, and keeps its exit 2.
+    reversed_pair = {"source": payload["target"], "target": payload["source"]}
+    assert run_cli([command, "--format", "machine"], reversed_pair)[0] == 2
+    assert built == []
 
 
 class TestCachedParser:

@@ -24,6 +24,7 @@ from locc_ladder import (
     NotMajorized,
     OmegaNotMajorizing,
     OmegaNotSorted,
+    SchmidtVector,
     ZeroBlockNorm,
     choose_omega,
     effective_rank,
@@ -39,7 +40,7 @@ from locc_ladder import ladder
 from locc_ladder import plan_full as _plan_full
 from locc_ladder.cli import main as cli_main
 from locc_ladder.errors import ChainInvariantViolated
-from locc_ladder.ladder import _chain_windows, _sorted_state, _verify_chain, _window_decompose
+from locc_ladder.ladder import _chain_windows, _lift, _verify_chain, _window_decompose
 from locc_ladder.sampling import random_feasible_pair
 from locc_ladder.transcript import certificate_section, chain_section, steps_section
 
@@ -54,14 +55,18 @@ from helpers import (
 )
 
 
+def _sorted(layout):
+    return SchmidtVector(tuple(sorted(layout, reverse=True)))
+
+
 def plan_full(source, target):
     """plan_full, checking that each step's source and target states are its
     chain link's two layouts sorted: plan_full hands its chain's states to
     the steps."""
     plan = _plan_full(source, target)
     for k, step in enumerate(plan.steps):
-        assert step.source == _sorted_state(plan.chain.layouts[k])
-        assert step.target == _sorted_state(plan.chain.layouts[k + 1])
+        assert step.source == _sorted(plan.chain.layouts[k])
+        assert step.target == _sorted(plan.chain.layouts[k + 1])
     return plan
 
 
@@ -157,6 +162,27 @@ class TestIntermediateChain:
         chain = intermediate_chain(v, v, 3)
         assert chain.l == 1
         assert chain.states == (v, v)
+
+    def test_states_are_the_layouts_sorted(self):
+        chain = IntermediateChain(((0.6, 0.8), (0.8, 0.6)), 2, (), ((0, 1),))
+        assert chain.states == (SchmidtVector((0.8, 0.6)),) * 2
+        assert chain.states is chain.states and chain.l == 1
+
+    @pytest.mark.parametrize("layouts, windows", [(0, 0), (1, 1), (2, 0), (2, 2), (3, 1), (3, 4)])
+    def test_one_window_per_link(self, n4_pair, layouts, windows):
+        # Refused when the chain is built, not by a lift that indexes past
+        # the end of its layouts or windows.
+        source, _ = n4_pair
+        message = f"^{windows} windows for {layouts} layouts$"
+        with pytest.raises(ChainInvariantViolated, match=message):
+            IntermediateChain((source.amps,) * layouts, 3, (), ((1, 2, 3),) * windows)
+
+    @pytest.mark.parametrize("window", [(1, 1, 2), (3, 2, 1), (-1, 0, 1), (1.0, 2.0, 3.0)])
+    def test_windows_strictly_increase_within_the_dimension(self, n4_pair, window):
+        source, _ = n4_pair
+        message = rf"^index range {re.escape(str(window))} invalid for dimension 4$"
+        with pytest.raises(IndexRangeInvalid, match=message):
+            IntermediateChain((source.amps, source.amps), 3, (), (window,))
 
     def test_three_dim_degenerates_to_single_step(self, case1_pair):
         chain = intermediate_chain(*case1_pair, 3)
@@ -300,11 +326,10 @@ class TestGreatestFirstChain:
             )
 
 
-def _identity_chain(state, window, layouts=None, states=None):
+def _identity_chain(state, window, layouts=None):
     """A one-link chain from state to itself on window, with the layouts
-    and states it is given in place of the state's own."""
+    it is given in place of the state's own."""
     return IntermediateChain(
-        states=states or (state, state),
         layouts=layouts or (state.amps, state.amps),
         m=len(window),
         tilde_values=(),
@@ -317,11 +342,13 @@ class TestEmbedStep:
         source, _ = n4_pair
         block, _ = _window_decompose(source.amps, (1, 2, 3))
         trivial = solve3(block, block)
-        step = embed_step(trivial, _identity_chain(source, (1, 2, 3)), 0)
+        chain = _identity_chain(source, (1, 2, 3))
+        step = embed_step(trivial, chain, 0)
         assert step.branches[0].op.diag == (1.0, 1.0, 1.0, 1.0)
         assert step.branches[0].prob == 1.0
         assert step.branches[0].correction == (0, 1, 2, 3)
-        assert step.source is source and step.target is source
+        assert step.source is chain.states[0] and step.target is chain.states[1]
+        assert chain.states == (source, source)
 
     def test_block_swap_becomes_full_swap(self, n4_pair):
         # Block relabel 1<->3 on indices {2,3,4} must surface as the full
@@ -351,7 +378,7 @@ class TestEmbedStep:
         block, _ = _window_decompose(source.amps, (1, 2, 3))
         trivial = solve3(block, block)
         with pytest.raises(IndexRangeInvalid, match=r"^index range \(1, 2, 9\) invalid"):
-            embed_step(trivial, _identity_chain(source, (1, 2, 9)), 0)
+            _identity_chain(source, (1, 2, 9))
         with pytest.raises(IndexRangeInvalid, match="incompatible with block size 3$"):
             embed_step(trivial, _identity_chain(source, (1, 2)), 0)
 
@@ -367,11 +394,8 @@ class TestEmbedStep:
 
     def test_layout_length_must_match_the_dimension(self, n4_pair):
         source, _ = n4_pair
-        block, _ = _window_decompose(source.amps, (1, 2, 3))
-        trivial = solve3(block, block)
-        chain = _identity_chain(source, (1, 2, 3), layouts=(source.amps, source.amps + (0.0,)))
         with pytest.raises(IndexRangeInvalid, match="^layout 1 spans 5 indices, expected 4$"):
-            embed_step(trivial, chain, 0)
+            _identity_chain(source, (1, 2, 3), layouts=(source.amps, source.amps + (0.0,)))
 
     def test_window_must_carry_weight(self):
         v = validate([0.5, 0.5, 0.0, 0.0], squared=True)
@@ -379,15 +403,6 @@ class TestEmbedStep:
         trivial = ladder.solve2(block, block)
         with pytest.raises(ZeroBlockNorm, match=r"^block at indices \(2, 3\) carries no weight$"):
             embed_step(trivial, _identity_chain(v, (2, 3)), 0)
-
-    def test_given_states_must_be_the_layouts_sorted(self, n4_pair):
-        source, target = n4_pair
-        block, _ = _window_decompose(source.amps, (1, 2, 3))
-        trivial = solve3(block, block)
-        for states in ((target, source), (source, target)):
-            chain = _identity_chain(source, (1, 2, 3), states=states)
-            with pytest.raises(ChainInvariantViolated, match="^given state is not its layout sorted$"):
-                embed_step(trivial, chain, 0)
 
     def test_block_target_must_match_the_next_layout(self, n4_pair):
         source, target = n4_pair
@@ -423,13 +438,7 @@ class TestEmbedStep:
             if isinstance(chain, InfeasibilityCertificate):
                 continue
             # Each link lifted as plan_full lifts the ladder's.
-            steps = []
-            for k, window in enumerate(chain.windows):
-                block, norm = _window_decompose(chain.layouts[k], window)
-                tail = sorted((chain.layouts[k + 1][i] for i in window), reverse=True)[1:]
-                block_step = ladder._solve_block(block, choose_omega(block, tail, norm))
-                steps.append(embed_step(block_step, chain, k))
-            plan = LadderPlan(chain=chain, steps=tuple(steps), source=source, target=target)
+            plan = LadderPlan(chain=chain, steps=_lift(chain), source=source, target=target)
             assert verify_plan(plan).passed
             lifted += 1
         assert lifted == 211
@@ -642,7 +651,7 @@ def test_verify_chain_names_the_first_modified_untouched_index(n4_pair):
     (head, *rest), last = chain.layouts[1], chain.layouts[2]
     # Window 1 is indices 1..3; index 0 changes between layouts 0 and 1.
     moved = chain.layouts[:1] + ((head + 1e-15, *rest), last)
-    bad = type(chain)(chain.states, moved, chain.m, chain.tilde_values, chain.windows)
+    bad = type(chain)(moved, chain.m, chain.tilde_values, chain.windows)
     with pytest.raises(ChainInvariantViolated, match="^step 1 modifies untouched index 0$"):
         _verify_chain(bad, target)
 
