@@ -160,16 +160,17 @@ def _majorized(args, stdin: TextIO, refusal: str):
 
 
 def _planned(args, stdin: TextIO, not_majorized: str, infeasible: str, note=None):
-    """_majorized, then plan_full; returns (spec, report, plan).  A pair
-    larger than the oracle can verify is an input error before any plan is
-    built.  A pair the ladder cannot realize is refused with exit 3, its
-    certificate, note and the human text infeasible, formatted with the
-    certificate as cert."""
+    """_majorized, then plan_full and verify_plan; returns (spec, report,
+    plan, verification).  A pair larger than the oracle can verify is an
+    input error before any plan is built.  A pair the ladder cannot realize
+    is refused with exit 3, its certificate, note and the human text
+    infeasible, formatted with the certificate as cert.  A built plan that
+    fails verification is an error line."""
     spec, source, target, report = _majorized(args, stdin, not_majorized)
     if source.n > MAX_ORACLE_DIM:
         raise ValidationError(f"oracle capped at dimension {MAX_ORACLE_DIM}")
     try:
-        return spec, report, plan_full(source, target)
+        plan = plan_full(source, target)
     except LadderInfeasible as exc:
         cert = exc.certificate
         transcript = _transcript(
@@ -177,15 +178,11 @@ def _planned(args, stdin: TextIO, not_majorized: str, infeasible: str, note=None
         )
         lines = [infeasible.format(cert=cert)]
         raise _Refused(EXIT_LADDER_INFEASIBLE, transcript, lines) from exc
-
-
-def _verified(plan):
-    """verify_plan's report on plan; a plan that fails it is an error line."""
-    report = verify_plan(plan)
-    if not report.passed:
-        deviation = f"max deviation {report.max_deviation:.3e}"
+    verification = verify_plan(plan)
+    if not verification.passed:
+        deviation = f"max deviation {verification.max_deviation:.3e}"
         raise InvariantViolated(f"built plan fails verification ({deviation})")
-    return report
+    return spec, report, plan, verification
 
 
 def cmd_check(args, stdin: TextIO, stdout: TextIO) -> int:
@@ -202,7 +199,7 @@ def cmd_check(args, stdin: TextIO, stdout: TextIO) -> int:
 
 
 def cmd_plan(args, stdin: TextIO, stdout: TextIO) -> int:
-    spec, report, plan = _planned(
+    spec, report, plan, verification = _planned(
         args,
         stdin,
         "majorization fails at k={k}; no deterministic plan",
@@ -211,7 +208,6 @@ def cmd_plan(args, stdin: TextIO, stdout: TextIO) -> int:
         "  {cert}",
         note="pair is majorization-feasible but the ladder construction is not",
     )
-    verification = _verified(plan)
     transcript = _transcript(
         args,
         spec,
@@ -246,13 +242,12 @@ def cmd_simulate(args, stdin: TextIO, stdout: TextIO) -> int:
             seed = int(env) if env is not None else 0
         except ValueError as exc:
             raise ValidationError(f"${SEED_ENV_VAR}={env!r} is not an integer") from exc
-    spec, report, plan = _planned(
+    spec, report, plan, verification = _planned(
         args,
         stdin,
         "majorization fails at k={k}; nothing to simulate",
         "ladder construction infeasible: {cert}",
     )
-    verification = _verified(plan)
     freq = sample_trajectories(plan, args.shots, seed)
     transcript = _transcript(
         args,

@@ -36,7 +36,7 @@ from .errors import (
     ZeroBlockNorm,
 )
 from .schmidt import EPS_CMP, EPS_COMPLETE, EPS_ZERO, SchmidtVector, effective_rank
-from .schmidt import majorizes, states_equal
+from .schmidt import amps_agree, majorizes, states_equal
 from .solvers import (
     DiagonalKraus,
     MeasurementStep,
@@ -56,7 +56,8 @@ class IntermediateChain:
     lists the basis indices, integers strictly increasing, that link k
     transforms.
     states, the layouts sorted, are derived once at construction, where a
-    chain of the wrong shape is refused.
+    chain of the wrong shape is refused; m and the window indices are kept
+    as Python ints, so that the chain's transcript section can be written.
     """
 
     layouts: tuple[tuple[float, ...], ...]
@@ -73,9 +74,11 @@ class IntermediateChain:
             if len(layout) != n:
                 raise IndexRangeInvalid(f"layout {k} spans {len(layout)} indices, expected {n}")
         for w in windows:
-            ints = all(isinstance(i, numbers.Integral) for i in w)
+            ints = all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in w)
             if not (ints and all(map(operator.lt, w, w[1:]))) or (w and not 0 <= w[0] <= w[-1] < n):
                 raise IndexRangeInvalid(f"index range {w} invalid for dimension {n}")
+        object.__setattr__(self, "m", _block_size(self.m))
+        object.__setattr__(self, "windows", tuple(tuple(map(int, w)) for w in windows))
         states = tuple(SchmidtVector(tuple(sorted(x, reverse=True))) for x in layouts)
         # Outside the fields, so eq, repr and hash see the layouts alone.
         object.__setattr__(self, "_states", states)
@@ -104,18 +107,6 @@ class InfeasibilityCertificate:
 
     def __str__(self):
         return f"[{self.kind} at step {self.step_index}] {self.message}"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "step_index": self.step_index,
-            "message": self.message,
-            "tilde_sq": self.tilde_sq,
-            "intermediate_rank": self.intermediate_rank,
-            "target_rank": self.target_rank,
-            "failing_k": self.failing_k,
-            "margin": self.margin,
-        }
 
 
 @dataclass(frozen=True)
@@ -283,12 +274,18 @@ def _chain(layouts, tilde_sqs, m, windows) -> IntermediateChain:
     return IntermediateChain(tuple(layouts), m, tuple(map(_amp, tilde_sqs)), windows)
 
 
+def _block_size(m) -> int:
+    """m as a Python int; BlockTooLarge unless it is an integer >= 2."""
+    if not isinstance(m, numbers.Integral) or m < 2:
+        raise BlockTooLarge(f"block size {m!r} must be an integer >= 2")
+    return int(m)
+
+
 def _trivial_pair(source: SchmidtVector, target: SchmidtVector, m: int) -> bool:
     """The chain builders' preamble: refuses a block size that is not an
     integer >= 2 and a pair that is not majorized; True when source equals
     target, so that one link is the whole chain."""
-    if not isinstance(m, numbers.Integral) or m < 2:
-        raise BlockTooLarge(f"block size {m!r} must be an integer >= 2")
+    _block_size(m)
     report = majorizes(source, target)
     if not report.holds:
         raise NotMajorized(report)
@@ -408,11 +405,8 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
     if not c:
         raise ZeroBlockNorm(f"block at indices {idx} carries no weight")
     scaled = sorted((x / c for x in target_window), reverse=True)
-    for got, want in zip(scaled, block_step.target.amps):
-        if abs(got - want) > EPS_CMP:
-            raise IndexRangeInvalid(
-                "target window content disagrees with the block target"
-            )
+    if not amps_agree(scaled, block_step.target.amps):
+        raise IndexRangeInvalid("target window content disagrees with the block target")
 
     sigma = _sort_perm(source_window)
     sigma_inv = _inverse(sigma)
@@ -436,11 +430,8 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
             relabeled[j] = 0.0
         for j in idx:
             relabeled[corr[j]] = scaled[j]
-        devs = map(abs, map(operator.sub, relabeled, target_layout))
-        if any(map(operator.gt, devs, repeat(EPS_CMP))):
-            raise ChainInvariantViolated(
-                "embedded branch does not reproduce the next layout"
-            )
+        if not amps_agree(relabeled, target_layout):
+            raise ChainInvariantViolated("embedded branch does not reproduce the next layout")
         branches.append(
             OutcomeBranch(
                 op=DiagonalKraus(tuple(diag)),

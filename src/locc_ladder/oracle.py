@@ -152,44 +152,6 @@ class VerificationReport:
     passed: bool
     max_deviation: float
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_deviation": self.max_deviation,
-            "steps": [
-                {
-                    "step_index": s.step_index,
-                    "completeness_dev": s.completeness_dev,
-                    "prob_sum_dev": s.prob_sum_dev,
-                    "branches": [
-                        {
-                            "branch_index": b.branch_index,
-                            "prob_dev": b.prob_dev,
-                            "post_state_dev": b.post_state_dev,
-                            "spectrum_dev": b.spectrum_dev,
-                        }
-                        for b in s.branch_checks
-                    ],
-                }
-                for s in self.step_checks
-            ],
-            "path": {
-                "enumerated": self.path_check.enumerated,
-                "path_count": self.path_check.path_count,
-                "total_prob_dev": self.path_check.total_prob_dev,
-                "max_final_dev": self.path_check.max_final_dev,
-                "all_reach_target": self.path_check.all_reach_target,
-            },
-            "tolerances": {
-                "completeness": TOL_COMPLETENESS,
-                "prob_sum": TOL_PROB_SUM,
-                "prob": TOL_PROB,
-                "post_state": TOL_STATE,
-                "spectrum": TOL_SPECTRUM,
-                "path": TOL_PATH,
-            },
-        }
-
 
 def _spectra(rho):
     """np.linalg.eigvalsh(rho) for a (B, n, n) stack, bit for bit.
@@ -287,9 +249,7 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     are walked, for a correction that is not a permutation of the basis
     labels.
     """
-    path_count = 1
-    for step in plan.steps:
-        path_count *= len(step.branches)
+    path_count = math.prod(len(step.branches) for step in plan.steps)
     # Built first, so a malformed correction is named before any check runs.
     runtime = _PlanRuntime(plan) if path_count <= path_limit else None
     layouts = plan.chain.layouts
@@ -307,25 +267,17 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
 
     if runtime is not None:
         total_prob, max_final_dev = _walk_paths(runtime)
-        path = PathCheck(
-            enumerated=True,
-            path_count=path_count,
-            total_prob_dev=abs(total_prob - 1.0),
-            max_final_dev=max_final_dev,
-            all_reach_target=max_final_dev <= TOL_PATH,
-        )
     else:
         # Too many paths: per-step sums multiply to the total path probability.
-        prod = 1.0
-        for step in plan.steps:
-            prod *= sum(br.prob for br in step.branches)
-        path = PathCheck(
-            enumerated=False,
-            path_count=path_count,
-            total_prob_dev=abs(prod - 1.0),
-            max_final_dev=0.0,
-            all_reach_target=True,
-        )
+        total_prob = math.prod(sum(br.prob for br in step.branches) for step in plan.steps)
+        max_final_dev = 0.0
+    path = PathCheck(
+        enumerated=runtime is not None,
+        path_count=path_count,
+        total_prob_dev=abs(total_prob - 1.0),
+        max_final_dev=max_final_dev,
+        all_reach_target=max_final_dev <= TOL_PATH,
+    )
     worst = max(worst, path.total_prob_dev, path.max_final_dev)
 
     passed = (
@@ -370,19 +322,6 @@ class FrequencyReport:
     branch_frequencies: tuple[tuple[float, ...], ...]
     match_rate: float
     max_final_dev: float
-
-    def to_dict(self) -> dict:
-        return {
-            "shots": self.shots,
-            "seed": self.seed,
-            "paths": [
-                {"path": list(path), "count": count}
-                for path, count in sorted(self.path_counts.items())
-            ],
-            "branch_frequencies": [list(f) for f in self.branch_frequencies],
-            "match_rate": self.match_rate,
-            "max_final_dev": self.max_final_dev,
-        }
 
 
 # Shots whose draws and walk are held in memory at once; bounds the

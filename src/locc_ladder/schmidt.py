@@ -166,6 +166,12 @@ def states_equal(a: SchmidtVector, b: SchmidtVector) -> bool:
     return all(map(operator.le, diffs, repeat(EPS_CMP)))
 
 
+def amps_agree(a: Sequence[float], b: Sequence[float]) -> bool:
+    """Whether no entry of a is more than EPS_CMP from b's, compared as
+    amplitudes entry by entry up to the shorter length."""
+    return not any(map(operator.gt, map(abs, map(operator.sub, a, b)), repeat(EPS_CMP)))
+
+
 def effective_rank(v: SchmidtVector) -> int:
     """Number of strictly positive Schmidt coefficients (LOCC-monotone)."""
     return sum(1 for a in v.amps if a > EPS_ZERO)

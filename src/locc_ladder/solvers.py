@@ -17,7 +17,7 @@ from .errors import (
     SourceHasZero,
 )
 from .schmidt import EPS_CMP, EPS_COMPLETE, EPS_ZERO, SchmidtVector, majorizes
-from .schmidt import _finite_nonnegative, states_equal
+from .schmidt import _finite_nonnegative, amps_agree, states_equal
 
 CASE_I = "CASE_I"
 CASE_II = "CASE_II"
@@ -159,11 +159,10 @@ def _build_step(source, target, specs, case_tag, probs):
         for j, x in enumerate(raw):
             relabeled[corr[j]] = x / scale
         post = SchmidtVector(tuple(sorted(relabeled, reverse=True)))
-        for got, want in zip(post.amps, target.amps):
-            if abs(got - want) > EPS_CMP:
-                raise SolverInvariantViolated(
-                    f"branch post-state {post.amps} misses target {target.amps}"
-                )
+        if not amps_agree(post.amps, target.amps):
+            raise SolverInvariantViolated(
+                f"branch post-state {post.amps} misses target {target.amps}"
+            )
         branches.append(OutcomeBranch(op, p, tuple(corr), post))
     step = MeasurementStep(
         branches=tuple(branches),

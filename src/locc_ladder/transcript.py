@@ -1,9 +1,11 @@
 """Problem parsing and the serialized transcript document.
 
-One invocation produces one JSON document.  Floats pass through Python's
-shortest-round-trip repr, so parsing a serialized transcript reproduces it
-exactly.  The document layout is pinned by transcript.schema.json shipped
-with the package.
+One invocation produces one JSON document.  Every section of it is built
+here, by the ``*_section`` functions, from the planner's and the oracle's
+data; those classes write no document themselves.  Floats pass through
+Python's shortest-round-trip repr, so parsing a serialized transcript
+reproduces it exactly.  The document layout is pinned by
+transcript.schema.json shipped with the package.
 
 The document is written by a small private writer, not by ``json.dumps``:
 ``json`` uses its C encoder only when ``indent`` is None, so with
@@ -28,6 +30,7 @@ from typing import Optional
 from . import __version__
 from .errors import DimensionMismatch, ValidationError
 from .ladder import InfeasibilityCertificate, IntermediateChain, LadderPlan
+from .oracle import TOL_COMPLETENESS, TOL_PATH, TOL_PROB, TOL_PROB_SUM, TOL_SPECTRUM, TOL_STATE
 from .oracle import FrequencyReport, VerificationReport
 from .schmidt import MajorizationReport, SchmidtVector, validate
 
@@ -213,8 +216,8 @@ class Transcript:
         """The fields as a dict, in declaration order.
 
         The dict is shallow: it shares the section objects this transcript
-        holds, which the ``*_section`` helpers and the reports' ``to_dict``
-        built fresh for it.  Callers must not mutate what it returns.
+        holds, which the ``*_section`` functions built fresh for it.
+        Callers must not mutate what it returns.
         """
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -297,15 +300,61 @@ def steps_section(plan: LadderPlan) -> list:
 
 
 def certificate_section(cert: InfeasibilityCertificate) -> dict:
-    return cert.to_dict()
+    return {f.name: getattr(cert, f.name) for f in fields(cert)}
 
 
 def verification_section(report: VerificationReport) -> dict:
-    return report.to_dict()
+    path = report.path_check
+    return {
+        "passed": report.passed,
+        "max_deviation": report.max_deviation,
+        "steps": [
+            {
+                "step_index": s.step_index,
+                "completeness_dev": s.completeness_dev,
+                "prob_sum_dev": s.prob_sum_dev,
+                "branches": [
+                    {
+                        "branch_index": b.branch_index,
+                        "prob_dev": b.prob_dev,
+                        "post_state_dev": b.post_state_dev,
+                        "spectrum_dev": b.spectrum_dev,
+                    }
+                    for b in s.branch_checks
+                ],
+            }
+            for s in report.step_checks
+        ],
+        "path": {
+            "enumerated": path.enumerated,
+            "path_count": path.path_count,
+            "total_prob_dev": path.total_prob_dev,
+            "max_final_dev": path.max_final_dev,
+            "all_reach_target": path.all_reach_target,
+        },
+        "tolerances": {
+            "completeness": TOL_COMPLETENESS,
+            "prob_sum": TOL_PROB_SUM,
+            "prob": TOL_PROB,
+            "post_state": TOL_STATE,
+            "spectrum": TOL_SPECTRUM,
+            "path": TOL_PATH,
+        },
+    }
 
 
 def frequencies_section(report: FrequencyReport) -> dict:
-    return report.to_dict()
+    return {
+        "shots": report.shots,
+        "seed": report.seed,
+        "paths": [
+            {"path": list(path), "count": count}
+            for path, count in sorted(report.path_counts.items())
+        ],
+        "branch_frequencies": [list(f) for f in report.branch_frequencies],
+        "match_rate": report.match_rate,
+        "max_final_dev": report.max_final_dev,
+    }
 
 
 def load_schema() -> dict:

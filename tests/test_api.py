@@ -3,10 +3,13 @@
 A name added to or removed from ``__all__`` has to be added to or removed
 from this list as well, so that the change is a reviewed edit.  The same
 holds for the fields of ``IntermediateChain``, which the transcript's
-closed ``chain`` section and the benchmark read.
+closed ``chain`` section and the benchmark read.  The layering rules
+between the package's modules are pinned here too, read from their source.
 """
 
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import locc_ladder
 from locc_ladder import IntermediateChain
@@ -83,3 +86,56 @@ def test_every_name_resolves():
 def test_intermediate_chain_fields_are_pinned():
     # states is derived from layouts, not stored beside them.
     assert [f.name for f in fields(IntermediateChain)] == ["layouts", "m", "tilde_values", "windows"]
+
+
+def _module_tree(name):
+    return ast.parse((Path(locc_ladder.__file__).parent / f"{name}.py").read_text())
+
+
+def _package_imports(tree):
+    """(module, name) for each name tree imports from the package, with the
+    module written bare; a module imported whole is (module, "*")."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(
+                (a.name.removeprefix("locc_ladder."), "*")
+                for a in node.names
+                if a.name.startswith("locc_ladder")
+            )
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("locc_ladder")
+        ):
+            module = (node.module or "").removeprefix("locc_ladder").lstrip(".")
+            if module:
+                out.update((module, a.name) for a in node.names)
+            else:
+                out.update((a.name, "*") for a in node.names)
+    return out
+
+
+def test_oracle_takes_only_plan_data_from_the_planner():
+    # The oracle is the independent check of a plan: from the planner's
+    # modules it may take the plan's types and the input tolerances, never
+    # planner code.
+    allowed = {
+        ("ladder", "LadderPlan"),
+        ("solvers", "DiagonalKraus"),
+        ("schmidt", "EPS_NORM"),
+        ("schmidt", "EPS_ZERO"),
+    }
+    imports = _package_imports(_module_tree("oracle"))
+    assert {(m, name) for m, name in imports if m != "errors"} <= allowed
+
+
+def test_transcript_sections_are_built_in_transcript_alone():
+    # The transcript's shape is decided in transcript.py; the planner's and
+    # the oracle's classes hold data only.
+    writers = [
+        f"{module}.{node.name}"
+        for module in ("ladder", "solvers", "oracle", "schmidt")
+        for node in ast.walk(_module_tree(module))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "to_dict" for f in node.body)
+    ]
+    assert writers == []

@@ -177,12 +177,29 @@ class TestIntermediateChain:
         with pytest.raises(ChainInvariantViolated, match=message):
             IntermediateChain((source.amps,) * layouts, 3, (), ((1, 2, 3),) * windows)
 
-    @pytest.mark.parametrize("window", [(1, 1, 2), (3, 2, 1), (-1, 0, 1), (1.0, 2.0, 3.0)])
+    @pytest.mark.parametrize(
+        "window", [(1, 1, 2), (3, 2, 1), (-1, 0, 1), (1.0, 2.0, 3.0), (False, True, 2)]
+    )
     def test_windows_strictly_increase_within_the_dimension(self, n4_pair, window):
         source, _ = n4_pair
         message = rf"^index range {re.escape(str(window))} invalid for dimension 4$"
         with pytest.raises(IndexRangeInvalid, match=message):
             IntermediateChain((source.amps, source.amps), 3, (), (window,))
+
+    @pytest.mark.parametrize("m", [2.5, 1, True])
+    def test_block_size_is_an_integer_of_at_least_two(self, n4_pair, m):
+        source, _ = n4_pair
+        message = rf"^block size {re.escape(repr(m))} must be an integer >= 2$"
+        with pytest.raises(BlockTooLarge, match=message):
+            IntermediateChain((source.amps, source.amps), m, (), ((1, 2, 3),))
+
+    def test_block_size_and_window_indices_are_python_ints(self, n4_pair):
+        # So that chain_section writes them (json refuses numpy integers).
+        source, _ = n4_pair
+        window = tuple(np.arange(1, 4))
+        chain = IntermediateChain((source.amps, source.amps), np.int64(3), (), (window,))
+        assert chain.m == 3 and chain.windows == ((1, 2, 3),)
+        assert {type(chain.m)} | set(map(type, chain.windows[0])) == {int}
 
     def test_three_dim_degenerates_to_single_step(self, case1_pair):
         chain = intermediate_chain(*case1_pair, 3)

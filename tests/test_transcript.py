@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from locc_ladder import (
     DimensionMismatch,
+    LadderInfeasible,
     ProblemSpec,
     Transcript,
     greatest_first_chain,
+    intermediate_chain,
     load_schema,
     majorizes,
     plan_full,
@@ -168,6 +171,50 @@ class TestRoundTrip:
         assert a == b
 
 
+# (id, kind, builder, source squares, target squares, builder's other
+# arguments): one refusal of each certificate kind.
+CERTIFICATE_CASES = [
+    ("rank_collapse", "rank_collapse", greatest_first_chain, [0.4, 0.3, 0.3], [0.7, 0.2, 0.1], (2,)),
+    (
+        "negative_coefficient",
+        "negative_coefficient",
+        greatest_first_chain,
+        [0.4, 0.3, 0.3],
+        [0.98, 0.01, 0.01],
+        (2,),
+    ),
+    (
+        "link_not_majorized-ladder",
+        "link_not_majorized",
+        intermediate_chain,
+        [0.25, 0.25, 0.25, 0.25],
+        [0.3, 0.3, 0.3, 0.1],
+        (3,),
+    ),
+    (
+        "link_not_majorized-greatest-first",
+        "link_not_majorized",
+        greatest_first_chain,
+        [0.22, 0.2, 0.19, 0.17, 0.15, 0.07],
+        [0.33, 0.21, 0.18, 0.13, 0.11, 0.04],
+        (3,),
+    ),
+    (
+        # Pair 215 of test_ladder's pinned corpus: its links pass the chain
+        # check, its fourth block fails once normalized.
+        "block_not_majorized",
+        "block_not_majorized",
+        plan_full,
+        [0.19999999999839996, 0.19436035835551765, 0.10563964164258231]
+        + [0.09999999999969998] * 4
+        + [0.05293238230935964, 0.04706761769134033]
+        + [9.999999999869998e-13] * 4,
+        [0.2, 0.2] + [0.1] * 6 + [0.0] * 5,
+        (),
+    ),
+]
+
+
 class TestSchema:
     def test_schema_loads(self):
         schema = load_schema()
@@ -190,19 +237,44 @@ class TestSchema:
         )
         jsonschema.validate(t.to_dict(), load_schema())
 
-    def test_certificate_transcript_validates(self):
-        source = validate([0.4, 0.3, 0.3], squared=True)
-        target = validate([0.7, 0.2, 0.1], squared=True)
-        cert = greatest_first_chain(source, target, 2)
+    @pytest.mark.parametrize(
+        "kind, build, source, target, args",
+        [c[1:] for c in CERTIFICATE_CASES],
+        ids=[c[0] for c in CERTIFICATE_CASES],
+    )
+    def test_certificate_transcript_validates(self, kind, build, source, target, args):
+        pair = [validate(x, squared=True) for x in (source, target)]
+        try:
+            cert = build(*pair, *args)
+        except LadderInfeasible as exc:
+            cert = exc.certificate
+        assert cert.kind == kind
+        section = certificate_section(cert)
+        assert section == dataclasses.asdict(cert)
+        t = Transcript(
+            command="demo-infeasible",
+            problem=ProblemSpec(source=source, target=target, squared=True).echo(),
+            majorization=majorization_section(majorizes(*pair)),
+            certificate=section,
+        )
+        doc = json.loads(t.to_json())
+        jsonschema.validate(doc, load_schema())
+        assert doc["certificate"] == section
+
+    @pytest.mark.parametrize("build, m", [(intermediate_chain, 3), (greatest_first_chain, 2)])
+    def test_chain_built_with_a_numpy_block_size_validates(self, n4_pair, build, m):
+        chain = build(*n4_pair, np.int64(m))
         t = Transcript(
             command="demo-infeasible",
             problem=ProblemSpec(
-                source=[0.4, 0.3, 0.3], target=[0.7, 0.2, 0.1], squared=True
+                source=list(n4_pair[0].squares), target=list(n4_pair[1].squares), squared=True
             ).echo(),
-            majorization=majorization_section(majorizes(source, target)),
-            certificate=certificate_section(cert),
+            majorization=majorization_section(majorizes(*n4_pair)),
+            chain=chain_section(chain),
         )
-        jsonschema.validate(t.to_dict(), load_schema())
+        doc = json.loads(t.to_json())
+        jsonschema.validate(doc, load_schema())
+        assert type(chain.m) is int and doc["chain"]["m"] == m
 
     def test_schema_rejects_malformed(self):
         bad = {"command": "plan"}  # missing problem/tool_version
