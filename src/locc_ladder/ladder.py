@@ -74,8 +74,8 @@ class IntermediateChain:
             if len(layout) != n:
                 raise IndexRangeInvalid(f"layout {k} spans {len(layout)} indices, expected {n}")
         for w in windows:
-            ints = all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in w)
-            if not (ints and all(map(operator.lt, w, w[1:]))) or (w and not 0 <= w[0] <= w[-1] < n):
+            ok = all(map(_is_index, w)) and all(map(operator.lt, w, w[1:]))
+            if not ok or (w and not 0 <= w[0] <= w[-1] < n):
                 raise IndexRangeInvalid(f"index range {w} invalid for dimension {n}")
         object.__setattr__(self, "m", _block_size(self.m))
         object.__setattr__(self, "windows", tuple(tuple(map(int, w)) for w in windows))
@@ -222,10 +222,11 @@ def _window_tail_inequalities(x, y, window) -> float:
     consecutive layouts (0 when all hold).  These follow algebraically from
     the pair's majorization and must hold for every constructed chain."""
     worst = 0.0
+    x2 = [x[i] * x[i] for i in window]
+    y2 = [y[i] * y[i] for i in window]
     for r in range(len(window)):
-        idx = window[r:]
-        src = sum(x[i] * x[i] for i in idx)
-        dst = sum(y[i] * y[i] for i in idx)
+        src = sum(x2[r:])
+        dst = sum(y2[r:])
         defect = dst - src if r else abs(dst - src)
         worst = max(worst, defect)
     return worst
@@ -272,6 +273,13 @@ def _trivial_chain(source: SchmidtVector, target: SchmidtVector, m: int) -> Inte
 
 def _chain(layouts, tilde_sqs, m, windows) -> IntermediateChain:
     return IntermediateChain(tuple(layouts), m, tuple(map(_amp, tilde_sqs)), windows)
+
+
+def _is_index(i) -> bool:
+    """i is an integer and not a bool.  int comes first in the isinstance
+    tuple: the numbers.Integral lookup alone made a chain's window check
+    several times slower."""
+    return isinstance(i, (int, numbers.Integral)) and not isinstance(i, bool)
 
 
 def _block_size(m) -> int:
@@ -390,7 +398,7 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
     positional window is unsorted, operators and corrections are conjugated
     by the sorting permutation so they act on the stated indices.
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k < chain.l:
+    if not (_is_index(k) and 0 <= k < chain.l):
         raise IndexRangeInvalid(f"link {k!r} not in [0, {chain.l})")
     idx = chain.windows[k]
     source_layout, target_layout = chain.layouts[k], chain.layouts[k + 1]

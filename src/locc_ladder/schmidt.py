@@ -119,17 +119,19 @@ def validate(
     vals = [float(x) for x in raw]
     if len(vals) < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {len(vals)}")
-    for j, x in enumerate(vals):
-        if x != x or x in (float("inf"), float("-inf")):
-            raise NegativeEntry(f"non-finite entry {x!r} at index {j}")
-        if x < 0.0:
-            raise NegativeEntry(f"negative entry {x!r} at index {j}")
-    if any(vals[j] < vals[j + 1] for j in range(len(vals) - 1)):
+    # As in SchmidtVector: the loop runs only to name the first bad entry.
+    if not (all(map(math.isfinite, vals)) and min(vals) >= 0.0):
+        for j, x in enumerate(vals):
+            if not math.isfinite(x):
+                raise NegativeEntry(f"non-finite entry {x!r} at index {j}")
+            if x < 0.0:
+                raise NegativeEntry(f"negative entry {x!r} at index {j}")
+    if any(map(operator.lt, vals, vals[1:])):
         if not autosort:
             raise NotSorted("entries are not non-increasing (pass autosort to sort)")
         vals.sort(reverse=True)
     amps = [x**0.5 for x in vals] if squared else vals
-    total = sum(a * a for a in amps)
+    total = sum(map(operator.mul, amps, amps))
     drift = abs(total - 1.0)
     if drift > EPS_NORM:
         raise NotNormalized(f"squared amplitudes sum to {total!r}")

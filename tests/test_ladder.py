@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,7 +145,8 @@ class TestChooseOmega:
         block = validate([0.5, 0.5], squared=True)
         with pytest.raises(ZeroBlockNorm, match=rf"^block norm {re.escape(repr(norm))} must be"):
             choose_omega(block, [0.1], norm)
-        assert choose_omega(block, [0.5], np.float64(1.0)) == choose_omega(block, [0.5], 1.0)
+        for real in (1, True, np.float64(1.0), Fraction(1)):
+            assert choose_omega(block, [0.5], real) == choose_omega(block, [0.5], 1.0)
 
 
 class TestIntermediateChain:
@@ -178,7 +180,16 @@ class TestIntermediateChain:
             IntermediateChain((source.amps,) * layouts, 3, (), ((1, 2, 3),) * windows)
 
     @pytest.mark.parametrize(
-        "window", [(1, 1, 2), (3, 2, 1), (-1, 0, 1), (1.0, 2.0, 3.0), (False, True, 2)]
+        "window",
+        [
+            (1, 1, 2),
+            (3, 2, 1),
+            (-1, 0, 1),
+            (1.0, 2.0, 3.0),
+            (False, True, 2),
+            (np.float64(1), 2, 3),
+            (Fraction(1), 2, 3),
+        ],
     )
     def test_windows_strictly_increase_within_the_dimension(self, n4_pair, window):
         source, _ = n4_pair
@@ -186,7 +197,7 @@ class TestIntermediateChain:
         with pytest.raises(IndexRangeInvalid, match=message):
             IntermediateChain((source.amps, source.amps), 3, (), (window,))
 
-    @pytest.mark.parametrize("m", [2.5, 1, True])
+    @pytest.mark.parametrize("m", [2.5, 1, True, np.float64(3), Fraction(3)])
     def test_block_size_is_an_integer_of_at_least_two(self, n4_pair, m):
         source, _ = n4_pair
         message = rf"^block size {re.escape(repr(m))} must be an integer >= 2$"
@@ -200,6 +211,7 @@ class TestIntermediateChain:
         chain = IntermediateChain((source.amps, source.amps), np.int64(3), (), (window,))
         assert chain.m == 3 and chain.windows == ((1, 2, 3),)
         assert {type(chain.m)} | set(map(type, chain.windows[0])) == {int}
+        assert intermediate_chain(*n4_pair, np.int64(3)) == intermediate_chain(*n4_pair, 3)
 
     def test_three_dim_degenerates_to_single_step(self, case1_pair):
         chain = intermediate_chain(*case1_pair, 3)
@@ -399,7 +411,7 @@ class TestEmbedStep:
         with pytest.raises(IndexRangeInvalid, match="incompatible with block size 3$"):
             embed_step(trivial, _identity_chain(source, (1, 2)), 0)
 
-    @pytest.mark.parametrize("k", [-1, 1, 2, True, False, 0.0, np.float64(0)])
+    @pytest.mark.parametrize("k", [-1, 1, 2, True, False, 0.0, np.float64(0), Fraction(0)])
     def test_link_must_be_an_integer_in_range(self, n4_pair, k):
         source, _ = n4_pair
         block, _ = _window_decompose(source.amps, (1, 2, 3))

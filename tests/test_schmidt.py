@@ -69,6 +69,22 @@ class TestValidate:
         with pytest.raises(NegativeEntry):
             validate([0.9, bad], squared=True)
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([0.9, -0.1, math.nan], "negative entry -0.1 at index 1"),
+            ([0.9, math.nan, -0.1], "non-finite entry nan at index 1"),
+            ([0.9, 0.1, -math.inf], "non-finite entry -inf at index 2"),
+            ([-1.0, 2.0], "negative entry -1.0 at index 0"),
+        ],
+    )
+    def test_bad_entries_name_the_first(self, raw, message):
+        with pytest.raises(NegativeEntry, match=f"^{message}$"):
+            validate(raw, squared=True)
+
+    def test_negative_zero_is_an_entry_of_zero(self):
+        assert validate([1.0, -0.0], squared=True).squares == (1.0, 0.0)
+
     def test_drift_above_tolerance(self):
         with pytest.raises(NotNormalized):
             validate([0.5, 0.3, 0.2 + 1e-6], squared=True)

@@ -276,6 +276,35 @@ class TestSchema:
         jsonschema.validate(doc, load_schema())
         assert type(chain.m) is int and doc["chain"]["m"] == m
 
+    @pytest.mark.parametrize(
+        "defects",
+        [
+            [("certificate", "margni", 0.1)],
+            [("certificate", "tilde_sq", "not a float")],
+            [("certificate", "failing_k", 1.5)],
+            [("verification", "extra", True)],
+            [("verification", "path", {})],
+            [("verification", "tolerances", {})],
+            [
+                ("certificate", "margni", 0.1),
+                ("certificate", "tilde_sq", "not a float"),
+                ("verification", "extra", True),
+                ("verification", "path", {}),
+            ],
+        ],
+        ids=["misspelt-key", "text-float", "fractional-count", "extra-key", "empty-path",
+             "empty-tolerances", "all-four"],
+    )
+    def test_certificate_and_verification_sections_are_closed(self, n4_pair, defects):
+        pair = [validate(x, squared=True) for x in ([0.4, 0.3, 0.3], [0.7, 0.2, 0.1])]
+        doc = plan_transcript(n4_pair).to_dict()
+        doc["certificate"] = certificate_section(greatest_first_chain(*pair, 2))
+        jsonschema.validate(doc, load_schema())
+        for section, key, value in defects:
+            doc[section][key] = value
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, load_schema())
+
     def test_schema_rejects_malformed(self):
         bad = {"command": "plan"}  # missing problem/tool_version
         with pytest.raises(jsonschema.ValidationError):
