@@ -7,7 +7,8 @@ some majorization-feasible pairs that forced coefficient overshoots what
 the next link can absorb, and the construction provably cannot proceed
 (the planner then raises with a certificate).  This scan measures the rate
 at which random feasible pairs hit that region, per dimension and sampler
-sharpness, and prints the minimal hand-checkable example.
+sharpness, with the median margin by which the refused pairs' failing link
+misses majorization, and prints the minimal hand-checkable example.
 """
 
 import argparse
@@ -19,20 +20,22 @@ from locc_ladder.sampling import random_feasible_pair
 
 
 def scan(rng, n, trials, alpha):
-    infeasible = 0
+    """Refusal margins and the count of feasible chains with an unsorted
+    layout, over trials random feasible pairs."""
+    margins = []
     unsorted_layout = 0
     for _ in range(trials):
         source, target = random_feasible_pair(rng, n, alpha=alpha)
         try:
             chain = intermediate_chain(source, target, 3)
-        except LadderInfeasible:
-            infeasible += 1
+        except LadderInfeasible as exc:
+            margins.append(exc.certificate.margin)
             continue
         for layout in chain.layouts[1:-1]:
             if any(layout[i] < layout[i + 1] - 1e-15 for i in range(n - 1)):
                 unsorted_layout += 1
                 break
-    return infeasible, unsorted_layout
+    return margins, unsorted_layout
 
 
 def main():
@@ -53,14 +56,16 @@ def main():
         print(f"  ladder: {exc.certificate}")
 
     print(f"\nrates over {args.trials} feasible pairs per cell "
-          "(infeasible% / unsorted-but-feasible%):")
-    header = "  n  " + "".join(f"alpha={a:<10g}" for a in args.alphas)
+          "(infeasible% / unsorted-but-feasible% / median refusal margin):")
+    header = "  n  " + "".join(f"alpha={a:<22g}" for a in args.alphas)
     print(header)
     for n in (4, 5, 6, 8, 10, 12, 16):
         row = f"{n:4d} "
         for alpha in args.alphas:
-            bad, unsorted = scan(rng, n, args.trials, alpha)
-            row += f"{100 * bad / args.trials:5.1f} / {100 * unsorted / args.trials:5.1f}  "
+            margins, unsorted = scan(rng, n, args.trials, alpha)
+            median = f"{np.median(margins):10.3e}" if margins else f"{'-':>10}"
+            row += (f"{100 * len(margins) / args.trials:5.1f} / "
+                    f"{100 * unsorted / args.trials:5.1f} / {median}  ")
         print(row)
 
 

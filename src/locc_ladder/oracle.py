@@ -110,8 +110,12 @@ def apply_kraus(state: FullState, op: DiagonalKraus, party: str = "A"):
 
 
 def apply_correction(state: FullState, perm) -> FullState:
-    """Relabel basis states on both parties: index j becomes perm[j]."""
-    n = state.n
+    """Relabel basis states on both parties: index j becomes perm[j].
+    ValidationError unless perm is a permutation of 0..n-1 of integers."""
+    n, perm = state.n, tuple(perm)
+    ints = all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in perm)
+    if not ints or sorted(perm) != list(range(n)):
+        raise ValidationError(f"correction {perm} is not a permutation of 0..{n - 1}")
     p = np.zeros((n, n))
     for j, t in enumerate(perm):
         p[t, j] = 1.0

@@ -41,7 +41,7 @@ from locc_ladder import ladder
 from locc_ladder import plan_full as _plan_full
 from locc_ladder.cli import main as cli_main
 from locc_ladder.errors import ChainInvariantViolated
-from locc_ladder.ladder import _chain_windows, _lift, _verify_chain, _window_decompose
+from locc_ladder.ladder import _chain_layouts, _chain_windows, _lift, _window_decompose
 from locc_ladder.sampling import random_feasible_pair
 from locc_ladder.transcript import certificate_section, chain_section, steps_section
 
@@ -230,17 +230,19 @@ class TestIntermediateChain:
                 assert layout[n - 2 * k :] == target.amps[n - 2 * k :]
 
     def test_window_inequalities(self, rng):
+        # On the layouts of every majorized pair, those of the chains the
+        # link check refuses included: no chain check re-derives these.
         for _ in range(100):
             n = int(rng.integers(3, 17))
             source, target = random_feasible_pair(rng, n)
-            try:
-                chain = intermediate_chain(source, target, 3)
-            except LadderInfeasible:
-                continue
-            for x, y, w in zip(chain.layouts, chain.layouts[1:], chain.windows):
+            windows = _chain_windows(n, 3)
+            layouts, _ = _chain_layouts(source, target, windows, True)
+            for k, (x, y, w) in enumerate(zip(layouts, layouts[1:], windows)):
                 x_sq = [a * a for a in x]
                 y_sq = [a * a for a in y]
                 assert window_inequality_defect(x_sq, y_sq, w) <= 1e-12
+                assert all(x[i] == y[i] for i in range(n) if i not in w)
+                assert y[n - 2 * (k + 1) :] == target.amps[n - 2 * (k + 1) :]
 
     def test_step_count_for_block_width_three(self, rng):
         for n in range(3, 17):
@@ -439,6 +441,18 @@ class TestEmbedStep:
         block, _ = _window_decompose(chain.layouts[0], chain.windows[0])
         with pytest.raises(IndexRangeInvalid, match="^target window content disagrees"):
             embed_step(solve3(block, block), chain, 0)
+
+    @pytest.mark.parametrize("d", [1e-11, 1e-6, 1e-3])
+    def test_lift_refuses_a_link_that_moves_an_index_outside_its_window(self, n4_pair, d):
+        # Weight d moves from index 1 to index 0 of layout 1, which stays
+        # normalized; link 0's window is (1, 2, 3).
+        chain = intermediate_chain(*n4_pair, 3)
+        sq = [a * a for a in chain.layouts[1]]
+        sq[0], sq[1] = sq[0] + d, sq[1] - d
+        moved = (chain.layouts[0], tuple(map(math.sqrt, sq)), chain.layouts[2])
+        bad = IntermediateChain(moved, chain.m, chain.tilde_values, chain.windows)
+        with pytest.raises(IndexRangeInvalid, match="^target window content disagrees"):
+            _lift(bad)
 
     def test_plan_full_lifts_each_step_through_embed_step(self, n4_pair, monkeypatch):
         # Through the module global, so that a wrapper (the benchmark's
@@ -671,18 +685,6 @@ def test_planner_bytes_are_pinned(pair, digest):
     doc = {"chain": chain_section(plan.chain), "steps": steps_section(plan)}
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-def test_verify_chain_names_the_first_modified_untouched_index(n4_pair):
-    source, target = n4_pair
-    chain = intermediate_chain(source, target, 3)
-    _verify_chain(chain, target)
-    (head, *rest), last = chain.layouts[1], chain.layouts[2]
-    # Window 1 is indices 1..3; index 0 changes between layouts 0 and 1.
-    moved = chain.layouts[:1] + ((head + 1e-15, *rest), last)
-    bad = type(chain)(moved, chain.m, chain.tilde_values, chain.windows)
-    with pytest.raises(ChainInvariantViolated, match="^step 1 modifies untouched index 0$"):
-        _verify_chain(bad, target)
 
 
 PIN_FLOORS = (0.0, 1e-5, 1e-8, 1e-12)

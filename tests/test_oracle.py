@@ -132,6 +132,17 @@ class TestApplyKraus:
         with pytest.raises(DimensionMismatch):
             apply_kraus(state, DiagonalKraus((1.0, 1.0, 1.0)))
 
+    @pytest.mark.parametrize(
+        "perm", [[-1, 0], [0, 1, 2], [0, 5], (1.0, 0.0), [0, 0], [True, False]]
+    )
+    def test_correction_must_permute_the_basis_labels(self, perm):
+        # -1 used to be read as n - 1; the others raised IndexError or were
+        # reported as a state that is not normalized.
+        state = FullState.from_layout(validate([0.7, 0.3], squared=True).amps)
+        message = rf"^correction {re.escape(str(tuple(perm)))} is not a permutation of 0\.\.1$"
+        with pytest.raises(ValidationError, match=message):
+            apply_correction(state, perm)
+
 
 class TestVerifyPlan:
     def test_running_example_passes(self, n4_pair):

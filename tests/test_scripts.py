@@ -1,6 +1,7 @@
 """The experiment scripts run to completion on small inputs."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,14 +12,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "script, args",
+    "script, args, shown",
     [
-        ("plan_demo.py", ["--shots", "200"]),
-        ("collapse_frequency.py", ["--trials", "50"]),
-        ("ladder_feasibility_scan.py", ["--trials", "20", "--alphas", "1.0"]),
+        ("plan_demo.py", ["--shots", "200"], r"^plan: 2 steps$"),
+        ("collapse_frequency.py", ["--trials", "50"], r"^greatest-first outcomes"),
+        # Each cell's third column is the median margin of its refusals.
+        (
+            "ladder_feasibility_scan.py",
+            ["--trials", "20", "--alphas", "1.0"],
+            r"median refusal margin\):$(.|\n)*^  16 +[\d.]+ / +[\d.]+ / -\d\.\d{3}e-\d\d ",
+        ),
     ],
 )
-def test_script_exits_zero(script, args):
+def test_script_exits_zero(script, args, shown):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
@@ -29,4 +35,4 @@ def test_script_exits_zero(script, args):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert re.search(shown, proc.stdout, re.MULTILINE), proc.stdout
