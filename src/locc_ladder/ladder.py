@@ -22,7 +22,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain as concat, repeat
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -36,14 +36,15 @@ from .errors import (
     OmegaNotSorted,
     ZeroBlockNorm,
 )
-from .schmidt import EPS_CMP, EPS_COMPLETE, EPS_ZERO, SchmidtVector, effective_rank
-from .schmidt import amps_agree, majorizes, states_equal
+from .schmidt import EPS_CMP, EPS_COMPLETE, EPS_NORM, EPS_ZERO, SchmidtVector
+from .schmidt import _finite_nonnegative, amps_agree, effective_rank, majorizes, states_equal
 from .solvers import (
     DiagonalKraus,
     MeasurementStep,
     OutcomeBranch,
     _trivial_step,
     completeness_defect,
+    probability_defect,
     solve2,
     solve3,
 )
@@ -80,9 +81,8 @@ class IntermediateChain:
                 raise IndexRangeInvalid(f"index range {w} invalid for dimension {n}")
         object.__setattr__(self, "m", _block_size(self.m))
         object.__setattr__(self, "windows", tuple(tuple(map(int, w)) for w in windows))
-        states = tuple(SchmidtVector(tuple(sorted(x, reverse=True))) for x in layouts)
         # Outside the fields, so eq, repr and hash see the layouts alone.
-        object.__setattr__(self, "_states", states)
+        object.__setattr__(self, "_states", _layout_states(layouts, n))
 
     @property
     def states(self) -> tuple[SchmidtVector, ...]:
@@ -91,6 +91,17 @@ class IntermediateChain:
     @property
     def l(self) -> int:
         return len(self.windows)
+
+
+def _layout_states(layouts, n: int) -> tuple[SchmidtVector, ...]:
+    """The layouts sorted, as states; through SchmidtVector unless one pass finds no fault."""
+    amps = [tuple(sorted(x, reverse=True)) for x in layouts]
+    if n >= 2 and _finite_nonnegative(list(concat.from_iterable(amps))):
+        # checked: n >= 2, finite and >= 0 above, sorted; the drift is tested next.
+        states = tuple(map(SchmidtVector._trusted, amps))
+        if all(abs(sum(s.squares) - 1.0) <= EPS_NORM for s in states):
+            return states
+    return tuple(map(SchmidtVector, amps))
 
 
 @dataclass(frozen=True)
@@ -128,7 +139,8 @@ def _window_decompose(layout: Sequence[float], window: Sequence[int]) -> tuple[S
     if norm_sq <= EPS_ZERO:
         raise ZeroBlockNorm(f"block at indices {tuple(window)} carries no weight")
     c = math.sqrt(norm_sq)
-    return SchmidtVector(tuple(sorted((x / c for x in vals), reverse=True))), c
+    # checked: a checked layout's entries over their norm, sorted; choose_omega refuses n < 2.
+    return SchmidtVector._trusted(tuple(sorted((x / c for x in vals), reverse=True))), c
 
 
 def choose_omega(
@@ -373,6 +385,10 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
     m = block_step.source.n
     if len(idx) != m:
         raise IndexRangeInvalid(f"index range {idx} incompatible with block size {m}")
+    # Completeness misses a bad prob where the window spans every index.  NaN fails.
+    in_range = all(0.0 <= br.prob <= 1.0 for br in block_step.branches)
+    if not (in_range and probability_defect(block_step) <= EPS_COMPLETE):
+        raise ChainInvariantViolated("block step probabilities must lie in [0, 1] and sum to one")
 
     source_window = tuple(source_layout[i] for i in idx)
     target_window = tuple(target_layout[i] for i in idx)
@@ -412,7 +428,8 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
                 op=DiagonalKraus(tuple(diag)),
                 prob=br.prob,
                 correction=tuple(corr),
-                post_state=SchmidtVector(tuple(sorted(relabeled, reverse=True))),
+                # checked: the checked op above times a layout, over its norm, sorted.
+                post_state=SchmidtVector._trusted(tuple(sorted(relabeled, reverse=True))),
             )
         )
     step = MeasurementStep(
@@ -440,15 +457,18 @@ def _solve_block(block_src: SchmidtVector, omega: SchmidtVector) -> MeasurementS
     keep = m - zeros
     if keep < 2:
         return _trivial_step(block_src, omega)
-    sub_src = SchmidtVector(block_src.amps[:keep])
-    sub_tgt = SchmidtVector(omega.amps[:keep])
+    # checked: keep >= 2 heads of checked, exactly sorted states; dropped tails <= EPS_ZERO.
+    sub_src = SchmidtVector._trusted(block_src.amps[:keep])
+    sub_tgt = SchmidtVector._trusted(omega.amps[:keep])
     sub = solve3(sub_src, sub_tgt) if keep == 3 else solve2(sub_src, sub_tgt)
     branches = []
     for br in sub.branches:
         diag = br.op.diag + tuple(math.sqrt(br.prob) for _ in range(zeros))
         corr = br.correction + tuple(range(keep, m))
-        post = SchmidtVector(br.post_state.amps + block_src.amps[keep:])
-        branches.append(OutcomeBranch(DiagonalKraus(diag), br.prob, corr, post))
+        # checked: a solver's branch, padded with sqrt(prob) and the dropped tail.
+        op = DiagonalKraus._trusted(diag)
+        post = SchmidtVector._trusted(br.post_state.amps + block_src.amps[keep:])
+        branches.append(OutcomeBranch(op, br.prob, corr, post))
     return MeasurementStep(
         branches=tuple(branches),
         source=block_src,
@@ -489,16 +509,18 @@ def plan_full(source: SchmidtVector, target: SchmidtVector) -> LadderPlan:
     step for n <= 3) and lifts it: each block is solved in closed form and
     its operators embedded into the full dimension.  Emits floor(n/2) steps
     for n >= 3 whenever source != target, one per window of _chain_windows,
-    which checks its own count.
+    which checks its own count.  Equal states take one trivial step.
     """
     n = source.n
-    m = 3 if n >= 3 else 2
-    equal = _trivial_pair(source, target, m)
-    if equal or n == 2:
+    if n == 2:
+        equal = _trivial_pair(source, target, 2)
         step = _trivial_step(source, target) if equal else solve2(source, target)
-        chain = _trivial_chain(source, target, m)
-        steps = (replace(step, window=tuple(range(n))),)
-        return LadderPlan(chain=chain, steps=steps, source=source, target=target)
-
-    chain = intermediate_chain(source, target, 3)
-    return LadderPlan(chain=chain, steps=_lift(chain), source=source, target=target)
+        chain = _trivial_chain(source, target, 2)
+    else:
+        # intermediate_chain runs the preamble (majorization included) once.
+        chain = intermediate_chain(source, target, 3)
+        if not (chain.l == 1 and states_equal(source, target)):
+            return LadderPlan(chain=chain, steps=_lift(chain), source=source, target=target)
+        step = _trivial_step(source, target)
+    steps = (replace(step, window=tuple(range(n))),)
+    return LadderPlan(chain=chain, steps=steps, source=source, target=target)

@@ -50,7 +50,10 @@ class SchmidtVector:
 
     Invariants: entries non-increasing, squares summing to one.  A
     "source-grade" vector additionally has strictly positive entries;
-    targets and intermediate states may carry zeros.
+    targets and intermediate states may carry zeros.  SchmidtVector(amps)
+    checks n >= 2 and entries finite, non-negative, ordered and normalized;
+    _trusted(amps) checks nothing, for amplitudes whose checks the caller
+    has just made ("# checked:" names them).
     """
 
     amps: tuple[float, ...]
@@ -74,6 +77,12 @@ class SchmidtVector:
             raise NotNormalized(f"squared amplitudes sum off by {drift:.3e}")
         # Outside the fields, so eq, repr and hash see amps alone.
         object.__setattr__(self, "_squares", squares)
+
+    @classmethod
+    def _trusted(cls, amps: tuple[float, ...]) -> SchmidtVector:
+        state = object.__new__(cls)
+        vars(state).update(amps=amps, _squares=tuple(map(operator.mul, amps, amps)))
+        return state
 
     @property
     def n(self) -> int:
@@ -138,7 +147,8 @@ def validate(
     if drift > _EPS_EXACT:
         scale = total**0.5
         amps = [a / scale for a in amps]
-    return SchmidtVector(tuple(amps))
+    # checked: n >= 2, finite, >= 0, order and drift above; sqrt and rescale keep them.
+    return SchmidtVector._trusted(tuple(amps))
 
 
 def majorizes(source: SchmidtVector, target: SchmidtVector) -> MajorizationReport:
@@ -169,9 +179,10 @@ def states_equal(a: SchmidtVector, b: SchmidtVector) -> bool:
 
 
 def amps_agree(a: Sequence[float], b: Sequence[float]) -> bool:
-    """Whether no entry of a is more than EPS_CMP from b's, compared as
-    amplitudes entry by entry up to the shorter length."""
-    return not any(map(operator.gt, map(abs, map(operator.sub, a, b)), repeat(EPS_CMP)))
+    """Whether a and b agree within EPS_CMP entry by entry, to the shorter
+    length; a NaN on either side disagrees."""
+    diffs = map(abs, map(operator.sub, a, b))
+    return all(map(operator.le, diffs, repeat(EPS_CMP)))
 
 
 def effective_rank(v: SchmidtVector) -> int:

@@ -27,7 +27,10 @@ TRIVIAL = "TRIVIAL"
 
 @dataclass(frozen=True)
 class DiagonalKraus:
-    """A measurement operator diagonal in the Schmidt basis."""
+    """A measurement operator diagonal in the Schmidt basis.  DiagonalKraus(diag)
+    checks that every entry is finite and >= 0; _trusted(diag) checks nothing,
+    for entries the caller has just established ("# checked:" names how).
+    """
 
     diag: tuple[float, ...]
 
@@ -36,6 +39,12 @@ class DiagonalKraus:
             for d in self.diag:
                 if not (d >= 0.0) or d == float("inf"):
                     raise ValueError(f"operator entry {d!r} must be finite and >= 0")
+
+    @classmethod
+    def _trusted(cls, diag: tuple[float, ...]) -> DiagonalKraus:
+        op = object.__new__(cls)
+        vars(op)["diag"] = diag
+        return op
 
     @property
     def n(self) -> int:
@@ -97,7 +106,8 @@ def probability_defect(step: MeasurementStep) -> float:
 def _trivial_step(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
     n = source.n
     branch = OutcomeBranch(
-        op=DiagonalKraus(tuple(1.0 for _ in range(n))),
+        # checked: every entry is the constant 1.0.
+        op=DiagonalKraus._trusted((1.0,) * n),
         prob=1.0,
         correction=tuple(range(n)),
         post_state=target,
@@ -147,7 +157,8 @@ def _build_step(source, target, specs, case_tag, probs):
         if p < EPS_ZERO:
             pruned += 1
             continue
-        op = DiagonalKraus(tuple(d * p**0.5 for d in diag))
+        # checked: ratios over a source-grade source (solve2/3), p from _clamp_prob.
+        op = DiagonalKraus._trusted(tuple(d * p**0.5 for d in diag))
         raw = op.apply(source.amps)
         norm_sq = sum(x * x for x in raw)
         if abs(norm_sq - p) > 10 * EPS_COMPLETE:
@@ -158,7 +169,8 @@ def _build_step(source, target, specs, case_tag, probs):
         relabeled = [0.0] * source.n
         for j, x in enumerate(raw):
             relabeled[corr[j]] = x / scale
-        post = SchmidtVector(tuple(sorted(relabeled, reverse=True)))
+        # checked: op times the source, over its norm (near p >= EPS_ZERO), sorted.
+        post = SchmidtVector._trusted(tuple(sorted(relabeled, reverse=True)))
         if not amps_agree(post.amps, target.amps):
             raise SolverInvariantViolated(
                 f"branch post-state {post.amps} misses target {target.amps}"

@@ -4,7 +4,8 @@ A name added to or removed from ``__all__`` has to be added to or removed
 from this list as well, so that the change is a reviewed edit.  The same
 holds for the fields of ``IntermediateChain``, which the transcript's
 closed ``chain`` section and the benchmark read.  The layering rules
-between the package's modules are pinned here too, read from their source.
+between the package's modules are pinned here too, read from their source,
+and so is the rule that every unchecked construction names its check.
 """
 
 import ast
@@ -139,3 +140,37 @@ def test_transcript_sections_are_built_in_transcript_alone():
         and any(isinstance(f, ast.FunctionDef) and f.name == "to_dict" for f in node.body)
     ]
     assert writers == []
+
+
+def _trusted_sites(source):
+    """(line, text, named) for each use of a private _trusted constructor in
+    source; named when a "# checked:" comment is in the run of comment lines
+    and _trusted uses directly above it."""
+    lines = source.splitlines()
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Attribute) and node.attr == "_trusted"):
+            continue
+        above = []
+        for text in map(str.strip, reversed(lines[: node.lineno - 1])):
+            if not (text.startswith("#") or "._trusted" in text):
+                break
+            above.append(text)
+        named = any(text.startswith("# checked:") for text in above)
+        sites.append((node.lineno, lines[node.lineno - 1].strip(), named))
+    return sites
+
+
+def test_every_unchecked_construction_names_its_check():
+    # SchmidtVector._trusted and DiagonalKraus._trusted skip every check, so
+    # each use must name the upstream check that makes them redundant.
+    sites = [
+        (path.name, *site)
+        for path in sorted(Path(locc_ladder.__file__).parent.glob("*.py"))
+        for site in _trusted_sites(path.read_text())
+    ]
+    assert sites and [site for site in sites if not site[-1]] == []
+    bare = "x = 1\n# why\nv = map(SchmidtVector._trusted, a)\n"
+    named = "# checked: a, d\nv = SchmidtVector._trusted(a)\nw = DiagonalKraus._trusted(d)\n"
+    assert _trusted_sites(bare) == [(3, "v = map(SchmidtVector._trusted, a)", False)]
+    assert [site[-1] for site in _trusted_sites(named)] == [True, True]

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import re
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,13 +18,17 @@ from locc_ladder import (
     TRIVIAL,
     TWO_OUTCOME,
     BlockTooLarge,
+    DiagonalKraus,
+    DimensionTooSmall,
     InfeasibilityCertificate,
     IndexRangeInvalid,
     IntermediateChain,
     LadderInfeasible,
     LadderPlan,
+    NegativeEntry,
     NormalizationUnderflow,
     NotMajorized,
+    NotNormalized,
     OmegaNotMajorizing,
     OmegaNotSorted,
     SchmidtVector,
@@ -50,8 +56,12 @@ from helpers import (
     degenerate_fuzz_pair,
     dense_pair,
     dirichlet_swept_pair,
+    float_bits,
     forced_chain_layout_squares,
     fsum_majorized,
+    literal_kraus_check,
+    literal_schmidt_squares,
+    outcome,
     window_inequality_defect,
 )
 
@@ -169,6 +179,29 @@ class TestIntermediateChain:
         chain = IntermediateChain(((0.6, 0.8), (0.8, 0.6)), 2, (), ((0, 1),))
         assert chain.states == (SchmidtVector((0.8, 0.6)),) * 2
         assert chain.states is chain.states and chain.l == 1
+
+    @pytest.mark.parametrize(
+        "layout, error, message",
+        [
+            ((math.nan, 0.6), NegativeEntry, "amplitude nan at index 0"),
+            ((math.inf, 0.6), NegativeEntry, "amplitude inf at index 0"),
+            ((0.8, -0.6), NegativeEntry, "amplitude -0.6 at index 1"),
+            ((1.0,), DimensionTooSmall, "need dimension >= 2, got 1"),
+            (
+                (math.sqrt(0.64 + 2e-9), 0.6),
+                NotNormalized,
+                "squared amplitudes sum off by 2.000e-09",
+            ),
+        ],
+        ids=["nan", "inf", "negative", "one-entry", "off-norm"],
+    )
+    def test_a_bad_layout_raises_the_checked_constructors_error(self, layout, error, message):
+        # The layouts' states skip the constructor's checks only when the
+        # chain's own pass finds nothing wrong.
+        first = layout if len(layout) == 1 else (0.8, 0.6)
+        window = tuple(range(len(layout)))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            IntermediateChain((first, layout), 2, (), (window,))
 
     @pytest.mark.parametrize("layouts, windows", [(0, 0), (1, 1), (2, 0), (2, 2), (3, 1), (3, 4)])
     def test_one_window_per_link(self, n4_pair, layouts, windows):
@@ -427,6 +460,20 @@ class TestEmbedStep:
         source, _ = n4_pair
         with pytest.raises(IndexRangeInvalid, match="^layout 1 spans 5 indices, expected 4$"):
             _identity_chain(source, (1, 2, 3), layouts=(source.amps, source.amps + (0.0,)))
+
+    @pytest.mark.parametrize("prob", [math.nan, 1.5, math.inf, -0.25])
+    def test_block_step_probabilities_lie_in_the_unit_interval(self, prob):
+        # The window spans every index, so sqrt(prob) lands in no operator
+        # entry and the completeness check cannot see a bad prob.
+        source = SchmidtVector((0.8, 0.6))
+        target = SchmidtVector((math.sqrt(0.8), math.sqrt(0.2)))
+        chain = intermediate_chain(source, target, 2)
+        step = ladder.solve2(source, target)
+        assert embed_step(step, chain, 0).branches[0].prob == step.branches[0].prob
+        bad = replace(step, branches=(replace(step.branches[0], prob=prob), *step.branches[1:]))
+        message = r"^block step probabilities must lie in \[0, 1\] and sum to one$"
+        with pytest.raises(ChainInvariantViolated, match=message):
+            embed_step(bad, chain, 0)
 
     def test_window_must_carry_weight(self):
         v = validate([0.5, 0.5, 0.0, 0.0], squared=True)
@@ -737,3 +784,30 @@ def test_chain_builders_outcomes_are_pinned():
     assert any(o[0] == "plan" for o in outcomes)
     text = json.dumps(outcomes, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == "477083377bb6a7978f46b899a8140897b64249160151c8e1c6b2f661b107a48b"
+
+
+def test_unchecked_constructions_pass_the_checks_they_skip(monkeypatch):
+    # Every state and operator built through a private constructor, over
+    # the plans and greatest-first chains of the pinned corpus, is one the
+    # checked constructor accepts, holding the squares it computes.
+    built = []
+    for cls in (SchmidtVector, DiagonalKraus):
+
+        def record(_cls, values, trusted=cls._trusted):
+            built.append(trusted(values))
+            return built[-1]
+
+        monkeypatch.setattr(cls, "_trusted", classmethod(record))
+    rng = np.random.default_rng(12)
+    for trial in range(512):
+        pair = degenerate_fuzz_pair(rng, trial, PIN_FLOORS[trial % 4])
+        source, target = (validate(x, squared=True, autosort=True) for x in pair)
+        outcome(_plan_full, source, target)
+        for m in (2, 3, 4):
+            outcome(greatest_first_chain, source, target, m)
+    assert min(Counter(map(type, built))[cls] for cls in (SchmidtVector, DiagonalKraus)) > 1000
+    for value in built:
+        if isinstance(value, SchmidtVector):
+            assert float_bits(value.squares) == float_bits(literal_schmidt_squares(value.amps))
+        else:
+            literal_kraus_check(value.diag)

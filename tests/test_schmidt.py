@@ -19,7 +19,7 @@ from locc_ladder import (
     validate,
 )
 from locc_ladder.sampling import mix_down, random_spectrum
-from locc_ladder.schmidt import EPS_CMP, EPS_ZERO, states_equal
+from locc_ladder.schmidt import EPS_CMP, EPS_ZERO, amps_agree, states_equal
 
 from helpers import (
     float_bits,
@@ -207,6 +207,23 @@ class TestChecksEqualTheLiteralLoops:
         assert v.squares is v.squares
         assert v == w and hash(v) == hash(w)
         assert repr(v) == f"SchmidtVector(amps={v.amps!r})"
+
+
+@pytest.mark.parametrize(
+    "a, b, agree",
+    [
+        ((0.6, 0.8), (0.6, 0.8), True),
+        ((0.6, 0.8 + EPS_CMP / 2), (0.6, 0.8), True),
+        ((0.6, 0.8 + 2 * EPS_CMP), (0.6, 0.8), False),
+        ((0.6, 0.8, 0.1), (0.6, 0.8), True),
+        ((math.nan, 0.5), (0.5, 0.5), False),
+        ((0.5, 0.5), (0.5, math.nan), False),
+        ((math.nan,), (math.nan,), False),
+        ((math.inf, 0.5), (math.inf, 0.5), False),
+    ],
+)
+def test_amps_agree_and_nan_disagrees(a, b, agree):
+    assert amps_agree(a, b) is agree
 
 
 class TestMajorizes:
