@@ -3,8 +3,12 @@
 Each invocation reads one JSON problem document from stdin and writes one
 result document (JSON transcript or human-readable text) to stdout.
 
-Exit codes: 0 success, 1 input error or a built plan that fails verification,
-2 majorization fails, 3 pair is feasible but the ladder construction is not.
+Exit codes: 0 success, 1 input or usage error or a built plan that fails
+verification, 2 majorization fails, 3 pair is feasible but the ladder
+construction is not.  Exits 0, 2 and 3 answer on stdout alone; exit 1 writes
+one ``error:`` line to stderr alone.  Each command returns its answer (exit
+code, transcript, human lines), or raises it as _Refused; only main writes
+it, through _emit, and only main maps an error to exit 1.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused: ``parse_args`` leaves it unchanged, so calls stay independent.
@@ -20,10 +24,10 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence, TextIO
 
-from .errors import InvariantViolated, LadderInfeasible, LoccLadderError
-from .errors import NotMajorized, ValidationError
+from .errors import InvariantViolated, LadderInfeasible, LoccLadderError, ValidationError
 from .ladder import InfeasibilityCertificate, greatest_first_chain, plan_full
 from .oracle import MAX_ORACLE_DIM, sample_trajectories, verify_plan
 from .schmidt import majorizes
@@ -44,6 +48,8 @@ EXIT_NOT_MAJORIZED = 2
 EXIT_LADDER_INFEASIBLE = 3
 
 SEED_ENV_VAR = "DLT_SEED"
+
+_Answer = tuple[int, Transcript, list[str]]
 
 
 @functools.cache
@@ -107,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 class _Refused(Exception):
-    """Ends a command early; args are (exit code, transcript, human lines)."""
+    """Ends a command early; args are its answer (exit code, transcript, human lines)."""
 
 
 def _read_problem(args, stdin: TextIO) -> ProblemSpec:
@@ -116,6 +122,8 @@ def _read_problem(args, stdin: TextIO) -> ProblemSpec:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"stdin is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("stdin nests JSON too deeply") from exc
     return ProblemSpec.from_payload(
         payload, squared=args.squared, autosort=args.autosort
     )
@@ -160,12 +168,13 @@ def _majorized(args, stdin: TextIO, refusal: str):
 
 
 def _planned(args, stdin: TextIO, not_majorized: str, infeasible: str, note=None):
-    """_majorized, then plan_full and verify_plan; returns (spec, report,
-    plan, verification).  A pair larger than the oracle can verify is an
-    input error before any plan is built.  A pair the ladder cannot realize
-    is refused with exit 3, its certificate, note and the human text
-    infeasible, formatted with the certificate as cert.  A built plan that
-    fails verification is an error line."""
+    """_majorized, then plan_full and verify_plan; returns (plan,
+    verification, transcript), the transcript holding the plan's chain,
+    steps and verification sections.  A pair larger than the oracle can
+    verify is an input error before any plan is built.  A pair the ladder
+    cannot realize is refused with exit 3, its certificate, note and the
+    human text infeasible, formatted with the certificate as cert.  A built
+    plan that fails verification is an error line."""
     spec, source, target, report = _majorized(args, stdin, not_majorized)
     if source.n > MAX_ORACLE_DIM:
         raise ValidationError(f"oracle capped at dimension {MAX_ORACLE_DIM}")
@@ -182,32 +191,6 @@ def _planned(args, stdin: TextIO, not_majorized: str, infeasible: str, note=None
     if not verification.passed:
         deviation = f"max deviation {verification.max_deviation:.3e}"
         raise InvariantViolated(f"built plan fails verification ({deviation})")
-    return spec, report, plan, verification
-
-
-def cmd_check(args, stdin: TextIO, stdout: TextIO) -> int:
-    spec, source, target, report = _parse(args, stdin)
-    lines = [
-        f"source  lambda = {_fmt_state(source.squares)}",
-        f"target  lambda = {_fmt_state(target.squares)}",
-        f"majorization holds: {report.holds}",
-    ]
-    if not report.holds:
-        lines.append(f"first failing tail index k = {report.failing_k}")
-    _emit(_transcript(args, spec, report), args, stdout, lines)
-    return EXIT_OK if report.holds else EXIT_NOT_MAJORIZED
-
-
-def cmd_plan(args, stdin: TextIO, stdout: TextIO) -> int:
-    spec, report, plan, verification = _planned(
-        args,
-        stdin,
-        "majorization fails at k={k}; no deterministic plan",
-        "majorization holds, but the smallest-first ladder cannot\n"
-        "realize this pair:\n"
-        "  {cert}",
-        note="pair is majorization-feasible but the ladder construction is not",
-    )
     transcript = _transcript(
         args,
         spec,
@@ -216,9 +199,33 @@ def cmd_plan(args, stdin: TextIO, stdout: TextIO) -> int:
         steps=steps_section(plan),
         verification=verification_section(verification),
     )
+    return plan, verification, transcript
+
+
+def cmd_check(args, stdin: TextIO) -> _Answer:
+    spec, source, target, report = _parse(args, stdin)
     lines = [
-        f"majorization holds; plan has {len(plan.steps)} step(s)",
+        f"source  lambda = {_fmt_state(source.squares)}",
+        f"target  lambda = {_fmt_state(target.squares)}",
+        f"majorization holds: {report.holds}",
     ]
+    if not report.holds:
+        lines.append(f"first failing tail index k = {report.failing_k}")
+    code = EXIT_OK if report.holds else EXIT_NOT_MAJORIZED
+    return code, _transcript(args, spec, report), lines
+
+
+def cmd_plan(args, stdin: TextIO) -> _Answer:
+    plan, verification, transcript = _planned(
+        args,
+        stdin,
+        "majorization fails at k={k}; no deterministic plan",
+        "majorization holds, but the smallest-first ladder cannot\n"
+        "realize this pair:\n"
+        "  {cert}",
+        note="pair is majorization-feasible but the ladder construction is not",
+    )
+    lines = [f"majorization holds; plan has {len(plan.steps)} step(s)"]
     for k, step in enumerate(plan.steps):
         probs = ", ".join(f"{br.prob:.12g}" for br in step.branches)
         window = "all" if step.window is None else str(list(step.window))
@@ -226,11 +233,10 @@ def cmd_plan(args, stdin: TextIO, stdout: TextIO) -> int:
             f"step {k}: {step.case_tag} on indices {window}, outcome probs [{probs}]"
         )
     lines.append(f"verification: PASS (max deviation {verification.max_deviation:.3e})")
-    _emit(transcript, args, stdout, lines)
-    return EXIT_OK
+    return EXIT_OK, transcript, lines
 
 
-def cmd_simulate(args, stdin: TextIO, stdout: TextIO) -> int:
+def cmd_simulate(args, stdin: TextIO) -> _Answer:
     if args.shots < 1:
         raise ValidationError(f"--shots must be >= 1, got {args.shots}")
     if args.workers < 1:
@@ -242,23 +248,15 @@ def cmd_simulate(args, stdin: TextIO, stdout: TextIO) -> int:
             seed = int(env) if env is not None else 0
         except ValueError as exc:
             raise ValidationError(f"${SEED_ENV_VAR}={env!r} is not an integer") from exc
-    spec, report, plan, verification = _planned(
+    plan, _, transcript = _planned(
         args,
         stdin,
         "majorization fails at k={k}; nothing to simulate",
         "ladder construction infeasible: {cert}",
     )
     freq = sample_trajectories(plan, args.shots, seed)
-    transcript = _transcript(
-        args,
-        spec,
-        report,
-        chain=chain_section(plan.chain),
-        steps=steps_section(plan),
-        verification=verification_section(verification),
-        seed=seed,
-        shots=args.shots,
-        frequencies=frequencies_section(freq),
+    transcript = replace(
+        transcript, seed=seed, shots=args.shots, frequencies=frequencies_section(freq)
     )
     lines = [
         f"simulated {args.shots} trajectories with seed {seed}",
@@ -268,11 +266,10 @@ def cmd_simulate(args, stdin: TextIO, stdout: TextIO) -> int:
     for k, freqs in enumerate(freq.branch_frequencies):
         shown = ", ".join(f"{f:.6f}" for f in freqs)
         lines.append(f"step {k} branch frequencies: [{shown}]")
-    _emit(transcript, args, stdout, lines)
-    return EXIT_OK
+    return EXIT_OK, transcript, lines
 
 
-def cmd_demo_infeasible(args, stdin: TextIO, stdout: TextIO) -> int:
+def cmd_demo_infeasible(args, stdin: TextIO) -> _Answer:
     if args.m < 2:
         raise ValidationError(f"--m must be >= 2, got {args.m}")
     spec, source, target, report = _majorized(
@@ -298,8 +295,7 @@ def cmd_demo_infeasible(args, stdin: TextIO, stdout: TextIO) -> int:
         lines = ["greatest-first chain is feasible for this pair:"]
         for k, state in enumerate(result.states):
             lines.append(f"  state {k}: lambda = {_fmt_state(state.squares)}")
-    _emit(transcript, args, stdout, lines)
-    return EXIT_OK
+    return EXIT_OK, transcript, lines
 
 
 _COMMANDS = {
@@ -323,22 +319,16 @@ def main(
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        return _COMMANDS[args.command](args, stdin, stdout)
+        code, transcript, lines = _COMMANDS[args.command](args, stdin)
     except _Refused as exc:
         code, transcript, lines = exc.args
-        _emit(transcript, args, stdout, lines)
-        return code
-    except NotMajorized as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_NOT_MAJORIZED
-    except LadderInfeasible as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_LADDER_INFEASIBLE
     except (LoccLadderError, ValueError) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    _emit(transcript, args, stdout, lines)
+    return code
 
 
 def entry() -> None:

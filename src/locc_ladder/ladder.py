@@ -354,13 +354,6 @@ def greatest_first_chain(
     return chain if cert is None else cert
 
 
-def _inverse(perm: Sequence[int]) -> list[int]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return inv
-
-
 def _sort_perm(vals: Sequence[float]) -> list[int]:
     """Stable descending argsort: result[s] is the position holding rank s."""
     return sorted(range(len(vals)), key=lambda r: (-vals[r], r))
@@ -400,15 +393,13 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
         raise IndexRangeInvalid("target window content disagrees with the block target")
 
     sigma = _sort_perm(source_window)
-    sigma_inv = _inverse(sigma)
     tau = _sort_perm(target_window)
 
     branches = []
     for br in block_step.branches:
         diag = [math.sqrt(br.prob)] * n
         corr = list(range(n))
-        for r in range(m):
-            s = sigma_inv[r]
+        for s, r in enumerate(sigma):
             diag[idx[r]] = br.op.diag[s]
             corr[idx[r]] = idx[tau[br.correction[s]]]
         raw = tuple(map(operator.mul, diag, source_layout))
@@ -505,22 +496,22 @@ def _lift(chain: IntermediateChain) -> tuple[MeasurementStep, ...]:
 def plan_full(source: SchmidtVector, target: SchmidtVector) -> LadderPlan:
     """Complete executable plan from source to target.
 
-    Builds the smallest-first chain with 3-wide blocks (a single 2- or 3-dim
-    step for n <= 3) and lifts it: each block is solved in closed form and
-    its operators embedded into the full dimension.  Emits floor(n/2) steps
-    for n >= 3 whenever source != target, one per window of _chain_windows,
-    which checks its own count.  Equal states take one trivial step.
+    Takes every chain, n = 2 included, from intermediate_chain with
+    min(n, 3)-wide blocks and lifts it: each block is solved in closed form
+    and its operators embedded into the full dimension.  Emits floor(n/2)
+    steps for n >= 3 whenever source != target, one per window of
+    _chain_windows, which checks its own count.  A one-link chain over every
+    index takes the pair's own step: trivial for equal states, solve2 at
+    n = 2 (a lift would renormalize the block and move the plan's bits).
     """
     n = source.n
-    if n == 2:
-        equal = _trivial_pair(source, target, 2)
-        step = _trivial_step(source, target) if equal else solve2(source, target)
-        chain = _trivial_chain(source, target, 2)
-    else:
-        # intermediate_chain runs the preamble (majorization included) once.
-        chain = intermediate_chain(source, target, 3)
-        if not (chain.l == 1 and states_equal(source, target)):
-            return LadderPlan(chain=chain, steps=_lift(chain), source=source, target=target)
+    # intermediate_chain runs the preamble (majorization included) once.
+    chain = intermediate_chain(source, target, min(n, 3))
+    if chain.l == 1 and states_equal(source, target):
         step = _trivial_step(source, target)
+    elif chain.m == 2:
+        step = solve2(source, target)
+    else:
+        return LadderPlan(chain=chain, steps=_lift(chain), source=source, target=target)
     steps = (replace(step, window=tuple(range(n))),)
     return LadderPlan(chain=chain, steps=steps, source=source, target=target)

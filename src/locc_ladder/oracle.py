@@ -259,6 +259,8 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     layouts = plan.chain.layouts
     step_checks = []
     worst = 0.0
+    # Every comparison is dev <= tolerance, so that a NaN deviation fails.
+    passed = True
     for k, step in enumerate(plan.steps):
         psi = FullState.from_layout(layouts[k])
         next_matrix = np.diag(np.asarray(layouts[k + 1], dtype=float))
@@ -266,8 +268,12 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
         check = _check_step(k, step, psi, next_matrix, next_spectrum)
         for b in check.branch_checks:
             worst = max(worst, b.prob_dev, b.post_state_dev, b.spectrum_dev)
+            passed &= b.prob_dev <= TOL_PROB and b.post_state_dev <= TOL_STATE
+            passed &= b.spectrum_dev <= TOL_SPECTRUM
         step_checks.append(check)
         worst = max(worst, check.completeness_dev, check.prob_sum_dev)
+        passed &= check.completeness_dev <= TOL_COMPLETENESS
+        passed &= check.prob_sum_dev <= TOL_PROB_SUM
 
     if runtime is not None:
         total_prob, max_final_dev = _walk_paths(runtime)
@@ -283,22 +289,7 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
         all_reach_target=max_final_dev <= TOL_PATH,
     )
     worst = max(worst, path.total_prob_dev, path.max_final_dev)
-
-    passed = (
-        all(
-            s.completeness_dev <= TOL_COMPLETENESS
-            and s.prob_sum_dev <= TOL_PROB_SUM
-            and all(
-                b.prob_dev <= TOL_PROB
-                and b.post_state_dev <= TOL_STATE
-                and b.spectrum_dev <= TOL_SPECTRUM
-                for b in s.branch_checks
-            )
-            for s in step_checks
-        )
-        and path.total_prob_dev <= TOL_PATH
-        and path.all_reach_target
-    )
+    passed &= path.total_prob_dev <= TOL_PATH and path.all_reach_target
     return VerificationReport(
         step_checks=tuple(step_checks),
         path_check=path,

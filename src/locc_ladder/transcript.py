@@ -255,6 +255,8 @@ class Transcript:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"transcript is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ValidationError("transcript nests JSON too deeply") from exc
         return cls.from_dict(d)
 
 

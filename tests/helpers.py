@@ -154,6 +154,11 @@ def dirichlet_swept_pair(seed, n=64):
     return (source / source.sum()).tolist(), target.tolist()
 
 
+# The source floors of the pinned degenerate corpus, trial % 4 picking one;
+# its pairs are degenerate_fuzz_pair's, drawn in trial order from seed 12.
+PIN_FLOORS = (0.0, 1e-5, 1e-8, 1e-12)
+
+
 def degenerate_fuzz_pair(rng, trial, floor):
     """One pair (source, target) of squared coefficients, n in 2..16, drawn
     as the degenerate fuzz: a sorted Dirichlet target, alpha in {0.1, 1, 5},

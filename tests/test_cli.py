@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from locc_ladder.sampling import random_feasible_pair
 
 import jsonschema
 
-from helpers import DEGENERATE_PAIRS, asdict_json, dense_pair
+from helpers import DEGENERATE_PAIRS, PIN_FLOORS, asdict_json, degenerate_fuzz_pair, dense_pair
 
 
 def run_cli(argv, payload=None, env_seed=None, monkeypatch=None):
@@ -396,7 +397,8 @@ class TestCachedParser:
         run_cli(["check", "--squared"], N4)  # the cached parser has been used
         assert run_cli(["--help"]) == (0, fresh.format_help(), "")
         usage_error = "locc-ladder: error: unrecognized arguments: --bogus\n"
-        assert run_cli(["plan", "--bogus"]) == (2, "", fresh.format_usage() + usage_error)
+        # A usage error is an input error: exit 2 means majorization fails.
+        assert run_cli(["plan", "--bogus"]) == (1, "", fresh.format_usage() + usage_error)
         assert capsys.readouterr() == ("", "")
 
 
@@ -439,3 +441,81 @@ def test_to_json_bytes_equal_the_asdict_path(monkeypatch, argv, payload, code):
     (t,) = written
     assert out == t.to_json() == asdict_json(t)
     assert Transcript.from_json(t.to_json()) == t
+
+
+def _contract_payloads():
+    """The exit contract's documents: the first 128 pairs of the pinned
+    degenerate corpus, each also reversed, then malformed documents."""
+    rng = np.random.default_rng(12)
+    pairs = [degenerate_fuzz_pair(rng, trial, PIN_FLOORS[trial % 4]) for trial in range(128)]
+    texts = [json.dumps({"source": s, "target": t}) for s, t in pairs]
+    texts += [json.dumps({"source": t, "target": s}) for s, t in pairs]
+    n65 = random_feasible_pair(np.random.default_rng(1), 65, alpha=5.0, moves=3)
+    texts += [
+        '{"source": [0.5, 0.5], "target":',
+        "[" * 100000,
+        '{"source": ' + "[" * 3000 + "]" * 3000 + ', "target": [1.0]}',
+        json.dumps({"source": [0.5, 0.5], "target": [1.0, 0.0], "bogus": 1}),
+        json.dumps({"source": [0.5, None], "target": [1.0, 0.0]}),
+        json.dumps({"source": list(n65[0].squares), "target": list(n65[1].squares)}),
+    ]
+    return texts
+
+
+CONTRACT_PAYLOADS = _contract_payloads()
+# What NotMajorized and LadderInfeasible say: the answers of exits 2 and 3.
+REFUSAL_MESSAGE = re.compile(r"majorization fails at k=|\[\w+ at step \d+\]")
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+@pytest.mark.parametrize(
+    "argv",
+    [["check"], ["plan"], ["simulate", "--shots", "20", "--seed", "5"], ["demo-infeasible"]],
+    ids=lambda argv: argv[0],
+)
+def test_exit_contract(argv, fmt):
+    # Exits 0, 2 and 3 answer on stdout alone; exit 1 is one error line on
+    # stderr alone, and never a refusal that exits 2 or 3 elsewhere.
+    validator = jsonschema.validators.validator_for(load_schema())(load_schema())
+    argv = [*argv, "--squared", "--autosort", "--format", fmt]
+    codes = set()
+    for text in CONTRACT_PAYLOADS:
+        out, err = io.StringIO(), io.StringIO()
+        code = main(argv, io.StringIO(text), out, err)
+        out, err = out.getvalue(), err.getvalue()
+        codes.add(code)
+        if code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            assert err.endswith("\n") and not REFUSAL_MESSAGE.search(err), err
+        else:
+            assert code in (0, 2, 3) and err == "" and out, (code, err)
+            if fmt == "machine":
+                validator.validate(json.loads(out))
+    assert {0, 1, 2} <= codes
+
+
+def _call_sites(source):
+    """(name of the top-level definition around it, callee as written) for
+    each call in source."""
+    return [
+        (getattr(top, "name", None), ast.unparse(node.func))
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+    ]
+
+
+def test_main_is_the_one_writer():
+    # Commands return their answer; main alone writes it, through _emit,
+    # and alone writes an error line.
+    sites = _call_sites(Path(cli.__file__).read_text())
+
+    def callers(callee):
+        return [owner for owner, name in sites if name == callee]
+
+    assert callers("_emit") == ["main"]
+    assert set(callers("stdout.write")) == {"_emit"}
+    assert callers("stderr.write") == ["main"]
+    assert callers("print") == []
+    sample = "def _emit(stdout):\n    stdout.write(1)\n\ndef main():\n    _emit(f(2))\n"
+    assert _call_sites(sample) == [("_emit", "stdout.write"), ("main", "_emit"), ("main", "f")]

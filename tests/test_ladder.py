@@ -53,6 +53,7 @@ from locc_ladder.transcript import certificate_section, chain_section, steps_sec
 
 from helpers import (
     DEGENERATE_PAIRS,
+    PIN_FLOORS,
     degenerate_fuzz_pair,
     dense_pair,
     dirichlet_swept_pair,
@@ -734,7 +735,6 @@ def test_planner_bytes_are_pinned(pair, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-PIN_FLOORS = (0.0, 1e-5, 1e-8, 1e-12)
 DEMO_PAYLOADS = {
     "gf-fixture": {"source": [0.4, 0.3, 0.3], "target": [0.7, 0.2, 0.1]},
     "ladder-gap": {"source": [0.25, 0.25, 0.25, 0.25], "target": [0.3, 0.3, 0.3, 0.1]},

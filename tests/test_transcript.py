@@ -165,6 +165,10 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match="not valid JSON"):
             Transcript.from_json('{"command": "plan",')
 
+    def test_deep_nesting_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="nests JSON too deeply"):
+            Transcript.from_json("[" * 100000)
+
     def test_serialization_is_deterministic(self, n4_pair):
         a = simulate_transcript(n4_pair).to_json()
         b = simulate_transcript(n4_pair).to_json()
