@@ -46,13 +46,16 @@ def main():
             )
 
     verification = verify_plan(plan)
+    paths = verification.path_check
+    walked = "enumerated" if paths.enumerated else "counted, too many to enumerate"
     print(
         f"\nverification: {'PASS' if verification.passed else 'FAIL'} "
         f"(max deviation {verification.max_deviation:.3e}, "
-        f"{verification.path_check.path_count} branch paths enumerated)"
+        f"{paths.path_count} branch paths {walked})"
     )
 
-    freq = sample_trajectories(plan, args.shots, args.seed)
+    # Shots descend the path table of a report that walked every path.
+    freq = sample_trajectories(plan, args.shots, args.seed, verified=verification)
     print(
         f"\nsimulated {args.shots} trajectories (seed {args.seed}): "
         f"{freq.match_rate:.2%} reached the target "

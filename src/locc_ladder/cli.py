@@ -248,13 +248,13 @@ def cmd_simulate(args, stdin: TextIO) -> _Answer:
             seed = int(env) if env is not None else 0
         except ValueError as exc:
             raise ValidationError(f"${SEED_ENV_VAR}={env!r} is not an integer") from exc
-    plan, _, transcript = _planned(
+    plan, verification, transcript = _planned(
         args,
         stdin,
         "majorization fails at k={k}; nothing to simulate",
         "ladder construction infeasible: {cert}",
     )
-    freq = sample_trajectories(plan, args.shots, seed)
+    freq = sample_trajectories(plan, args.shots, seed, verified=verification)
     transcript = replace(
         transcript, seed=seed, shots=args.shots, frequencies=frequencies_section(freq)
     )

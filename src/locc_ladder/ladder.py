@@ -84,6 +84,16 @@ class IntermediateChain:
         # Outside the fields, so eq, repr and hash see the layouts alone.
         object.__setattr__(self, "_states", _layout_states(layouts, n))
 
+    @classmethod
+    def _trusted(cls, layouts, m: int, tilde_values, windows) -> IntermediateChain:
+        """The chain without its shape checks, for layouts and windows built
+        to shape ("# checked:" names how), m and the window indices already
+        Python ints; its states are derived as at construction."""
+        chain = object.__new__(cls)
+        vars(chain).update(layouts=layouts, m=m, tilde_values=tilde_values, windows=windows)
+        vars(chain)["_states"] = _layout_states(layouts, len(layouts[0]))
+        return chain
+
     @property
     def states(self) -> tuple[SchmidtVector, ...]:
         return self._states
@@ -254,7 +264,11 @@ def _trivial_chain(source: SchmidtVector, target: SchmidtVector, m: int) -> Inte
 
 
 def _chain(layouts, tilde_sqs, m, windows) -> IntermediateChain:
-    return IntermediateChain(tuple(layouts), m, tuple(map(_amp, tilde_sqs)), windows)
+    tilde_values = tuple(map(_amp, tilde_sqs))
+    # checked: windows of ints from range (_chain_windows, or every index),
+    # one per link of the layouts built over them, each as long as the
+    # source; m passed the preamble's _block_size.
+    return IntermediateChain._trusted(tuple(layouts), int(m), tilde_values, windows)
 
 
 def _is_index(i) -> bool:

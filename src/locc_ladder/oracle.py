@@ -13,19 +13,23 @@ index permutation of the full matrix, which gives the literal products'
 values bit for bit (a product with a diagonal or permutation matrix adds
 only exact zeros), without building the matrices.  Both move batches of
 path prefixes as one array through one kernel (_scale, _relabel); the walk
-expands a batch by all of a step's branches in one pass of it.
+expands a batch by all of a step's branches in one pass of it, and keeps
+a path table: each prefix's running branch sums, each path's deviation.
 Trajectory sampling draws from per-shot counter-based streams, so a report
 depends only on (plan, shots, seed).  It runs in one thread, in blocks of
-shots: the block's streams are computed together as one Philox array, and
-the walk goes a step at a time over chunks of distinct path prefixes, so
-shots that share a prefix share its arithmetic.  run_trajectory is the same
-walk over a block of one shot.  Every shot's draws, path and final
-deviation are bit-identical to walking that shot alone with numpy's own
-Philox stream, the reference the tests compare against.
+shots whose streams are computed together as one Philox array.  The shots
+descend the path table of a report that walked this very plan, or else
+walk chunks of distinct path prefixes a step at a time, so that shots
+sharing a prefix share its arithmetic; one choice rule serves both.
+run_trajectory is the prefix walk over a block of one shot.  Every shot's
+draws, path and final deviation are bit-identical to walking that shot
+alone with numpy's own Philox stream, the reference the tests compare
+against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -245,14 +249,17 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     Then walks every branch path end to end (when their number is within
     path_limit) on full amplitude matrices, by row scaling and index
     permutation (_walk_paths); the path check equals, bit for bit, that of
-    walking each path with apply_kraus and apply_correction.
+    walking each path with apply_kraus and apply_correction.  The walk's
+    path table stays on the report, outside its fields, for
+    sample_trajectories to descend.
 
     Deviations are reported, not raised.  A plan that cannot be applied at
     all raises: DimensionMismatch for an operator of the wrong dimension,
-    ValidationError for an outcome of zero probability or, when the paths
-    are walked, for a correction that is not a permutation of the basis
-    labels.
+    ValidationError for an outcome of zero probability, for a path_limit
+    that is not an integer or, when the paths are walked, for a correction
+    that is not a permutation of the basis labels.
     """
+    path_limit = _integer("path_limit", path_limit)
     path_count = math.prod(len(step.branches) for step in plan.steps)
     # Built first, so a malformed correction is named before any check runs.
     runtime = _PlanRuntime(plan) if path_count <= path_limit else None
@@ -275,8 +282,10 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
         passed &= check.completeness_dev <= TOL_COMPLETENESS
         passed &= check.prob_sum_dev <= TOL_PROB_SUM
 
+    table = None
     if runtime is not None:
-        total_prob, max_final_dev = _walk_paths(runtime)
+        total_prob, max_final_dev, bounds, devs = _walk_paths(runtime)
+        table = _PathTable(plan, bounds, devs)
     else:
         # Too many paths: per-step sums multiply to the total path probability.
         total_prob = math.prod(sum(br.prob for br in step.branches) for step in plan.steps)
@@ -290,12 +299,15 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     )
     worst = max(worst, path.total_prob_dev, path.max_final_dev)
     passed &= path.total_prob_dev <= TOL_PATH and path.all_reach_target
-    return VerificationReport(
+    report = VerificationReport(
         step_checks=tuple(step_checks),
         path_check=path,
         passed=passed,
         max_deviation=worst,
     )
+    # Outside the fields, so eq, repr and hash see the checks alone.
+    object.__setattr__(report, "_paths", table)
+    return report
 
 
 @dataclass(frozen=True)
@@ -469,64 +481,107 @@ def _relabel(out: np.ndarray, prob: np.ndarray, gather: np.ndarray, dest: np.nda
     np.divide(dest, np.sqrt(prob).reshape(-1, 1, 1), out=dest)
 
 
-def _walk_paths(runtime: _PlanRuntime) -> tuple[float, float]:
-    """Total probability and worst final deviation over every branch path.
+@dataclass(frozen=True, eq=False)
+class _PathTable:
+    """The branch paths of plan, as verify_plan's walk computed them.
+    bounds[k] has a row per prefix of k branches, in lexicographic order
+    (prefix p then branch b is prefix p * branches + b): the running sums
+    of step k's outcome probabilities.  devs has each path's final
+    deviation, in the same order."""
+
+    plan: LadderPlan
+    bounds: tuple[np.ndarray, ...]
+    devs: np.ndarray
+
+
+def _target_back(target: np.ndarray, invs: np.ndarray) -> np.ndarray:
+    """P^T T P for the permutation matrix P of each inverse correction:
+    entry (a, c) is T's at the place _relabel moves entry (a, c) to."""
+    n = len(target)
+    perms = np.argsort(invs, axis=1)
+    return target.reshape(-1)[_gather_indices(perms)].reshape(len(perms), n, n)
+
+
+def _leaf_devs(out: np.ndarray, prob: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """The G * B final deviations of _scale's (G, B) blocks, in place: each
+    matrix over its probability's square root, less its branch's
+    _target_back, holds the entries of _relabel's post state less the
+    target, moved, so its largest absolute entry is the same number."""
+    np.divide(out, np.sqrt(prob)[:, :, None, None], out=out)
+    np.subtract(out, back, out=out)
+    return np.abs(out, out=out).reshape(prob.size, -1).max(axis=1)
+
+
+def _walk_paths(runtime: _PlanRuntime):
+    """Total probability and worst final deviation over every branch path,
+    and the path table's bounds and per-path deviations (_PathTable).
 
     Depth first over batches of path prefixes, each batch one C-contiguous
-    (B, n, n) array of amplitude matrices in ascending path order.  A batch
-    is expanded by all of its step's branches at once: one _scale gives the
-    (B, branches) block of row-scaled matrices and their probabilities, and
-    one _relabel their post states, so the values are those of apply_kraus
-    and apply_correction, as (B * branches, n, n) children in prefix-major
-    order.  Children of the plan's last step are complete paths and are
-    evaluated where they are made: their probabilities fill one contiguous
-    slice of path_probs, and the block gives its worst deviation at once.
-    Other children go back on the stack in chunks (copies, so a pending
-    chunk does not keep its siblings alive), the last chunk on top, so
-    complete paths come off in descending order, the order of the literal
-    stack walk, which pops the last branch first.  Path probabilities are
-    summed one by one in that order, since a pairwise sum would round
-    differently.
+    (B, n, n) array of amplitude matrices in ascending path order, with its
+    first prefix's index.  A batch is expanded by all of its step's branches
+    at once: one _scale gives the (B, branches) block of row-scaled matrices
+    and their probabilities, whose running sums fill the batch's rows of the
+    step's bounds.  Before the last step, one _relabel gives the post states
+    (apply_kraus then apply_correction) as (B * branches, n, n) children in
+    prefix-major order, which go back on the stack in chunks (copies, so a
+    pending chunk does not keep its siblings alive), the last chunk on top.
+    The last step's children are complete paths, never relabelled: _leaf_devs
+    compares them with the target relabelled back (_target_back, built once).
+    Complete paths come off in descending order, the literal stack walk's,
+    and their probabilities are summed one by one in that order, since a
+    pairwise sum would round differently.
     """
     depth = len(runtime.steps)
     n = len(runtime.start)
     batch = max(1, PATH_BATCH_ENTRIES // (n * n))
     # The start state meets FullState's checks, as in the literal walk.
-    stack = [(0, FullState(runtime.start).matrix[None], np.ones(1))]
-    # Filled from the end, as complete paths come off in descending order.
-    path_probs = np.empty(math.prod(len(scales) for scales, _ in runtime.steps))
-    end = len(path_probs)
+    start = FullState(runtime.start).matrix
+    if not depth:
+        # The one path is the start itself.
+        dev = np.abs(start - runtime.target).reshape(1, n * n).max(axis=1)
+        return 1.0, max(0.0, float(dev[0])), (), dev
+    widths = [len(scales) for scales, _ in runtime.steps]
+    bounds = tuple(np.empty((math.prod(widths[:k]), w)) for k, w in enumerate(widths))
+    path_probs = np.empty(math.prod(widths))
+    devs = np.empty(len(path_probs))
+    back = _target_back(runtime.target, runtime.steps[-1][1])
+    stack = [(0, 0, start[None], np.ones(1))]
     max_dev = 0.0
     while stack:
-        k, states, acc = stack.pop()
-        if k < depth:
-            scales, invs = runtime.steps[k]
-            out, prob = _scale(states[:, None], scales)
-            if not (np.all(prob > EPS_ZERO) and np.all(np.isfinite(prob))):
-                # FullState refuses the post state apply_kraus gives here.
-                raise ValidationError("amplitude matrix is not normalized")
+        k, first, states, acc = stack.pop()
+        scales, invs = runtime.steps[k]
+        out, prob = _scale(states[:, None], scales)
+        # Freed before the children are made.
+        del states
+        if not (np.all(prob > EPS_ZERO) and np.all(np.isfinite(prob))):
+            # FullState refuses the post state apply_kraus gives here.
+            raise ValidationError("amplitude matrix is not normalized")
+        bounds[k][first : first + len(prob)] = np.add.accumulate(prob, axis=1)
+        acc = (acc[:, None] * prob).reshape(-1)
+        first *= len(scales)
+        if k + 1 < depth:
             states = np.empty((prob.size, n, n))
             # Branch b's positions, b matrices into each block.
             gather = _gather_indices(invs) + n * n * np.arange(len(invs))[:, None]
             _relabel(out, prob, gather.ravel(), states)
-            # Freed before the children are copied or compared.
+            # Freed before the children are copied.
             del out
-            acc = (acc[:, None] * prob).reshape(-1)
-            k += 1
-            if k < depth:
-                for lo in range(0, len(states), batch):
-                    stack.append((k, states[lo : lo + batch].copy(), acc[lo : lo + batch]))
-                continue
-        # Complete paths: the children of a last-step batch, or the start of
-        # a plan without steps.
-        path_probs[end - len(acc) : end] = acc
-        end -= len(acc)
+            # Appended unnamed: a name would keep the last chunk alive.
+            for lo in range(0, len(states), batch):
+                stack.append(
+                    (k + 1, first + lo, states[lo : lo + batch].copy(), acc[lo : lo + batch])
+                )
+            continue
+        # Complete paths, compared in place, unrelabelled.
+        path_probs[first : first + len(acc)] = acc
         if len(acc):
-            diff = states - runtime.target
-            max_dev = max(max_dev, float(np.max(np.abs(diff, out=diff))))
+            devs[first : first + len(acc)] = dev = _leaf_devs(out, prob, back)
+            max_dev = max(max_dev, float(np.max(dev)))
+        # Freed before the next batch is scaled.
+        del out
     if not len(path_probs):
-        return 0.0, 0.0
-    return float(np.add.accumulate(path_probs[::-1])[-1]), max_dev
+        return 0.0, 0.0, bounds, devs
+    return float(np.add.accumulate(path_probs[::-1])[-1]), max_dev, bounds, devs
 
 
 def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
@@ -543,9 +598,8 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
     does, in one scratch array per chunk step: the row-scaled products, then
     their squares written over them, then the pairwise sum of each C-ordered
     row of n*n squares; the same operations on the same layout as _scale's,
-    so the same bits.  Each shot takes the first branch whose running
-    probability sum exceeds its draw times the total (else the last), and
-    post states (_relabel) are made only for the (branch, prefix) pairs that
+    so the same bits.  Each shot takes its branch from the running sums of
+    those probabilities (_choose), and post states (_relabel) are made only for the (branch, prefix) pairs that
     some shot takes, from a copy of those prefixes scaled again in place.
     The second multiply stays: keeping every outcome's scaled chunk for the
     children holds G * branches matrices at once, and measured slower at
@@ -585,15 +639,7 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
             probs.append(np.add.reduce(buf.reshape(g, n * n), axis=-1))
         # Freed before the children are made.
         del buf
-        # Running sums in branch order, the last one sum(probs), as a lone
-        # shot adds them.
-        bounds = np.add.accumulate(probs)[:, group]
-        u = draws[shots, k] * bounds[-1]
-        # A shot takes the first branch whose running sum exceeds u, else the
-        # last; assigning from the last branch down leaves the first one.
-        chosen = np.full(len(shots), len(scales) - 1)
-        for i in reversed(range(len(scales))):
-            chosen[u < bounds[i]] = i
+        chosen = _choose(draws[shots, k], np.add.accumulate(probs)[:, group])
         choice[shots, k] = chosen
         # One child per (branch, prefix) pair taken, branch-major.
         key = chosen * g + group
@@ -623,17 +669,52 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
                     _relabel(out, probs[i][r], gather, kids[a - lo : b - lo])
             part = slice(cuts[j], cuts[j + 1])
             stack.append((k + 1, kids, shots[part], child[part] - lo))
-    first, hits, dev = (np.concatenate(x) for x in zip(*leaves))
+    return _leaves(choice, *(np.concatenate(x) for x in zip(*leaves)))
+
+
+def _choose(draws: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Each shot's branch: bounds holds a shot's running probability sums
+    in a column, in branch order, and it takes the first branch whose sum
+    exceeds its draw times the total (the last sum), else the last."""
+    u = draws * bounds[-1]
+    chosen = np.full(len(u), len(bounds) - 1)
+    # Assigning from the last branch down leaves the first one.
+    for i in reversed(range(len(bounds))):
+        chosen[u < bounds[i]] = i
+    return chosen
+
+
+def _leaves(choice: np.ndarray, first: np.ndarray, hits: np.ndarray, dev: np.ndarray):
+    """Paths as their first shots' rows of choice, ordered by first shot."""
     order = np.argsort(first)
     return choice[first[order]], hits[order], dev[order]
 
 
-def _sampling_runtime(plan: LadderPlan) -> _PlanRuntime:
-    """_PlanRuntime for the walks that draw one outcome per step, which
-    refuse a step without outcomes."""
+def _descend(table: _PathTable, draws: np.ndarray):
+    """_sample_block's answer read off a path table: each shot's prefix
+    row holds the bits _sample_block computes from the prefix's matrix."""
+    count, depth = draws.shape
+    widest = max((b.shape[1] for b in table.bounds), default=1)
+    choice = np.empty((count, depth), dtype=np.min_scalar_type(widest))
+    prefix = np.zeros(count, dtype=np.intp)
+    for k, bounds in enumerate(table.bounds):
+        chosen = _choose(draws[:, k], bounds[prefix].T)
+        choice[:, k] = chosen
+        prefix = prefix * bounds.shape[1] + chosen
+    paths, first, hits = np.unique(prefix, return_index=True, return_counts=True)
+    return _leaves(choice, first, hits, table.devs[paths])
+
+
+def _refuse_empty_steps(plan: LadderPlan) -> None:
+    """The walks that draw one outcome per step refuse a step without outcomes."""
     for k, step in enumerate(plan.steps):
         if not step.branches:
             raise ValidationError(f"step {k} has no outcomes to sample")
+
+
+def _sampling_runtime(plan: LadderPlan) -> _PlanRuntime:
+    """_PlanRuntime for the walks that draw one outcome per step."""
+    _refuse_empty_steps(plan)
     return _PlanRuntime(plan)
 
 
@@ -670,25 +751,36 @@ def run_trajectory(plan: LadderPlan, seed: int, shot_index: int) -> TrajectoryRe
     )
 
 
-def sample_trajectories(plan: LadderPlan, shots: int, seed: int) -> FrequencyReport:
+def sample_trajectories(
+    plan: LadderPlan, shots: int, seed: int, *, verified: VerificationReport | None = None
+) -> FrequencyReport:
     """Monte Carlo sample of plan executions.
 
     Every shot owns its own counter-based stream, so identical (plan,
     shots, seed) produce identical reports.  Shots go in blocks of
-    SHOT_BLOCK: one pass computes the block's draws (_shot_draws), and one
-    walk over chunks of path prefixes (_sample_block) computes each
-    distinct prefix once for all shots that share it.  The report
-    aggregates run_trajectory over shots 0 .. shots - 1, with paths in
-    order of their first shot, and equals, bit for bit, the aggregate of
-    walking each shot alone.
+    SHOT_BLOCK, and one pass computes a block's draws (_shot_draws).  When
+    verified is verify_plan's report on this very plan object and walked
+    every branch path, the shots descend its path table (_descend) and touch
+    no matrix; otherwise one walk over chunks of path prefixes
+    (_sample_block) computes each distinct prefix once for all shots that
+    share it.  Either way the report aggregates run_trajectory over shots
+    0 .. shots - 1, with paths in order of their first shot, and equals,
+    bit for bit, the aggregate of walking each shot alone.
     """
     shots = _integer("shots", shots)
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
     seed = _integer("seed", seed)
+    if not (verified is None or isinstance(verified, VerificationReport)):
+        raise ValidationError(f"verified must be a VerificationReport, got {verified!r}")
 
-    runtime = _sampling_runtime(plan)
-    depth = len(runtime.steps)
+    table = getattr(verified, "_paths", None)
+    if table is not None and table.plan is plan:
+        _refuse_empty_steps(plan)
+        walk = functools.partial(_descend, table)
+    else:
+        walk = functools.partial(_sample_block, _sampling_runtime(plan))
+    depth = len(plan.steps)
     path_counts: dict = {}
     branch_counts = [np.zeros(len(s.branches), dtype=np.int64) for s in plan.steps]
     matches = 0
@@ -696,9 +788,7 @@ def sample_trajectories(plan: LadderPlan, shots: int, seed: int) -> FrequencyRep
     for first in range(0, shots, SHOT_BLOCK):
         count = min(SHOT_BLOCK, shots - first)
         # The draws go in unnamed, so that they are freed with the block.
-        paths, hits, dev = _sample_block(
-            runtime, _shot_draws(seed, first, count, depth)
-        )
+        paths, hits, dev = walk(_shot_draws(seed, first, count, depth))
         # Paths go in in order of their first shot, as a shot loop puts them.
         for path, hit in zip(paths.tolist(), hits.tolist()):
             path = tuple(path)

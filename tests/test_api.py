@@ -3,12 +3,14 @@
 A name added to or removed from ``__all__`` has to be added to or removed
 from this list as well, so that the change is a reviewed edit.  The same
 holds for the fields of ``IntermediateChain``, which the transcript's
-closed ``chain`` section and the benchmark read.  The layering rules
+closed ``chain`` section and the benchmark read, and for the signature of
+``sample_trajectories``.  The layering rules
 between the package's modules are pinned here too, read from their source,
 and so is the rule that every unchecked construction names its check.
 """
 
 import ast
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
@@ -82,6 +84,17 @@ def test_all_is_the_pinned_list():
 def test_every_name_resolves():
     missing = [name for name in locc_ladder.__all__ if not hasattr(locc_ladder, name)]
     assert missing == []
+
+
+def test_sample_trajectories_signature_is_pinned():
+    # verified is keyword-only, so that a report is never passed by position.
+    params = inspect.signature(locc_ladder.sample_trajectories).parameters.values()
+    assert [(p.name, p.kind.name, p.default) for p in params] == [
+        ("plan", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("shots", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("seed", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("verified", "KEYWORD_ONLY", None),
+    ]
 
 
 def test_intermediate_chain_fields_are_pinned():

@@ -247,6 +247,33 @@ class TestIntermediateChain:
         assert {type(chain.m)} | set(map(type, chain.windows[0])) == {int}
         assert intermediate_chain(*n4_pair, np.int64(3)) == intermediate_chain(*n4_pair, 3)
 
+    @pytest.mark.parametrize("m", [2, 3, np.int64(4)])
+    @pytest.mark.parametrize("n", [2, 3, 7, 16])
+    def test_built_chains_equal_the_checked_construction(self, n, m, monkeypatch):
+        # The builders build their windows from range and skip the window
+        # checks; the chain, its states and its Python ints are the checked
+        # constructor's.
+        rng = np.random.default_rng([20261019, n])
+        target = np.sort(rng.dirichlet(np.ones(n)))[::-1]
+        source = np.full(n, 1.0 / n)
+        pair = validate(list(source), squared=True), validate(list(target), squared=True)
+        checks = []
+        monkeypatch.setattr(ladder, "_is_index", lambda i: checks.append(i) or True)
+        chains = [greatest_first_chain(*pair, m)]
+        try:
+            chains.append(intermediate_chain(*pair, m))
+        except LadderInfeasible:
+            pass
+        assert checks == []
+        monkeypatch.undo()
+        for chain in chains:
+            if isinstance(chain, InfeasibilityCertificate):
+                continue
+            fields = (chain.layouts, chain.m, chain.tilde_values, chain.windows)
+            checked = IntermediateChain(*fields)
+            assert chain == checked and chain.states == checked.states
+            assert {type(chain.m)} | {type(i) for w in chain.windows for i in w} == {int}
+
     def test_three_dim_degenerates_to_single_step(self, case1_pair):
         chain = intermediate_chain(*case1_pair, 3)
         assert chain.l == 1

@@ -1,4 +1,6 @@
 import dataclasses
+import io
+import json
 import math
 import re
 import tracemalloc
@@ -21,7 +23,7 @@ from locc_ladder import (
     validate,
     verify_plan,
 )
-from locc_ladder import oracle
+from locc_ladder import cli, oracle
 from locc_ladder.errors import LadderInfeasible, LoccLadderError, ValidationError
 from locc_ladder.oracle import _sampling_runtime, _shot_draws
 
@@ -179,6 +181,14 @@ class TestVerifyPlan:
         plan = plan_full(*n4_pair)
         bad = perturb_plan(plan, 1, 0, 0, -1e-6)
         assert not verify_plan(bad).passed
+
+    @pytest.mark.parametrize("limit", [None, "x", True])
+    def test_path_limit_must_be_an_integer(self, n4_pair, limit):
+        plan = plan_full(*n4_pair)
+        message = rf"^path_limit must be an integer, got {re.escape(repr(limit))}$"
+        with pytest.raises(ValidationError, match=message):
+            verify_plan(plan, path_limit=limit)
+        assert verify_plan(plan, path_limit=np.int64(6)).path_check.enumerated
 
 
 class TestTrajectories:
@@ -518,6 +528,149 @@ class TestSamplerChunks:
         assert len(calls) <= 60
 
 
+@pytest.fixture
+def sample_block_calls(monkeypatch):
+    """Shot counts of the blocks oracle._sample_block walks while it is
+    patched with a counting wrapper."""
+    calls = []
+    sample_block = oracle._sample_block
+
+    def counting(runtime, draws):
+        calls.append(len(draws))
+        return sample_block(runtime, draws)
+
+    monkeypatch.setattr(oracle, "_sample_block", counting)
+    return calls
+
+
+def _descent_equals_matrix_walk(plan, shots, seed, calls):
+    """The report that descends verify_plan's path table is the matrix
+    walk's and the per-shot reference's, field for field and with paths in
+    the same order, and so is each block's answer."""
+    verified = verify_plan(plan)
+    assert verified.path_check.enumerated
+    descended = sample_trajectories(plan, shots, seed, verified=verified)
+    assert calls == []
+    walked = sample_trajectories(plan, shots, seed)
+    assert calls
+    assert repr(descended) == repr(walked)
+    assert list(descended.path_counts.items()) == list(walked.path_counts.items())
+    _assert_report_is_per_shot(descended, plan, seed, shots)
+    draws = _shot_draws(seed, 0, shots, len(plan.steps))
+    table_block = oracle._descend(verified._paths, draws)
+    matrix_block = oracle._sample_block(_sampling_runtime(plan), draws)
+    for a, b in zip(table_block, matrix_block):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestTableDescentMatchesMatrixWalk:
+    """sample_trajectories(..., verified=report) descends the path table of
+    a report that walked every path of this very plan, and never touches a
+    matrix; otherwise it walks the plan's matrices (_sample_block).  The
+    two give the same report."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_ladder_plans(self, n, sample_block_calls):
+        plan = _ladder_plan(n, np.random.default_rng([20261018, n]))
+        _descent_equals_matrix_walk(plan, 150, 11, sample_block_calls)
+
+    @pytest.mark.parametrize("pair", DEGENERATE_PAIRS)
+    def test_degenerate_pairs(self, pair, sample_block_calls):
+        try:
+            plan = _plan(pair)
+            verify_plan(plan)
+        except LoccLadderError:
+            return  # no plan, or no walk to keep a table
+        _descent_equals_matrix_walk(plan, 150, 5, sample_block_calls)
+
+    @pytest.mark.parametrize("n", [24, 32, 40, 48])
+    def test_sparse_pairs(self, n, sample_block_calls):
+        plan = _plan(_sparse_pair(n, np.random.default_rng([20261018, n])))
+        _descent_equals_matrix_walk(plan, 150, 3, sample_block_calls)
+
+    def test_zero_step_plan(self, sample_block_calls):
+        v = validate([0.5, 0.3, 0.2], squared=True)
+        plan = dataclasses.replace(plan_full(v, v), steps=())
+        _descent_equals_matrix_walk(plan, 20, 3, sample_block_calls)
+
+    @pytest.mark.parametrize("shots", [1, 64, 65, 150])
+    @pytest.mark.parametrize("pair", [N4_PAIR, N10_PAIR], ids=["n4", "n10"])
+    def test_small_shot_blocks(self, pair, shots, monkeypatch, sample_block_calls):
+        monkeypatch.setattr(oracle, "SHOT_BLOCK", 64)
+        _descent_equals_matrix_walk(_plan(pair), shots, 2**64 + 3, sample_block_calls)
+
+    @pytest.mark.parametrize("shots", [1, oracle.SHOT_BLOCK + 1])
+    def test_default_shot_block(self, shots, sample_block_calls):
+        plan = _ladder_plan(12, np.random.default_rng([20261018, 12]))
+        verified = verify_plan(plan)
+        descended = sample_trajectories(plan, shots, 7, verified=verified)
+        assert sample_block_calls == []
+        walked = sample_trajectories(plan, shots, 7)
+        assert repr(descended) == repr(walked)
+        assert list(descended.path_counts) == list(walked.path_counts)
+
+    @pytest.mark.parametrize(
+        "report_of",
+        [
+            lambda plan: verify_plan(_plan(N10_PAIR)),
+            lambda plan: verify_plan(plan, path_limit=0),
+            lambda plan: dataclasses.replace(verify_plan(plan)),
+        ],
+        ids=["equal-plan", "not-walked", "rebuilt-report"],
+    )
+    def test_other_reports_walk_the_matrices(self, report_of, sample_block_calls):
+        # Only a report of this very plan whose walk went down every path
+        # holds its table; an equal plan's report does not count.
+        plan = _plan(N10_PAIR)
+        verified = report_of(plan)
+        walked = sample_trajectories(plan, 300, 5)
+        assert len(sample_block_calls) == 1
+        fallback = sample_trajectories(plan, 300, 5, verified=verified)
+        assert len(sample_block_calls) == 2
+        assert repr(fallback) == repr(walked)
+
+    @pytest.mark.parametrize("verified", ["report", 0, object()])
+    def test_verified_must_be_a_report(self, n4_pair, verified):
+        with pytest.raises(ValidationError, match=r"^verified must be a VerificationReport"):
+            sample_trajectories(plan_full(*n4_pair), 10, 1, verified=verified)
+
+
+def _simulate(pair, shots):
+    """cli.main's simulate answer for a pair of squared coefficients."""
+    source, target = pair
+    stdin = io.StringIO(json.dumps({"source": list(source), "target": list(target)}))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    argv = ["simulate", "--squared", "--shots", str(shots), "--seed", "9", "--format", "machine"]
+    code = cli.main(argv, stdin=stdin, stdout=stdout, stderr=stderr)
+    assert (code, stderr.getvalue()) == (0, "")
+    return stdout.getvalue()
+
+
+class TestSimulateDescendsTheVerifiedWalk:
+    """The simulate command samples from the report verify_plan gave it:
+    plans whose paths were walked never reach _sample_block, and plans with
+    too many paths to walk do."""
+
+    def test_walked_plan_never_walks_matrices(self, monkeypatch):
+        descended = _simulate(N4_PAIR, 500)
+
+        def refuse(runtime, draws):
+            raise AssertionError("_sample_block called")
+
+        monkeypatch.setattr(oracle, "_sample_block", refuse)
+        assert _simulate(N4_PAIR, 500) == descended
+        monkeypatch.undo()
+        # The same bytes from the matrix walk, with the report's table gone.
+        verify = cli.verify_plan
+        monkeypatch.setattr(cli, "verify_plan", lambda plan: dataclasses.replace(verify(plan)))
+        assert _simulate(N4_PAIR, 500) == descended
+
+    def test_unwalked_plan_walks_matrices(self, sample_block_calls):
+        answer = json.loads(_simulate(N32_PAIR, 40))
+        assert answer["verification"]["path"]["enumerated"] is False
+        assert sample_block_calls == [40]
+
+
 def _plan(pair):
     return plan_full(*(validate(x, squared=True) for x in pair))
 
@@ -717,6 +870,31 @@ class TestKernelMatchesLiteralProducts:
                 assert prob_b[g] == p == prob[g, b]
                 assert np.array_equal(alone[g], corrected)
                 assert np.array_equal(block[3 * g + b], corrected)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12, 16])
+    def test_leaf_deviation_against_the_target_relabelled_back(self, n):
+        # The walk's last step compares each unrelabelled matrix with P^T T
+        # P; relabelling it and comparing with T gives the same bits.
+        rng = np.random.default_rng([20261019, n])
+        states = rng.standard_normal((5, n, n))
+        states /= np.sqrt(np.sum(states * states, axis=(1, 2)))[:, None, None]
+        target = rng.standard_normal((n, n))
+        diags = rng.random((3, n))
+        perms = [rng.permutation(n) for _ in range(3)]
+        invs = np.argsort(perms, axis=1)
+        out, prob = oracle._scale(states[:, None], diags[:, :, None])
+        block = np.empty((15, n, n))
+        gather = oracle._gather_indices(invs) + n * n * np.arange(3)[:, None]
+        oracle._relabel(out, prob, gather.ravel(), block)
+        relabelled = np.abs(block - target).max(axis=(1, 2))
+        back = oracle._target_back(target, invs)
+        devs = oracle._leaf_devs(out, prob, back)
+        assert devs.tobytes() == relabelled.tobytes()
+        for g, state in enumerate(states):
+            for b, (d, perm) in enumerate(zip(diags, perms)):
+                post, _ = apply_kraus(FullState(state.copy()), DiagonalKraus(tuple(d)))
+                corrected = apply_correction(post, tuple(perm)).matrix
+                assert devs[3 * g + b] == float(np.max(np.abs(corrected - target)))
 
 
 def _stacked_step_checks(plan):
@@ -962,8 +1140,9 @@ class TestStepWithoutOutcomes:
         [
             lambda plan: run_trajectory(plan, seed=1, shot_index=0),
             lambda plan: sample_trajectories(plan, 100, seed=1),
+            lambda plan: sample_trajectories(plan, 100, seed=1, verified=verify_plan(plan)),
         ],
-        ids=["run_trajectory", "sample_trajectories"],
+        ids=["run_trajectory", "sample_trajectories", "sample_trajectories-verified"],
     )
     def test_raises(self, empty_step_plan, walk):
         with pytest.raises(ValidationError, match=r"step 1 has no outcomes"):
