@@ -141,14 +141,18 @@ class LadderPlan:
     target: SchmidtVector
 
 
-def _window_decompose(layout: Sequence[float], window: Sequence[int]) -> tuple[SchmidtVector, float]:
-    """The block at window's basis indices of layout, normalized and
-    sorted, and the norm it was normalized by."""
-    vals = [layout[i] for i in window]
+def _window_weight(layout: Sequence[float], window: Sequence[int]) -> tuple[tuple, float]:
+    """layout's entries at window's indices and their norm; ZeroBlockNorm at norm**2 <= EPS_ZERO."""
+    vals = tuple(layout[i] for i in window)
     norm_sq = sum(x * x for x in vals)
     if norm_sq <= EPS_ZERO:
         raise ZeroBlockNorm(f"block at indices {tuple(window)} carries no weight")
-    c = math.sqrt(norm_sq)
+    return vals, math.sqrt(norm_sq)
+
+
+def _window_decompose(layout: Sequence[float], window: Sequence[int]) -> tuple[SchmidtVector, float]:
+    """window's block of layout, normalized and sorted, and its norm (_window_weight)."""
+    vals, c = _window_weight(layout, window)
     # checked: a checked layout's entries over their norm, sorted; choose_omega refuses n < 2.
     return SchmidtVector._trusted(tuple(sorted((x / c for x in vals), reverse=True))), c
 
@@ -397,11 +401,8 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
     if not (in_range and probability_defect(block_step) <= EPS_COMPLETE):
         raise ChainInvariantViolated("block step probabilities must lie in [0, 1] and sum to one")
 
-    source_window = tuple(source_layout[i] for i in idx)
+    source_window, c = _window_weight(source_layout, idx)
     target_window = tuple(target_layout[i] for i in idx)
-    c = math.sqrt(sum(x * x for x in source_window))
-    if not c:
-        raise ZeroBlockNorm(f"block at indices {idx} carries no weight")
     scaled = sorted((x / c for x in target_window), reverse=True)
     if not amps_agree(scaled, block_step.target.amps):
         raise IndexRangeInvalid("target window content disagrees with the block target")

@@ -2,29 +2,29 @@
 
 States live here as full n x n amplitude matrices in the product basis, so a
 defective operator cannot hide behind the diagonal shortcut used by the
-planner.  verify_plan's per-step checks apply each operator with apply_kraus
-and the rest as literal matrix products, stacked per step: one np.matmul
-per product over the step's (branches, n, n) matrices.  Their reduced
-spectra come from _spectra: an exactly diagonal reduced density matrix
-takes its sorted diagonal, which is LAPACK's eigvalsh answer bit for bit,
-and anything else goes to one batched eigvalsh.  Its branch-path walk and
-the trajectory sampler apply operators and corrections by row scaling and
-index permutation of the full matrix, which gives the literal products'
+planner.  Every check reads a plan's operators and corrections through one
+_PlanRuntime, which refuses an operator of the wrong dimension and any
+correction that apply_correction refuses, naming the step and branch.
+verify_plan's per-step checks apply each operator with apply_kraus and the
+rest as literal matrix products, one np.matmul per product over the step's
+stacked (branches, n, n) matrices; _spectra takes an exactly diagonal
+reduced density matrix's sorted diagonal, LAPACK's eigvalsh answer bit for
+bit, and sends anything else to one batched eigvalsh.  Its branch-path walk
+and the trajectory sampler apply operators and corrections by row scaling
+and index permutation of the full matrix, which gives the literal products'
 values bit for bit (a product with a diagonal or permutation matrix adds
-only exact zeros), without building the matrices.  Both move batches of
-path prefixes as one array through one kernel (_scale, _relabel); the walk
-expands a batch by all of a step's branches in one pass of it, and keeps
-a path table: each prefix's running branch sums, each path's deviation.
-Trajectory sampling draws from per-shot counter-based streams, so a report
-depends only on (plan, shots, seed).  It runs in one thread, in blocks of
-shots whose streams are computed together as one Philox array.  The shots
-descend the path table of a report that walked this very plan, or else
+only exact zeros).  Both move batches of path prefixes as one array through
+one kernel (_scale, _relabel); the walk expands a batch by all of a step's
+branches in one pass, and keeps a path table: each prefix's running branch
+sums, each path's deviation.  Trajectory sampling draws from per-shot
+counter-based streams, so a report depends only on (plan, shots, seed), in
+one thread, in blocks of shots whose streams are one Philox array.  The
+shots descend the path table of a report that walked this very plan, or else
 walk chunks of distinct path prefixes a step at a time, so that shots
 sharing a prefix share its arithmetic; one choice rule serves both.
 run_trajectory is the prefix walk over a block of one shot.  Every shot's
-draws, path and final deviation are bit-identical to walking that shot
-alone with numpy's own Philox stream, the reference the tests compare
-against.
+draws, path and final deviation are bit-identical to walking that shot alone
+with numpy's own Philox stream, the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -113,12 +113,21 @@ def apply_kraus(state: FullState, op: DiagonalKraus, party: str = "A"):
     return post, prob
 
 
+def _integer_type(kind: type) -> bool:
+    """Whether kind is a Python or numpy integer type, bool excluded."""
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+def _is_permutation(perm: tuple, n: int) -> bool:
+    """Whether perm holds integers, not bools, that permute 0..n-1."""
+    return all(map(_integer_type, set(map(type, perm)))) and sorted(perm) == list(range(n))
+
+
 def apply_correction(state: FullState, perm) -> FullState:
     """Relabel basis states on both parties: index j becomes perm[j].
     ValidationError unless perm is a permutation of 0..n-1 of integers."""
     n, perm = state.n, tuple(perm)
-    ints = all(isinstance(t, (int, np.integer)) and not isinstance(t, bool) for t in perm)
-    if not ints or sorted(perm) != list(range(n)):
+    if not _is_permutation(perm, n):
         raise ValidationError(f"correction {perm} is not a permutation of 0..{n - 1}")
     p = np.zeros((n, n))
     for j, t in enumerate(perm):
@@ -183,20 +192,19 @@ def _spectra(rho):
     return np.linalg.eigvalsh(rho)
 
 
-def _check_step(k, step, psi: FullState, next_matrix, next_spectrum) -> StepCheck:
+def _check_step(k, step, scales, invs, psi: FullState, next_matrix, next_spectrum) -> StepCheck:
     """One step's checks, from psi to the chain's next state.
 
-    Each outcome is applied with apply_kraus, the literal reference, so a
-    branch's probability, its zero-probability case and the check on its
-    post state are apply_kraus's own (perfbench's tracer also counts these
-    calls).  The rest are literal matrix products on the step's stacked
-    (branches, n, n) operators, permutation matrices and post states, one
-    np.matmul each.  The reduced spectra are _spectra's: the sorted diagonal
-    of each exactly diagonal reduced density matrix, else one batched
-    eigvalsh, equal bit for bit.  numpy multiplies and diagonalises each
-    matrix of a stack as it does a lone one, so the values are those of
-    apply_correction and reduced_spectrum branch by branch, and every
-    corrected state meets FullState's checks, as in apply_correction.
+    scales and invs are the step's arrays in the plan's _PlanRuntime, which
+    checked them.  Each outcome is applied with apply_kraus, the literal
+    reference, so a branch's probability, its zero-probability case and the
+    check on its post state are apply_kraus's own (perfbench's tracer also
+    counts these calls).  The rest are literal matrix products on the
+    step's stacked (branches, n, n) operators, permutation matrices and post
+    states, one np.matmul each; the reduced spectra are _spectra's.  numpy
+    multiplies and diagonalises each matrix of a stack as it does a lone
+    one, so the values are those of apply_correction and reduced_spectrum
+    branch by branch, and every corrected state meets FullState's checks.
     """
     n = psi.n
     branches = step.branches
@@ -208,7 +216,7 @@ def _check_step(k, step, psi: FullState, next_matrix, next_spectrum) -> StepChec
         posts[i] = post.matrix
         probs.append(prob)
     ops = np.zeros((count, n * n))
-    ops[:, :: n + 1] = np.reshape([br.op.diag for br in branches], (count, n))
+    ops[:, :: n + 1] = scales.reshape(count, n)
     ops = ops.reshape(count, n, n)
     # Summed branch by branch, in branch order.
     total = np.zeros((n, n))
@@ -217,10 +225,10 @@ def _check_step(k, step, psi: FullState, next_matrix, next_spectrum) -> StepChec
     total -= np.eye(n)
     completeness_dev = float(np.abs(total, out=total).max())
     prob_sum_dev = abs(sum(br.prob for br in branches) - 1.0)
-    # perms[i] has a one at (t, j) for each j -> t of branch i's correction.
-    labels = np.array([br.correction for br in branches], dtype=np.intp)
+    # perms[i] has a one at (t, j) for each j -> t of branch i's correction,
+    # that is at (t, invs[i, t]).
     perms = np.zeros((count, n, n))
-    perms[np.arange(count)[:, None], labels.reshape(count, n), np.arange(n)] = 1.0
+    perms[np.arange(count)[:, None], np.arange(n), invs] = 1.0
     corrected = np.matmul(np.matmul(perms, posts), perms.transpose(0, 2, 1))
     for matrix in corrected:
         FullState(matrix)
@@ -239,30 +247,31 @@ def _check_step(k, step, psi: FullState, next_matrix, next_spectrum) -> StepChec
 def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport:
     """Recheck a plan step by step against full-matrix arithmetic.
 
-    Verifies per-index completeness, branch probabilities, post-correction
-    states and reduced spectra against the chain (_check_step): apply_kraus
-    per branch, then literal matrix products stacked over the step's
-    branches, with the values of the per-branch apply_kraus,
-    apply_correction and reduced_spectrum.  A reduced density matrix that is
-    exactly diagonal takes its sorted diagonal as its spectrum, which is
-    eigvalsh's answer bit for bit; any other goes to eigvalsh (_spectra).
-    Then walks every branch path end to end (when their number is within
-    path_limit) on full amplitude matrices, by row scaling and index
-    permutation (_walk_paths); the path check equals, bit for bit, that of
-    walking each path with apply_kraus and apply_correction.  The walk's
-    path table stays on the report, outside its fields, for
-    sample_trajectories to descend.
+    Reads the plan's operators and corrections once, into one _PlanRuntime,
+    whatever path_limit is.  Verifies per-index completeness, branch
+    probabilities, post-correction states and reduced spectra against the
+    chain (_check_step): apply_kraus per branch, then literal matrix
+    products stacked over the step's branches, with the values of the
+    per-branch apply_kraus, apply_correction and reduced_spectrum.  A
+    reduced density matrix that is exactly diagonal takes its sorted
+    diagonal as its spectrum, which is eigvalsh's answer bit for bit; any
+    other goes to eigvalsh (_spectra).  Then walks every branch path end to
+    end (when their number is within path_limit) on full amplitude
+    matrices, by row scaling and index permutation (_walk_paths); the path
+    check equals, bit for bit, that of walking each path with apply_kraus
+    and apply_correction.  The walk's path table stays on the report,
+    outside its fields, for sample_trajectories to descend.
 
     Deviations are reported, not raised.  A plan that cannot be applied at
-    all raises: DimensionMismatch for an operator of the wrong dimension,
-    ValidationError for an outcome of zero probability, for a path_limit
-    that is not an integer or, when the paths are walked, for a correction
-    that is not a permutation of the basis labels.
+    all raises, naming the step and branch: DimensionMismatch for an
+    operator of the wrong dimension, ValidationError for a correction that
+    apply_correction would refuse.  ValidationError also for an outcome of
+    zero probability and for a path_limit that is not an integer.
     """
     path_limit = _integer("path_limit", path_limit)
     path_count = math.prod(len(step.branches) for step in plan.steps)
     # Built first, so a malformed correction is named before any check runs.
-    runtime = _PlanRuntime(plan) if path_count <= path_limit else None
+    runtime = _PlanRuntime(plan)
     layouts = plan.chain.layouts
     step_checks = []
     worst = 0.0
@@ -272,7 +281,7 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
         psi = FullState.from_layout(layouts[k])
         next_matrix = np.diag(np.asarray(layouts[k + 1], dtype=float))
         next_spectrum = np.asarray(plan.chain.states[k + 1].squares)
-        check = _check_step(k, step, psi, next_matrix, next_spectrum)
+        check = _check_step(k, step, *runtime.steps[k], psi, next_matrix, next_spectrum)
         for b in check.branch_checks:
             worst = max(worst, b.prob_dev, b.post_state_dev, b.spectrum_dev)
             passed &= b.prob_dev <= TOL_PROB and b.post_state_dev <= TOL_STATE
@@ -283,7 +292,7 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
         passed &= check.prob_sum_dev <= TOL_PROB_SUM
 
     table = None
-    if runtime is not None:
+    if path_count <= path_limit:
         total_prob, max_final_dev, bounds, devs = _walk_paths(runtime)
         table = _PathTable(plan, bounds, devs)
     else:
@@ -291,7 +300,7 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
         total_prob = math.prod(sum(br.prob for br in step.branches) for step in plan.steps)
         max_final_dev = 0.0
     path = PathCheck(
-        enumerated=runtime is not None,
+        enumerated=table is not None,
         path_count=path_count,
         total_prob_dev=abs(total_prob - 1.0),
         max_final_dev=max_final_dev,
@@ -380,41 +389,38 @@ def _shot_draws(seed: int, first_shot: int, count: int, depth: int) -> np.ndarra
 
 
 class _PlanRuntime:
-    """Precomputed arrays for the trajectory and branch-path walks.
+    """A plan's operators and corrections as arrays, the oracle's one
+    reader of them: for _check_step, _walk_paths and _sample_block.
 
-    Diagonal operators are applied by row scaling and corrections by index
-    permutation; both reproduce the literal matrix products bit for bit on
-    the full amplitude matrix, just without the per-shot allocations.
-    _sample_block (chunks of shots' path prefixes) and _walk_paths (every
-    path) share these arrays and apply them with the same operations in the
-    same order.  Per step they are the operators' diagonals as columns,
-    (branches, n, 1), so that a product scales rows, and the inverse
-    corrections, (branches, n), which the walks index by.
-    Every operator must have the state's dimension and every correction
-    must permute the basis labels.
+    Per step, views of one array each for the whole plan: the operators'
+    diagonals as columns, (branches, n, 1), so that a product scales rows,
+    and the inverse corrections, (branches, n), which the walks index by.
+    An operator of the wrong dimension raises DimensionMismatch, and a
+    correction that fails apply_correction's rule (_is_permutation)
+    ValidationError, each naming the step and branch.
     """
 
     def __init__(self, plan: LadderPlan):
         self.start = np.diag(np.asarray(plan.chain.layouts[0], dtype=float))
         self.target = np.diag(np.asarray(plan.chain.layouts[-1], dtype=float))
         n = len(self.start)
-        labels = list(range(n))
-        self.steps = []
+        branches, ends = [], []
         for k, step in enumerate(plan.steps):
             for i, br in enumerate(step.branches):
                 if br.op.n != n:
                     raise DimensionMismatch(
                         f"step {k} branch {i}: operator dim {br.op.n} vs state dim {n}"
                     )
-                if sorted(br.correction) != labels:
+                if not _is_permutation(br.correction, n):
                     raise ValidationError(
                         f"step {k} branch {i}: correction {tuple(br.correction)} "
                         f"is not a permutation of 0..{n - 1}"
                     )
-            count = len(step.branches)
-            diags = np.array([br.op.diag for br in step.branches], dtype=float)
-            perms = np.reshape([br.correction for br in step.branches], (count, n))
-            self.steps.append((diags.reshape(count, n, 1), np.argsort(perms, axis=1)))
+            branches += step.branches
+            ends.append(len(branches))
+        diags = np.array([br.op.diag for br in branches], dtype=float).reshape(-1, n, 1)
+        invs = np.argsort(np.reshape([br.correction for br in branches], (-1, n)), axis=1)
+        self.steps = [(diags[a:b], invs[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 # Matrix entries walked as one array: a batch holds this many entries' worth
@@ -720,7 +726,7 @@ def _sampling_runtime(plan: LadderPlan) -> _PlanRuntime:
 
 def _integer(name: str, value) -> int:
     """value as a Python int: a Python or numpy integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _integer_type(type(value)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -730,14 +736,8 @@ def run_trajectory(plan: LadderPlan, seed: int, shot_index: int) -> TrajectoryRe
     sample_trajectories(plan, shots, seed), walked as a block of one shot."""
     seed = _integer("seed", seed)
     # Philox keys the shot's stream with its index as one uint64 word.
-    if (
-        isinstance(shot_index, bool)
-        or not isinstance(shot_index, (int, np.integer))
-        or not 0 <= shot_index < 1 << 64
-    ):
-        raise ValidationError(
-            f"shot_index must be an integer in [0, 2**64), got {shot_index!r}"
-        )
+    if not (_integer_type(type(shot_index)) and 0 <= shot_index < 1 << 64):
+        raise ValidationError(f"shot_index must be an integer in [0, 2**64), got {shot_index!r}")
     runtime = _sampling_runtime(plan)
     draws = _shot_draws(seed, shot_index, 1, len(runtime.steps))
     paths, _, dev = _sample_block(runtime, draws)

@@ -129,7 +129,7 @@ def validate(
     if len(vals) < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {len(vals)}")
     # As in SchmidtVector: the loop runs only to name the first bad entry.
-    if not (all(map(math.isfinite, vals)) and min(vals) >= 0.0):
+    if not _finite_nonnegative(vals):
         for j, x in enumerate(vals):
             if not math.isfinite(x):
                 raise NegativeEntry(f"non-finite entry {x!r} at index {j}")
@@ -174,8 +174,7 @@ def majorizes(source: SchmidtVector, target: SchmidtVector) -> MajorizationRepor
 
 def states_equal(a: SchmidtVector, b: SchmidtVector) -> bool:
     """Whether two states agree in every squared coefficient within EPS_CMP."""
-    diffs = map(abs, map(operator.sub, a.squares, b.squares))
-    return all(map(operator.le, diffs, repeat(EPS_CMP)))
+    return amps_agree(a.squares, b.squares)
 
 
 def amps_agree(a: Sequence[float], b: Sequence[float]) -> bool:

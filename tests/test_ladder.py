@@ -510,6 +510,16 @@ class TestEmbedStep:
         with pytest.raises(ZeroBlockNorm, match=r"^block at indices \(2, 3\) carries no weight$"):
             embed_step(trivial, _identity_chain(v, (2, 3)), 0)
 
+    def test_window_weight_at_most_eps_zero(self):
+        # The window's squared weight is 1e-13, under EPS_ZERO and not zero:
+        # embed_step weighs it as _window_decompose does.
+        tail = math.sqrt(5e-14)
+        v = SchmidtVector((math.sqrt(0.5), math.sqrt(0.5 - 1e-13), tail, tail))
+        block = validate([0.5, 0.5], squared=True)
+        trivial = ladder.solve2(block, block)
+        with pytest.raises(ZeroBlockNorm, match=r"^block at indices \(2, 3\) carries no weight$"):
+            embed_step(trivial, _identity_chain(v, (2, 3)), 0)
+
     def test_block_target_must_match_the_next_layout(self, n4_pair):
         source, target = n4_pair
         chain = intermediate_chain(source, target, 3)

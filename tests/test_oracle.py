@@ -1,9 +1,11 @@
+import ast
 import dataclasses
 import io
 import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,19 +40,21 @@ from helpers import (
 )
 
 
+def _replace_branch(plan, k, i, **changes):
+    """Copy of plan with branch i of step k changed."""
+    step = plan.steps[k]
+    branches = list(step.branches)
+    branches[i] = dataclasses.replace(branches[i], **changes)
+    steps = list(plan.steps)
+    steps[k] = dataclasses.replace(step, branches=tuple(branches))
+    return dataclasses.replace(plan, steps=tuple(steps))
+
+
 def perturb_plan(plan, step_idx, branch_idx, entry_idx, delta):
     """Copy of the plan with one operator entry shifted by delta."""
-    step = plan.steps[step_idx]
-    branch = step.branches[branch_idx]
-    diag = list(branch.op.diag)
+    diag = list(plan.steps[step_idx].branches[branch_idx].op.diag)
     diag[entry_idx] += delta
-    new_branch = dataclasses.replace(branch, op=DiagonalKraus(tuple(diag)))
-    branches = list(step.branches)
-    branches[branch_idx] = new_branch
-    new_step = dataclasses.replace(step, branches=tuple(branches))
-    steps = list(plan.steps)
-    steps[step_idx] = new_step
-    return dataclasses.replace(plan, steps=tuple(steps))
+    return _replace_branch(plan, step_idx, branch_idx, op=DiagonalKraus(tuple(diag)))
 
 
 class TestFullState:
@@ -1149,28 +1153,105 @@ class TestStepWithoutOutcomes:
             walk(empty_step_plan)
 
 
-class TestCorrectionMustPermute:
-    """A correction that repeats a label is no relabelling, and every walk
-    refuses it, naming the step and branch."""
+class TestPlanIntake:
+    """Every entry point reads a plan through one _PlanRuntime, so a
+    correction that is no relabelling under apply_correction's rule, or an
+    operator of the wrong dimension, is refused the same way, naming the
+    step and branch, whether or not the paths are walked."""
 
-    @pytest.fixture
-    def bad_plan(self, n4_pair):
-        plan = plan_full(*n4_pair)
-        step = plan.steps[0]
-        branches = list(step.branches)
-        branches[1] = dataclasses.replace(branches[1], correction=(0, 0, 2, 3))
-        bad_step = dataclasses.replace(step, branches=tuple(branches))
-        return dataclasses.replace(plan, steps=(bad_step,) + plan.steps[1:])
+    WALKS = [
+        lambda plan: verify_plan(plan, path_limit=0),
+        verify_plan,
+        lambda plan: sample_trajectories(plan, 100, seed=1),
+        lambda plan: run_trajectory(plan, seed=1, shot_index=0),
+    ]
+    WALK_IDS = ["verify_plan-unwalked", "verify_plan", "sample_trajectories", "run_trajectory"]
 
+    @pytest.mark.parametrize("walk", WALKS, ids=WALK_IDS)
     @pytest.mark.parametrize(
-        "walk",
+        "correction",
         [
-            lambda plan: run_trajectory(plan, seed=1, shot_index=0),
-            lambda plan: sample_trajectories(plan, 100, seed=1),
-            verify_plan,
+            (0, 1, 2, 7),
+            (0, 0, 2, 3),
+            (0, 1, 2),
+            (0.4, 1.4, 2.4, 3.4),
+            (0.0, 1.0, 2.0, 3.0),
+            (False, True, 2, 3),
         ],
-        ids=["run_trajectory", "sample_trajectories", "verify_plan"],
+        ids=["out-of-range", "repeated", "short", "fractional", "integral-floats", "bools"],
     )
-    def test_raises(self, bad_plan, walk):
-        with pytest.raises(ValidationError, match=r"step 0 branch 1: correction \(0, 0, 2, 3\)"):
-            walk(bad_plan)
+    def test_malformed_correction(self, n4_pair, correction, walk):
+        bad = _replace_branch(plan_full(*n4_pair), 0, 1, correction=correction)
+        labels = re.escape(str(correction))
+        message = rf"^step 0 branch 1: correction {labels} is not a permutation of 0\.\.3$"
+        with pytest.raises(ValidationError, match=message):
+            walk(bad)
+
+    @pytest.mark.parametrize("walk", WALKS, ids=WALK_IDS)
+    def test_operator_of_the_wrong_dimension(self, n4_pair, walk):
+        bad = _replace_branch(plan_full(*n4_pair), 1, 0, op=DiagonalKraus((1.0,) * 5))
+        message = r"^step 1 branch 0: operator dim 5 vs state dim 4$"
+        with pytest.raises(DimensionMismatch, match=message):
+            walk(bad)
+
+    def test_fractional_labels_on_an_unwalked_plan(self):
+        source, target = dense_pair(24)
+        plan = plan_full(validate(source, squared=True), validate(target, squared=True))
+        assert not verify_plan(plan).path_check.enumerated
+        correction = tuple(j + 0.4 for j in plan.steps[3].branches[2].correction)
+        bad = _replace_branch(plan, 3, 2, correction=correction)
+        with pytest.raises(ValidationError, match=r"^step 3 branch 2: correction \(0\.4, 1\.4, "):
+            verify_plan(bad)
+
+    @pytest.mark.parametrize("limit", [0, 5, 6, 20000])
+    def test_verify_plan_builds_one_runtime(self, n4_pair, limit, monkeypatch):
+        built = []
+
+        class Counted(oracle._PlanRuntime):
+            def __init__(self, plan):
+                built.append(plan)
+                super().__init__(plan)
+
+        monkeypatch.setattr(oracle, "_PlanRuntime", Counted)
+        plan = plan_full(*n4_pair)
+        report = verify_plan(plan, path_limit=limit)
+        assert report.path_check.enumerated == (limit >= 6)
+        assert built == [plan]
+
+
+def _attribute_readers(source, names):
+    """{attribute: set of qualified names of the functions that read it}
+    for each attribute name in names, over source; numpy's own (np.diag)
+    are not reads."""
+    readers = {name: set() for name in names}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in readers:
+                if not (isinstance(child.value, ast.Name) and child.value.id == "np"):
+                    readers[child.attr].add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return readers
+
+
+def test_plan_runtime_is_the_one_reader():
+    # Operators and corrections enter the oracle through _PlanRuntime;
+    # apply_kraus, the literal reference, reads its own operator.
+    readers = _attribute_readers(Path(oracle.__file__).read_text(), ("correction", "diag"))
+    assert readers == {
+        "correction": {"_PlanRuntime.__init__"},
+        "diag": {"_PlanRuntime.__init__", "apply_kraus"},
+    }
+    sample = (
+        "class A:\n    def f(self, b):\n        return b.diag\n\n"
+        "def g(b):\n    return np.diag(b.x.correction)\n"
+    )
+    assert _attribute_readers(sample, ("correction", "diag")) == {
+        "correction": {"g"},
+        "diag": {"A.f"},
+    }
