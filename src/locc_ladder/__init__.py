@@ -3,6 +3,11 @@
 Feasibility checking (majorization), closed-form 2- and 3-dimensional
 measurement solvers, multi-step ladder planning, and an independent
 full-matrix oracle with seeded Monte Carlo trajectory sampling.
+
+The oracle's nine names load on first access (``__getattr__``, PEP 562),
+and with them numpy: the planner is scalar arithmetic, so a process that
+never verifies or samples a plan imports neither.  Every other name is
+imported here.
 """
 
 __version__ = "0.1.0"
@@ -35,17 +40,6 @@ from .ladder import (
     greatest_first_chain,
     intermediate_chain,
     plan_full,
-)
-from .oracle import (
-    FrequencyReport,
-    FullState,
-    TrajectoryRecord,
-    VerificationReport,
-    apply_correction,
-    apply_kraus,
-    run_trajectory,
-    sample_trajectories,
-    verify_plan,
 )
 from .schmidt import (
     EPS_CMP,
@@ -128,3 +122,31 @@ __all__ = [
     "validate",
     "verify_plan",
 ]
+
+# Resolved from the oracle on first access; see the module docstring.
+_ORACLE_NAMES = frozenset(
+    {
+        "FrequencyReport",
+        "FullState",
+        "TrajectoryRecord",
+        "VerificationReport",
+        "apply_correction",
+        "apply_kraus",
+        "run_trajectory",
+        "sample_trajectories",
+        "verify_plan",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _ORACLE_NAMES)

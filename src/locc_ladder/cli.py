@@ -14,6 +14,13 @@ The argument parser is built once per process, on the first ``main`` call,
 and reused: ``parse_args`` leaves it unchanged, so calls stay independent.
 Its help and usage errors go to the streams passed to ``main``, by
 redirecting ``sys.stdout`` and ``sys.stderr`` while the arguments are parsed.
+
+The oracle, and with it numpy, is imported by the first ``verify_plan`` or
+``sample_trajectories`` call, so ``check``, ``demo-infeasible``, every exit 2
+or 3 refusal and every input or usage error run without numpy.  The two are
+module functions, not a module ``__getattr__``: global lookups never call
+that, and callers rebind or patch them by name here (perfbench's tracer
+through ``inspect.getattr_static``, the tests with ``monkeypatch``).
 """
 
 from __future__ import annotations
@@ -29,8 +36,7 @@ from typing import Optional, Sequence, TextIO
 
 from .errors import InvariantViolated, LadderInfeasible, LoccLadderError, ValidationError
 from .ladder import InfeasibilityCertificate, greatest_first_chain, plan_full
-from .oracle import MAX_ORACLE_DIM, sample_trajectories, verify_plan
-from .schmidt import majorizes
+from .schmidt import MAX_ORACLE_DIM, majorizes
 from .transcript import (
     ProblemSpec,
     Transcript,
@@ -110,6 +116,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--m", type=int, default=2, help="block size for the demonstrator chain"
     )
     return parser
+
+
+def verify_plan(plan):
+    """oracle.verify_plan, the oracle imported on first call."""
+    from .oracle import verify_plan
+
+    return verify_plan(plan)
+
+
+def sample_trajectories(plan, shots, seed, *, verified=None):
+    """oracle.sample_trajectories, the oracle imported on first call."""
+    from .oracle import sample_trajectories
+
+    return sample_trajectories(plan, shots, seed, verified=verified)
 
 
 class _Refused(Exception):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 from .ladder import LadderPlan
-from .schmidt import EPS_NORM, EPS_ZERO
+from .schmidt import EPS_NORM, EPS_ZERO, MAX_ORACLE_DIM
 from .solvers import DiagonalKraus
 
 # Verification thresholds.
@@ -50,8 +50,6 @@ TOL_PATH = 1e-10
 # A sampled trajectory counts as arrived when entrywise within this bound.
 TOL_TRAJECTORY = 1e-8
 
-# Keep the oracle matrices desk-scale.
-MAX_ORACLE_DIM = 64
 # Largest diagonal entries read off as they are (_spectra): well inside the
 # range of about [1e-146, 1e146] that LAPACK's dsyevd reduces without first
 # rescaling the matrix (and rounding it differently).
@@ -259,8 +257,8 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     end (when their number is within path_limit) on full amplitude
     matrices, by row scaling and index permutation (_walk_paths); the path
     check equals, bit for bit, that of walking each path with apply_kraus
-    and apply_correction.  The walk's path table stays on the report,
-    outside its fields, for sample_trajectories to descend.
+    and apply_correction.  The runtime and the walk's path table stay on
+    the report, outside its fields, for sample_trajectories to reuse.
 
     Deviations are reported, not raised.  A plan that cannot be applied at
     all raises, naming the step and branch: DimensionMismatch for an
@@ -294,7 +292,7 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     table = None
     if path_count <= path_limit:
         total_prob, max_final_dev, bounds, devs = _walk_paths(runtime)
-        table = _PathTable(plan, bounds, devs)
+        table = _PathTable(bounds, devs)
     else:
         # Too many paths: per-step sums multiply to the total path probability.
         total_prob = math.prod(sum(br.prob for br in step.branches) for step in plan.steps)
@@ -315,6 +313,7 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
         max_deviation=worst,
     )
     # Outside the fields, so eq, repr and hash see the checks alone.
+    object.__setattr__(report, "_runtime", runtime)
     object.__setattr__(report, "_paths", table)
     return report
 
@@ -390,7 +389,9 @@ def _shot_draws(seed: int, first_shot: int, count: int, depth: int) -> np.ndarra
 
 class _PlanRuntime:
     """A plan's operators and corrections as arrays, the oracle's one
-    reader of them: for _check_step, _walk_paths and _sample_block.
+    reader of them: for _check_step, _walk_paths and _sample_block.  It
+    keeps the plan it read, so that sample_trajectories reuses the one on a
+    verify_plan report only for that very plan.
 
     Per step, views of one array each for the whole plan: the operators'
     diagonals as columns, (branches, n, 1), so that a product scales rows,
@@ -401,6 +402,7 @@ class _PlanRuntime:
     """
 
     def __init__(self, plan: LadderPlan):
+        self.plan = plan
         self.start = np.diag(np.asarray(plan.chain.layouts[0], dtype=float))
         self.target = np.diag(np.asarray(plan.chain.layouts[-1], dtype=float))
         n = len(self.start)
@@ -489,13 +491,12 @@ def _relabel(out: np.ndarray, prob: np.ndarray, gather: np.ndarray, dest: np.nda
 
 @dataclass(frozen=True, eq=False)
 class _PathTable:
-    """The branch paths of plan, as verify_plan's walk computed them.
+    """A plan's branch paths, as verify_plan's walk computed them.
     bounds[k] has a row per prefix of k branches, in lexicographic order
     (prefix p then branch b is prefix p * branches + b): the running sums
     of step k's outcome probabilities.  devs has each path's final
     deviation, in the same order."""
 
-    plan: LadderPlan
     bounds: tuple[np.ndarray, ...]
     devs: np.ndarray
 
@@ -763,9 +764,10 @@ def sample_trajectories(
     every branch path, the shots descend its path table (_descend) and touch
     no matrix; otherwise one walk over chunks of path prefixes
     (_sample_block) computes each distinct prefix once for all shots that
-    share it.  Either way the report aggregates run_trajectory over shots
-    0 .. shots - 1, with paths in order of their first shot, and equals,
-    bit for bit, the aggregate of walking each shot alone.
+    share it, on the report's _PlanRuntime when it is this plan's.  Either
+    way the report aggregates run_trajectory over shots 0 .. shots - 1,
+    with paths in order of their first shot, and equals, bit for bit, the
+    aggregate of walking each shot alone.
     """
     shots = _integer("shots", shots)
     if shots < 1:
@@ -774,12 +776,16 @@ def sample_trajectories(
     if not (verified is None or isinstance(verified, VerificationReport)):
         raise ValidationError(f"verified must be a VerificationReport, got {verified!r}")
 
-    table = getattr(verified, "_paths", None)
-    if table is not None and table.plan is plan:
-        _refuse_empty_steps(plan)
+    _refuse_empty_steps(plan)
+    runtime = getattr(verified, "_runtime", None)
+    if runtime is None or runtime.plan is not plan:
+        runtime, table = _PlanRuntime(plan), None
+    else:
+        table = verified._paths
+    if table is not None:
         walk = functools.partial(_descend, table)
     else:
-        walk = functools.partial(_sample_block, _sampling_runtime(plan))
+        walk = functools.partial(_sample_block, runtime)
     depth = len(plan.steps)
     path_counts: dict = {}
     branch_counts = [np.zeros(len(s.branches), dtype=np.int64) for s in plan.steps]

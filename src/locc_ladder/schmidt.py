@@ -29,6 +29,9 @@ EPS_CMP = 1e-12
 EPS_ZERO = 1e-12
 # Completeness / probability-sum tolerance for measurement steps.
 EPS_COMPLETE = 1e-12
+# Largest dimension the full-matrix oracle takes (oracle.py).  Kept here,
+# with no numpy, so that the CLI refuses a larger pair before it plans one.
+MAX_ORACLE_DIM = 64
 
 # Renormalization is skipped below this drift so that serialization
 # round-trips reproduce amplitudes bitwise.

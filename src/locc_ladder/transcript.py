@@ -23,16 +23,16 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import MISSING, dataclass, fields
-from importlib import resources
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .errors import DimensionMismatch, ValidationError
 from .ladder import InfeasibilityCertificate, IntermediateChain, LadderPlan
-from .oracle import TOL_COMPLETENESS, TOL_PATH, TOL_PROB, TOL_PROB_SUM, TOL_SPECTRUM, TOL_STATE
-from .oracle import FrequencyReport, VerificationReport
 from .schmidt import MajorizationReport, SchmidtVector, validate
+
+if TYPE_CHECKING:
+    from .oracle import FrequencyReport, VerificationReport
 
 
 _PAYLOAD_KEYS = ("source", "target", "squared", "autosort")
@@ -306,6 +306,10 @@ def certificate_section(cert: InfeasibilityCertificate) -> dict:
 
 
 def verification_section(report: VerificationReport) -> dict:
+    # Imported here, not at the top: a report exists only once verify_plan
+    # has loaded the oracle, which a run that never verifies does not need.
+    from .oracle import TOL_COMPLETENESS, TOL_PATH, TOL_PROB, TOL_PROB_SUM, TOL_SPECTRUM, TOL_STATE
+
     path = report.path_check
     return {
         "passed": report.passed,
@@ -361,5 +365,8 @@ def frequencies_section(report: FrequencyReport) -> dict:
 
 def load_schema() -> dict:
     """The JSON schema the transcript documents conform to."""
+    # Imported on call: only tests and the benchmark's checks read the schema.
+    from importlib import resources
+
     text = resources.files("locc_ladder").joinpath("transcript.schema.json").read_text()
     return json.loads(text)

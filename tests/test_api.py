@@ -6,7 +6,9 @@ holds for the fields of ``IntermediateChain``, which the transcript's
 closed ``chain`` section and the benchmark read, and for the signature of
 ``sample_trajectories``.  The layering rules
 between the package's modules are pinned here too, read from their source,
-and so is the rule that every unchecked construction names its check.
+among them the import boundary that keeps numpy out of a process that never
+verifies a plan, and so is the rule that every unchecked construction names
+its check.
 """
 
 import ast
@@ -14,8 +16,10 @@ import inspect
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import locc_ladder
-from locc_ladder import IntermediateChain
+from locc_ladder import IntermediateChain, oracle
 
 PUBLIC_NAMES = [
     "BlockTooLarge",
@@ -86,6 +90,42 @@ def test_every_name_resolves():
     assert missing == []
 
 
+ORACLE_NAMES = [
+    "FrequencyReport",
+    "FullState",
+    "TrajectoryRecord",
+    "VerificationReport",
+    "apply_correction",
+    "apply_kraus",
+    "run_trajectory",
+    "sample_trajectories",
+    "verify_plan",
+]
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from locc_ladder import *", namespace)
+    assert [name for name in PUBLIC_NAMES if name not in namespace] == []
+
+
+def test_oracle_names_are_the_oracles_own():
+    # Resolved on first access (the package's __getattr__), not copied.
+    for name in ORACLE_NAMES:
+        assert getattr(locc_ladder, name) is getattr(oracle, name), name
+
+
+def test_dir_lists_the_public_names():
+    assert "__all__" in dir(locc_ladder)
+    assert set(PUBLIC_NAMES) <= set(dir(locc_ladder))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError) as info:
+        locc_ladder.nope
+    assert str(info.value) == "module 'locc_ladder' has no attribute 'nope'"
+
+
 def test_sample_trajectories_signature_is_pinned():
     # verified is keyword-only, so that a report is never passed by position.
     params = inspect.signature(locc_ladder.sample_trajectories).parameters.values()
@@ -137,9 +177,67 @@ def test_oracle_takes_only_plan_data_from_the_planner():
         ("solvers", "DiagonalKraus"),
         ("schmidt", "EPS_NORM"),
         ("schmidt", "EPS_ZERO"),
+        ("schmidt", "MAX_ORACLE_DIM"),
     }
     imports = _package_imports(_module_tree("oracle"))
     assert {(m, name) for m, name in imports if m != "errors"} <= allowed
+
+
+def _import_time_imports(tree):
+    """The Import and ImportFrom nodes that run when the module is imported:
+    outside function bodies and outside ``if TYPE_CHECKING:`` blocks."""
+    found = []
+
+    def visit(nodes):
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.append(node)
+            elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                visit(node.orelse)
+            else:
+                visit(ast.iter_child_nodes(node))
+
+    visit(tree.body)
+    return found
+
+
+def _imports_numpy(tree):
+    return any(
+        (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy")
+        for node in ast.walk(tree)
+    )
+
+
+def _package_modules():
+    return sorted(path.stem for path in Path(locc_ladder.__file__).parent.glob("*.py"))
+
+
+def test_numpy_and_the_oracle_load_on_first_use():
+    # The planner, the transcript and the CLI are scalar Python: only the
+    # oracle and the generators import numpy, and no module imports the
+    # oracle when it is itself imported (the package and the CLI do so
+    # inside a function; transcript.py names the report types for
+    # annotations alone), so a run that never verifies never loads numpy.
+    def imported(name):
+        nodes = _import_time_imports(_module_tree(name))
+        return {module for module, _ in _package_imports(ast.Module(body=nodes, type_ignores=[]))}
+
+    modules = _package_modules()
+    assert [name for name in modules if _imports_numpy(_module_tree(name))] == ["oracle", "sampling"]
+    assert [name for name in modules if "oracle" in imported(name)] == []
+    assert _imports_numpy(ast.parse("def f():\n    from numpy.linalg import norm\n"))
+    assert not _imports_numpy(ast.parse("import numbers\nfrom .numpyish import x\n"))
+    sample = (
+        "from . import ladder\n"
+        "if TYPE_CHECKING:\n    from .oracle import A\nelse:\n    from .oracle import B\n"
+        "class C:\n    from .solvers import D\n"
+        "def f():\n    from .oracle import E\n"
+    )
+    found = [ast.unparse(node) for node in _import_time_imports(ast.parse(sample))]
+    assert found == ["from . import ladder", "from .oracle import B", "from .solvers import D"]
 
 
 def test_transcript_sections_are_built_in_transcript_alone():

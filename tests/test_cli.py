@@ -276,6 +276,66 @@ def test_console_entry_point_runs():
     assert "majorization holds: True" in proc.stdout
 
 
+def _refused_random_pair(n):
+    """A random majorization-feasible pair, as plan-walk draws them, that
+    the ladder refuses; in squared coefficients."""
+    rng = np.random.default_rng([20261019, n])
+    while True:
+        source, target = random_feasible_pair(rng, n)
+        try:
+            cli.plan_full(source, target)
+        except locc_ladder.LadderInfeasible:
+            return {"source": list(source.squares), "target": list(target.squares)}
+
+
+# Run in a fresh interpreter: each case through main, then whether numpy and
+# the oracle are loaded.
+_LOADED_AFTER_EACH = """
+import io, json, sys
+import locc_ladder.cli
+loaded = []
+for argv, text in json.load(sys.stdin):
+    code = locc_ladder.cli.main(argv, io.StringIO(text), io.StringIO(), io.StringIO())
+    loaded.append([code, "numpy" in sys.modules, "locc_ladder.oracle" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_only_when_a_plan_is_verified():
+    # The oracle, and numpy with it, loads at the first verify_plan call, so
+    # a run that ends before verification never imports either.
+    refused = json.dumps(_refused_random_pair(8))
+    machine = ["--squared", "--format", "machine"]
+    wide = json.dumps({"source": [1 / 65] * 65, "target": [1.0] + [0.0] * 64})
+    cases = [
+        (["check", *machine], json.dumps(N4), 0),
+        (["check", "--squared"], json.dumps(FAILING), 2),
+        (["plan", *machine], json.dumps(FAILING), 2),
+        (["plan", *machine], refused, 3),
+        (["plan", "--squared"], json.dumps(LADDER_GAP), 3),
+        (["simulate", *machine, "--shots", "50"], refused, 3),
+        (["demo-infeasible", *machine], json.dumps(GF_FIXTURE), 0),
+        (["--help"], "", 0),
+        (["plan", "--no-such-flag"], "", 1),
+        (["plan", "--squared"], "{not json", 1),
+        (["plan", "--squared"], wide, 1),
+        (["plan", *machine], json.dumps(N4), 0),
+    ]
+    src = str(Path(locc_ladder.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_EACH],
+        input=json.dumps([(argv, text) for argv, text, _ in cases]),
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    verified = [False] * (len(cases) - 1) + [True]
+    expected = [[code, v, v] for (_, _, code), v in zip(cases, verified)]
+    assert json.loads(proc.stdout) == expected
+
+
 GAP_CERT = (
     "[link_not_majorized at step 2] intermediate state 1 is not majorized by "
     "state 2 (tail k=2, margin -5.000e-02); the smallest-first ladder cannot "

@@ -533,6 +533,21 @@ class TestSamplerChunks:
 
 
 @pytest.fixture
+def runtime_builds(monkeypatch):
+    """The plans oracle._PlanRuntime is built for while it is patched with a
+    counting subclass."""
+    built = []
+
+    class Counted(oracle._PlanRuntime):
+        def __init__(self, plan):
+            built.append(plan)
+            super().__init__(plan)
+
+    monkeypatch.setattr(oracle, "_PlanRuntime", Counted)
+    return built
+
+
+@pytest.fixture
 def sample_block_calls(monkeypatch):
     """Shot counts of the blocks oracle._sample_block walks while it is
     patched with a counting wrapper."""
@@ -673,6 +688,15 @@ class TestSimulateDescendsTheVerifiedWalk:
         answer = json.loads(_simulate(N32_PAIR, 40))
         assert answer["verification"]["path"]["enumerated"] is False
         assert sample_block_calls == [40]
+
+    def test_unwalked_plan_reads_the_plan_once(self, runtime_builds, monkeypatch):
+        # The sampler walks the matrices on verify_plan's own _PlanRuntime.
+        answer = _simulate(N32_PAIR, 40)
+        assert len(runtime_builds) == 1
+        verify = cli.verify_plan
+        monkeypatch.setattr(cli, "verify_plan", lambda plan: dataclasses.replace(verify(plan)))
+        assert _simulate(N32_PAIR, 40) == answer
+        assert len(runtime_builds) == 3
 
 
 def _plan(pair):
@@ -1204,19 +1228,21 @@ class TestPlanIntake:
             verify_plan(bad)
 
     @pytest.mark.parametrize("limit", [0, 5, 6, 20000])
-    def test_verify_plan_builds_one_runtime(self, n4_pair, limit, monkeypatch):
-        built = []
-
-        class Counted(oracle._PlanRuntime):
-            def __init__(self, plan):
-                built.append(plan)
-                super().__init__(plan)
-
-        monkeypatch.setattr(oracle, "_PlanRuntime", Counted)
+    def test_verify_plan_builds_one_runtime(self, n4_pair, limit, runtime_builds):
         plan = plan_full(*n4_pair)
         report = verify_plan(plan, path_limit=limit)
         assert report.path_check.enumerated == (limit >= 6)
-        assert built == [plan]
+        assert runtime_builds == [plan]
+
+    @pytest.mark.parametrize("limit", [0, 20000])
+    def test_sampling_reuses_the_reports_runtime(self, n4_pair, limit, runtime_builds):
+        # Walked or not, a report lends its runtime to its own plan alone.
+        plan, other = plan_full(*n4_pair), plan_full(*n4_pair)
+        report = verify_plan(plan, path_limit=limit)
+        sample_trajectories(plan, 50, 1, verified=report)
+        assert runtime_builds == [plan]
+        sample_trajectories(other, 50, 1, verified=report)
+        assert runtime_builds == [plan, other]
 
 
 def _attribute_readers(source, names):
