@@ -244,10 +244,16 @@ def _chain_layouts(source, target, windows, at_start: bool) -> tuple[list, list[
     return layouts, tilde_sqs
 
 
-def _link_refusal(chain: IntermediateChain, message: str) -> Optional[InfeasibilityCertificate]:
+def _link_refusal(
+    chain: IntermediateChain, pair: tuple[SchmidtVector, SchmidtVector], message: str
+) -> Optional[InfeasibilityCertificate]:
     """The certificate, its message formatted with k, next, failing_k and
     margin, for the chain's first link not majorized by its successor; None
-    when every link is, so that the chain is realizable (Nielsen's theorem)."""
+    when every link is, so that the chain is realizable (Nielsen's theorem).
+    pair is the (source, target) that _trivial_pair majorized: a chain whose
+    states are that pair alone is its one link, so it is not tested again."""
+    if chain.states == pair:
+        return None
     for k, (a, b) in enumerate(zip(chain.states, chain.states[1:])):
         report = majorizes(a, b)
         if not report.holds:
@@ -314,6 +320,7 @@ def intermediate_chain(source: SchmidtVector, target: SchmidtVector, m: int) -> 
     chain = _chain(*_chain_layouts(source, target, windows, True), m, windows)
     cert = _link_refusal(
         chain,
+        (source, target),
         "intermediate state {k} is not majorized by state {next} "
         "(tail k={failing_k}, margin {margin:.3e}); "
         "the smallest-first ladder cannot transform this pair",
@@ -367,7 +374,9 @@ def greatest_first_chain(
 
     chain = _chain(layouts, tilde_sqs, m, windows)
     cert = _link_refusal(
-        chain, "intermediate {k} not majorized by its successor (tail k={failing_k})"
+        chain,
+        (source, target),
+        "intermediate {k} not majorized by its successor (tail k={failing_k})",
     )
     return chain if cert is None else cert
 
@@ -431,7 +440,9 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
             raise ChainInvariantViolated("embedded branch does not reproduce the next layout")
         branches.append(
             OutcomeBranch(
-                op=DiagonalKraus(tuple(diag)),
+                # checked: sqrt(prob) for a prob in [0, 1] above, and the
+                # block operator's entries, checked when it was built.
+                op=DiagonalKraus._trusted(tuple(diag)),
                 prob=br.prob,
                 correction=tuple(corr),
                 # checked: the checked op above times a layout, over its norm, sorted.

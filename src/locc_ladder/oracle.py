@@ -4,19 +4,27 @@ States live here as full n x n amplitude matrices in the product basis, so a
 defective operator cannot hide behind the diagonal shortcut used by the
 planner.  Every check reads a plan's operators and corrections through one
 _PlanRuntime, which refuses an operator of the wrong dimension and any
-correction that apply_correction refuses, naming the step and branch.
-verify_plan's per-step checks apply each operator with apply_kraus and the
-rest as literal matrix products, one np.matmul per product over the step's
-stacked (branches, n, n) matrices; _spectra takes an exactly diagonal
-reduced density matrix's sorted diagonal, LAPACK's eigvalsh answer bit for
-bit, and sends anything else to one batched eigvalsh.  Its branch-path walk
-and the trajectory sampler apply operators and corrections by row scaling
-and index permutation of the full matrix, which gives the literal products'
-values bit for bit (a product with a diagonal or permutation matrix adds
-only exact zeros).  Both move batches of path prefixes as one array through
-one kernel (_scale, _relabel); the walk expands a batch by all of a step's
-branches in one pass, and keeps a path table: each prefix's running branch
-sums, each path's deviation.  Trajectory sampling draws from per-shot
+correction that apply_correction refuses, naming the step and branch; one
+vectorised pass over the whole plan checks them, and a per-branch loop runs
+only to name the first fault.  verify_plan's per-step checks apply each
+operator with apply_kraus and the rest as literal matrix products, one
+np.matmul per product over the step's stacked (branches, n, n) matrices.
+Their fixed cost is kept near that of the products: each chain layout's
+matrix is built once and shared by the two steps it joins, and FullState's
+norm, apply_kraus and the completeness sum run numpy's own arithmetic
+without its Python-level wrappers (np.linalg.norm, np.sum, np.diag,
+np.eye): the same dot product, reduction, flat diagonal and branch-order
+sum, so the values are the wrapped forms' bit for bit.  _spectra takes an
+exactly diagonal reduced density matrix's sorted diagonal, LAPACK's eigvalsh
+answer bit for bit, and sends anything else to one batched eigvalsh.  Its
+branch-path walk and the trajectory sampler apply operators and corrections
+by row scaling and index permutation of the full matrix, which gives the
+literal products' values bit for bit (a product with a diagonal or
+permutation matrix adds only exact zeros).  Both move batches of path
+prefixes as one array through one kernel (_scale, _relabel); the walk
+expands a batch by all of a step's branches in one pass, and keeps a path
+table: each prefix's running branch sums, each path's deviation.
+Trajectory sampling draws from per-shot
 counter-based streams, so a report depends only on (plan, shots, seed), in
 one thread, in blocks of shots whose streams are one Philox array.  The
 shots descend the path table of a report that walked this very plan, or else
@@ -32,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain as concat
 
 import numpy as np
 
@@ -69,7 +78,7 @@ class FullState:
         if m.shape[0] > MAX_ORACLE_DIM:
             raise ValidationError(f"oracle capped at dimension {MAX_ORACLE_DIM}")
         # Written so that a NaN norm fails it too.
-        if not abs(float(np.linalg.norm(m)) - 1.0) <= EPS_NORM:
+        if not abs(_frobenius(m) - 1.0) <= EPS_NORM:
             raise ValidationError("amplitude matrix is not normalized")
         m.flags.writeable = False
 
@@ -87,6 +96,28 @@ class FullState:
         return np.linalg.eigvalsh(rho)[::-1]
 
 
+def _frobenius(m: np.ndarray) -> float:
+    """float(np.linalg.norm(m)), bit for bit.  For a float64 matrix, or an
+    integer or bool one that np.linalg.norm first casts to float64, this is
+    its own arithmetic without its wrapper: the square root of the dot
+    product of the entries in memory order.  Other dtypes go to it."""
+    v = np.asarray(m).ravel(order="K")
+    if v.dtype.kind in "biu":
+        v = v.astype(float)
+    if v.dtype != np.float64:
+        return float(np.linalg.norm(m))
+    return math.sqrt(v.dot(v))
+
+
+def _diagonal(values) -> np.ndarray:
+    """np.diag(np.asarray(values, dtype=float)) for a sequence of values,
+    as np.diag builds it: zeros, then the flat diagonal."""
+    n = len(values)
+    m = np.zeros((n, n))
+    m.flat[:: n + 1] = np.asarray(values, dtype=float)
+    return m
+
+
 def apply_kraus(state: FullState, op: DiagonalKraus, party: str = "A"):
     """Apply one measurement operator; returns (post state, probability).
 
@@ -97,9 +128,10 @@ def apply_kraus(state: FullState, op: DiagonalKraus, party: str = "A"):
         raise DimensionMismatch(f"operator dim {op.n} vs state dim {state.n}")
     if party not in ("A", "B"):
         raise ValidationError(f"party must be 'A' or 'B', got {party!r}")
-    m = np.diag(np.asarray(op.diag, dtype=float))
+    m = _diagonal(op.diag)
     out = m @ state.matrix if party == "A" else state.matrix @ m.T
-    prob = float(np.sum(out * out))
+    # np.sum's own reduction: add.reduce over every entry.
+    prob = float((out * out).sum())
     if prob <= EPS_ZERO:
         # Unnormalizable outcome: hand back the raw (near-)zero state,
         # bypassing the unit-norm invariant on purpose.
@@ -119,6 +151,25 @@ def _integer_type(kind: type) -> bool:
 def _is_permutation(perm: tuple, n: int) -> bool:
     """Whether perm holds integers, not bools, that permute 0..n-1."""
     return all(map(_integer_type, set(map(type, perm)))) and sorted(perm) == list(range(n))
+
+
+def _inverse_permutations(perms: list, n: int) -> np.ndarray | None:
+    """The inverses of perms as the rows of one array, or None unless every
+    one passes _is_permutation: one pass over all of them for what it checks
+    one at a time (integer types, not bool; length n; sorted, 0..n-1)."""
+    try:
+        if not {n}.issuperset(map(len, perms)):
+            return None
+        if not all(map(_integer_type, set(map(type, concat.from_iterable(perms))))):
+            return None
+        # An integer too large for intp raises OverflowError.
+        labels = np.array(perms, dtype=np.intp).reshape(-1, n)
+    except (OverflowError, TypeError):
+        return None
+    invs = np.argsort(labels, axis=1)
+    if not (np.take_along_axis(labels, invs, axis=1) == np.arange(n)).all():
+        return None
+    return invs
 
 
 def apply_correction(state: FullState, perm) -> FullState:
@@ -190,19 +241,38 @@ def _spectra(rho):
     return np.linalg.eigvalsh(rho)
 
 
+def _completeness_dev(scales: np.ndarray) -> float:
+    """Largest entry of |sum of K^T K - I| over a step's operators, whose
+    diagonals scales holds as (branches, n, 1) columns: the literal products,
+    one np.matmul over their stack, summed in branch order.  A reduction over
+    the stack's first axis adds each product to the running total in turn,
+    the order of a loop over the branches, so the bits are that loop's."""
+    count, n = len(scales), scales.shape[1]
+    ops = np.zeros((count, n * n))
+    ops[:, :: n + 1] = scales.reshape(count, n)
+    ops = ops.reshape(count, n, n)
+    total = np.add.reduce(np.matmul(ops.transpose(0, 2, 1), ops), axis=0)
+    # Less the identity: off the diagonal, subtracting 0.0 changes nothing.
+    total.flat[:: n + 1] -= 1.0
+    return float(np.abs(total, out=total).max())
+
+
 def _check_step(k, step, scales, invs, psi: FullState, next_matrix, next_spectrum) -> StepCheck:
     """One step's checks, from psi to the chain's next state.
 
     scales and invs are the step's arrays in the plan's _PlanRuntime, which
-    checked them.  Each outcome is applied with apply_kraus, the literal
+    checked them; psi's matrix is the previous step's next_matrix, shared,
+    not rebuilt.  Each outcome is applied with apply_kraus, the literal
     reference, so a branch's probability, its zero-probability case and the
     check on its post state are apply_kraus's own (perfbench's tracer also
     counts these calls).  The rest are literal matrix products on the
     step's stacked (branches, n, n) operators, permutation matrices and post
-    states, one np.matmul each; the reduced spectra are _spectra's.  numpy
-    multiplies and diagonalises each matrix of a stack as it does a lone
-    one, so the values are those of apply_correction and reduced_spectrum
-    branch by branch, and every corrected state meets FullState's checks.
+    states, one np.matmul each (_completeness_dev for the operators); the
+    reduced spectra are _spectra's.  numpy multiplies and diagonalises each
+    matrix of a stack as it does a lone one, so the values are those of
+    apply_correction and reduced_spectrum branch by branch, and every
+    corrected state meets FullState's checks.  It calls none of numpy's
+    Python-level wrappers, only the arithmetic they would run.
     """
     n = psi.n
     branches = step.branches
@@ -213,15 +283,7 @@ def _check_step(k, step, scales, invs, psi: FullState, next_matrix, next_spectru
         post, prob = apply_kraus(psi, br.op, "A")
         posts[i] = post.matrix
         probs.append(prob)
-    ops = np.zeros((count, n * n))
-    ops[:, :: n + 1] = scales.reshape(count, n)
-    ops = ops.reshape(count, n, n)
-    # Summed branch by branch, in branch order.
-    total = np.zeros((n, n))
-    for square in np.matmul(ops.transpose(0, 2, 1), ops):
-        total += square
-    total -= np.eye(n)
-    completeness_dev = float(np.abs(total, out=total).max())
+    completeness_dev = _completeness_dev(scales)
     prob_sum_dev = abs(sum(br.prob for br in branches) - 1.0)
     # perms[i] has a one at (t, j) for each j -> t of branch i's correction,
     # that is at (t, invs[i, t]).
@@ -246,7 +308,10 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     """Recheck a plan step by step against full-matrix arithmetic.
 
     Reads the plan's operators and corrections once, into one _PlanRuntime,
-    whatever path_limit is.  Verifies per-index completeness, branch
+    whatever path_limit is, and builds each layout's diagonal matrix once:
+    the runtime's start is step 0's state, and step k's next state is step
+    k + 1's, the same array with the same FullState check, so only the
+    current pair is held.  Verifies per-index completeness, branch
     probabilities, post-correction states and reduced spectra against the
     chain (_check_step): apply_kraus per branch, then literal matrix
     products stacked over the step's branches, with the values of the
@@ -275,11 +340,13 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     worst = 0.0
     # Every comparison is dev <= tolerance, so that a NaN deviation fails.
     passed = True
+    matrix = runtime.start
     for k, step in enumerate(plan.steps):
-        psi = FullState.from_layout(layouts[k])
-        next_matrix = np.diag(np.asarray(layouts[k + 1], dtype=float))
+        psi = FullState(matrix)
+        next_matrix = _diagonal(layouts[k + 1])
         next_spectrum = np.asarray(plan.chain.states[k + 1].squares)
         check = _check_step(k, step, *runtime.steps[k], psi, next_matrix, next_spectrum)
+        matrix = next_matrix
         for b in check.branch_checks:
             worst = max(worst, b.prob_dev, b.post_state_dev, b.spectrum_dev)
             passed &= b.prob_dev <= TOL_PROB and b.post_state_dev <= TOL_STATE
@@ -398,30 +465,38 @@ class _PlanRuntime:
     and the inverse corrections, (branches, n), which the walks index by.
     An operator of the wrong dimension raises DimensionMismatch, and a
     correction that fails apply_correction's rule (_is_permutation)
-    ValidationError, each naming the step and branch.
+    ValidationError, each naming the step and branch.  Every operator's
+    dimension and every correction are checked in one pass over the whole
+    plan (_inverse_permutations, which accepts exactly what _is_permutation
+    accepts); the per-branch loop runs only when that pass fails, to name
+    the first fault with its step and branch.
     """
 
     def __init__(self, plan: LadderPlan):
         self.plan = plan
-        self.start = np.diag(np.asarray(plan.chain.layouts[0], dtype=float))
-        self.target = np.diag(np.asarray(plan.chain.layouts[-1], dtype=float))
+        self.start = _diagonal(plan.chain.layouts[0])
+        self.target = _diagonal(plan.chain.layouts[-1])
         n = len(self.start)
         branches, ends = [], []
-        for k, step in enumerate(plan.steps):
-            for i, br in enumerate(step.branches):
-                if br.op.n != n:
-                    raise DimensionMismatch(
-                        f"step {k} branch {i}: operator dim {br.op.n} vs state dim {n}"
-                    )
-                if not _is_permutation(br.correction, n):
-                    raise ValidationError(
-                        f"step {k} branch {i}: correction {tuple(br.correction)} "
-                        f"is not a permutation of 0..{n - 1}"
-                    )
+        for step in plan.steps:
             branches += step.branches
             ends.append(len(branches))
-        diags = np.array([br.op.diag for br in branches], dtype=float).reshape(-1, n, 1)
-        invs = np.argsort(np.reshape([br.correction for br in branches], (-1, n)), axis=1)
+        diags = [br.op.diag for br in branches]
+        invs = _inverse_permutations([br.correction for br in branches], n)
+        if invs is None or not {n}.issuperset(map(len, diags)):
+            # The one pass found a fault: name its first step and branch.
+            for k, step in enumerate(plan.steps):
+                for i, br in enumerate(step.branches):
+                    if br.op.n != n:
+                        raise DimensionMismatch(
+                            f"step {k} branch {i}: operator dim {br.op.n} vs state dim {n}"
+                        )
+                    if not _is_permutation(br.correction, n):
+                        raise ValidationError(
+                            f"step {k} branch {i}: correction {tuple(br.correction)} "
+                            f"is not a permutation of 0..{n - 1}"
+                        )
+        diags = np.array(diags, dtype=float).reshape(-1, n, 1)
         self.steps = [(diags[a:b], invs[a:b]) for a, b in zip([0, *ends], ends)]
 
 
@@ -531,7 +606,8 @@ def _walk_paths(runtime: _PlanRuntime):
     step's bounds.  Before the last step, one _relabel gives the post states
     (apply_kraus then apply_correction) as (B * branches, n, n) children in
     prefix-major order, which go back on the stack in chunks (copies, so a
-    pending chunk does not keep its siblings alive), the last chunk on top.
+    pending chunk does not keep its siblings alive), the last chunk on top;
+    children that fit in one chunk go back as they are.
     The last step's children are complete paths, never relabelled: _leaf_devs
     compares them with the target relabelled back (_target_back, built once).
     Complete paths come off in descending order, the literal stack walk's,
@@ -573,6 +649,10 @@ def _walk_paths(runtime: _PlanRuntime):
             _relabel(out, prob, gather.ravel(), states)
             # Freed before the children are copied.
             del out
+            if len(states) <= batch:
+                # One chunk: no siblings to keep alive, so no copy.
+                stack.append((k + 1, first, states, acc))
+                continue
             # Appended unnamed: a name would keep the last chunk alive.
             for lo in range(0, len(states), batch):
                 stack.append(

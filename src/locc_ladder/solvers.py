@@ -157,8 +157,9 @@ def _build_step(source, target, specs, case_tag, probs):
         if p < EPS_ZERO:
             pruned += 1
             continue
+        root = p**0.5
         # checked: ratios over a source-grade source (solve2/3), p from _clamp_prob.
-        op = DiagonalKraus._trusted(tuple(d * p**0.5 for d in diag))
+        op = DiagonalKraus._trusted(tuple(d * root for d in diag))
         raw = op.apply(source.amps)
         norm_sq = sum(x * x for x in raw)
         if abs(norm_sq - p) > 10 * EPS_COMPLETE:

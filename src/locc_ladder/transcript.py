@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import operator
 from dataclasses import MISSING, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional
@@ -272,7 +273,7 @@ def chain_section(chain: IntermediateChain) -> dict:
     return {
         "m": chain.m,
         "states": [list(s.squares) for s in chain.states],
-        "layouts": [[a * a for a in layout] for layout in chain.layouts],
+        "layouts": [list(map(operator.mul, layout, layout)) for layout in chain.layouts],
         "tilde_values": list(chain.tilde_values),
         "windows": [list(w) for w in chain.windows],
     }

@@ -667,6 +667,30 @@ class TestPlanFull:
                 built += 1
         assert built > 50
 
+    @pytest.mark.parametrize(
+        "pair, calls",
+        [
+            (([0.6, 0.4], [0.8, 0.2]), 1),
+            (([0.5, 0.3, 0.2], [0.7, 0.2, 0.1]), 2),
+            (([0.4, 0.3, 0.2, 0.1], [0.55, 0.25, 0.15, 0.05]), 5),
+        ],
+        ids=["n2", "n3", "n4"],
+    )
+    @pytest.mark.parametrize("build", [intermediate_chain, greatest_first_chain])
+    def test_one_link_chain_majorizes_its_pair_once(self, pair, calls, build, monkeypatch):
+        # A chain whose one link is the pair the preamble majorized is not
+        # tested again; each link of a longer chain is, and choose_omega
+        # tests each block.
+        counted = []
+        monkeypatch.setattr(ladder, "majorizes", lambda a, b: counted.append(1) or majorizes(a, b))
+        source, target = (validate(x, squared=True) for x in pair)
+        _plan_full(source, target)
+        assert len(counted) == calls
+        counted.clear()
+        chain = build(source, target, 3)
+        assert not isinstance(chain, InfeasibilityCertificate)
+        assert len(counted) == (1 if len(source.amps) <= 3 else 3)
+
     def test_branch_paths_compose_to_unity(self, n4_pair):
         plan = plan_full(*n4_pair)
         total = 0.0

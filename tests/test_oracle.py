@@ -83,6 +83,54 @@ class TestFullState:
         assert np.allclose(state.reduced_spectrum(), v.squares, atol=1e-12)
 
 
+@st.composite
+def amplitude_matrices(draw):
+    """n x n matrices, 2 <= n <= 64: normalized float64 ones, C- or
+    F-ordered, and integer ones, unit (one entry of +-1) or not."""
+    n = draw(st.integers(2, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["C", "F", "int", "unit-int"]))
+    if kind == "int":
+        return rng.integers(-3, 4, (n, n))
+    if kind == "unit-int":
+        m = np.zeros((n, n), dtype=np.int64)
+        m[tuple(rng.integers(0, n, 2))] = rng.choice([-1, 1])
+        return m
+    m = rng.standard_normal((n, n))
+    return np.asarray(m / np.sqrt(np.sum(m * m)), order=kind)
+
+
+class TestWrapperFreePrimitives:
+    """FullState's norm check and apply_kraus compute what np.linalg.norm,
+    np.sum and np.diag do, without those wrappers; the values must be
+    theirs bit for bit."""
+
+    @given(m=amplitude_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_norm_equals_np_linalg_norm(self, m):
+        for a in (m, m.astype(np.float32)):
+            assert oracle._frobenius(a).hex() == float(np.linalg.norm(a)).hex()
+
+    @given(m=amplitude_matrices(), party=st.sampled_from("AB"), zero=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_apply_kraus_equals_the_wrapped_forms(self, m, party, zero):
+        if abs(float(np.linalg.norm(m)) - 1.0) > 1e-9:
+            return  # not a state
+        n = len(m)
+        d = np.random.default_rng(n).random(n)
+        if zero:
+            d[::2] = 0.0
+        op = DiagonalKraus(tuple(d.tolist()))
+        post, prob = apply_kraus(FullState(m), op, party)
+        k = np.diag(np.asarray(op.diag, dtype=float))
+        out = k @ m if party == "A" else m @ k.T
+        expected = float(np.sum(out * out))
+        assert prob.hex() == (expected if expected > 1e-12 else 0.0).hex()
+        if expected > 1e-12:
+            out = out / math.sqrt(expected)
+        assert post.matrix.tobytes() == out.tobytes()
+
+
 class TestApplyKraus:
     def test_identity(self):
         v = validate([0.6, 0.4], squared=True)
@@ -1033,6 +1081,25 @@ class TestStepChecksMatchLiteral:
         assert _step_outcome(_stacked_step_checks, plan) == expected
 
 
+@pytest.mark.parametrize("count", [1, 2, 3])
+@given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1), zero=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_completeness_equals_the_branch_loop(count, n, seed, zero):
+    # Operators whose squares sum to about one on each index, one of them
+    # all zero when zero is set, against the literal loop in branch order.
+    rng = np.random.default_rng(seed)
+    weights = rng.random((count, n))
+    if zero:
+        weights[rng.integers(count)] = 0.0
+    scales = np.sqrt(weights / np.maximum(weights.sum(axis=0), 1e-300))[:, :, None]
+    total = np.zeros((n, n))
+    for column in scales:
+        m = np.diag(column[:, 0])
+        total += m.T @ m
+    expected = float(np.max(np.abs(total - np.eye(n))))
+    assert oracle._completeness_dev(scales).hex() == expected.hex()
+
+
 def _diagonal_stack(diag):
     """The (B, n, n) stack whose matrices have the rows of diag on their
     diagonals and exact zeros elsewhere."""
@@ -1201,8 +1268,23 @@ class TestPlanIntake:
             (0.4, 1.4, 2.4, 3.4),
             (0.0, 1.0, 2.0, 3.0),
             (False, True, 2, 3),
+            (0, True, 2, 3),
+            (0, 1, 2, np.uint64(2**64 - 1)),
+            (0, 1, 2, 2**70),
+            (0, 1, 2, 3, 4),
         ],
-        ids=["out-of-range", "repeated", "short", "fractional", "integral-floats", "bools"],
+        ids=[
+            "out-of-range",
+            "repeated",
+            "short",
+            "fractional",
+            "integral-floats",
+            "bools",
+            "one-bool",
+            "uint64",
+            "huge-int",
+            "long",
+        ],
     )
     def test_malformed_correction(self, n4_pair, correction, walk):
         bad = _replace_branch(plan_full(*n4_pair), 0, 1, correction=correction)
@@ -1212,11 +1294,20 @@ class TestPlanIntake:
             walk(bad)
 
     @pytest.mark.parametrize("walk", WALKS, ids=WALK_IDS)
-    def test_operator_of_the_wrong_dimension(self, n4_pair, walk):
-        bad = _replace_branch(plan_full(*n4_pair), 1, 0, op=DiagonalKraus((1.0,) * 5))
-        message = r"^step 1 branch 0: operator dim 5 vs state dim 4$"
+    @pytest.mark.parametrize("branch", [0, 1], ids=["first-branch", "last-branch"])
+    def test_operator_of_the_wrong_dimension(self, n4_pair, walk, branch):
+        # Step 1 is the plan's last step, of two branches.
+        bad = _replace_branch(plan_full(*n4_pair), 1, branch, op=DiagonalKraus((1.0,) * 5))
+        message = rf"^step 1 branch {branch}: operator dim 5 vs state dim 4$"
         with pytest.raises(DimensionMismatch, match=message):
             walk(bad)
+
+    def test_numpy_integer_labels_are_read(self, n4_pair):
+        # apply_correction's rule takes any integer type, numpy's included.
+        plan = plan_full(*n4_pair)
+        correction = tuple(map(np.uint64, plan.steps[0].branches[1].correction))
+        labelled = _replace_branch(plan, 0, 1, correction=correction)
+        assert repr(verify_plan(labelled)) == repr(verify_plan(plan))
 
     def test_fractional_labels_on_an_unwalked_plan(self):
         source, target = dense_pair(24)
@@ -1263,6 +1354,57 @@ def _attribute_readers(source, names):
 
     visit(ast.parse(source), ())
     return readers
+
+
+# numpy's Python-level wrappers, whose fixed cost per call the oracle's
+# per-step work avoids.
+WRAPPERS = {"np.linalg.norm", "np.diag", "np.sum", "np.eye"}
+
+
+def _numpy_calls(source):
+    """{qualified function name: set of np.* calls in its own body} over
+    source, for every function defined in it ("" holds module-level ones)."""
+    calls = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+                if isinstance(child, ast.FunctionDef):
+                    calls.setdefault(".".join(inner), set())
+                visit(child, inner)
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func).startswith("np."):
+                calls.setdefault(".".join(scope), set()).add(ast.unparse(child.func))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return calls
+
+
+def test_step_checks_call_no_numpy_wrappers():
+    calls = _numpy_calls(Path(oracle.__file__).read_text())
+    hot = [
+        "FullState.__post_init__",
+        "_diagonal",
+        "apply_kraus",
+        "_completeness_dev",
+        "_check_step",
+        "verify_plan",
+        "_PlanRuntime.__init__",
+        "_walk_paths",
+    ]
+    assert {name: calls.get(name, set()) & WRAPPERS for name in hot} == dict.fromkeys(hot, set())
+    assert set(hot) <= set(calls)
+    sample = (
+        "class A:\n    def f(self, m):\n        return np.linalg.norm(m)\n\n"
+        "def g(v):\n    def h():\n        return np.eye(2)\n    return np.diag(np.sum(v))\n"
+    )
+    assert _numpy_calls(sample) == {
+        "A.f": {"np.linalg.norm"},
+        "g": {"np.diag", "np.sum"},
+        "g.h": {"np.eye"},
+    }
 
 
 def test_plan_runtime_is_the_one_reader():
