@@ -8,12 +8,18 @@ counts how often random feasible pairs trigger each failure mode.
 """
 
 import argparse
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from locc_ladder import InfeasibilityCertificate, greatest_first_chain
-from locc_ladder.sampling import random_feasible_pair
+
+# The random pair generators live with the tests, beside their other
+# references; this script shares them from the repository's tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from sampling import random_feasible_pair  # noqa: E402
 
 
 def main():

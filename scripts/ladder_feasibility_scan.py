@@ -12,11 +12,17 @@ misses majorization, and prints the minimal hand-checkable example.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from locc_ladder import LadderInfeasible, intermediate_chain, majorizes, validate
-from locc_ladder.sampling import random_feasible_pair
+
+# The random pair generators live with the tests, beside their other
+# references; this script shares them from the repository's tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from sampling import random_feasible_pair  # noqa: E402
 
 
 def scan(rng, n, trials, alpha):

@@ -4,10 +4,10 @@ Feasibility checking (majorization), closed-form 2- and 3-dimensional
 measurement solvers, multi-step ladder planning, and an independent
 full-matrix oracle with seeded Monte Carlo trajectory sampling.
 
-The oracle's nine names load on first access (``__getattr__``, PEP 562),
-and with them numpy: the planner is scalar arithmetic, so a process that
-never verifies or samples a plan imports neither.  Every other name is
-imported here.
+Every public name is listed once, in ``__all__``.  The nine not imported
+here are the oracle's, the one numpy module: they load on first access
+(``__getattr__``, PEP 562), and the planner is scalar arithmetic, so a
+process that never verifies or samples a plan imports neither.
 """
 
 __version__ = "0.1.0"
@@ -123,24 +123,9 @@ __all__ = [
     "verify_plan",
 ]
 
-# Resolved from the oracle on first access; see the module docstring.
-_ORACLE_NAMES = frozenset(
-    {
-        "FrequencyReport",
-        "FullState",
-        "TrajectoryRecord",
-        "VerificationReport",
-        "apply_correction",
-        "apply_kraus",
-        "run_trajectory",
-        "sample_trajectories",
-        "verify_plan",
-    }
-)
-
 
 def __getattr__(name: str):
-    if name not in _ORACLE_NAMES:
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import oracle
 
@@ -149,4 +134,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _ORACLE_NAMES)
+    return sorted(globals().keys() | set(__all__))

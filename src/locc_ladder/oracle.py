@@ -4,11 +4,12 @@ States live here as full n x n amplitude matrices in the product basis, so a
 defective operator cannot hide behind the diagonal shortcut used by the
 planner.  Every check reads a plan's operators and corrections through one
 _PlanRuntime, which refuses an operator of the wrong dimension and any
-correction that apply_correction refuses, naming the step and branch; one
-vectorised pass over the whole plan checks them, and a per-branch loop runs
-only to name the first fault.  verify_plan's per-step checks apply each
-operator with apply_kraus and the rest as literal matrix products, one
-np.matmul per product over the step's stacked (branches, n, n) matrices.
+correction that apply_correction refuses (one rule, _inverse_permutations),
+naming the step and branch; one vectorised pass over the whole plan checks
+them, and a per-branch loop runs only to name the first fault.  verify_plan's
+per-step checks apply each operator with apply_kraus and the rest as literal
+matrix products, one np.matmul per product over the step's stacked
+(branches, n, n) matrices.
 Their fixed cost is kept near that of the products: each chain layout's
 matrix is built once and shared by the two steps it joins, and FullState's
 norm, apply_kraus and the completeness sum run numpy's own arithmetic
@@ -148,15 +149,10 @@ def _integer_type(kind: type) -> bool:
     return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
 
 
-def _is_permutation(perm: tuple, n: int) -> bool:
-    """Whether perm holds integers, not bools, that permute 0..n-1."""
-    return all(map(_integer_type, set(map(type, perm)))) and sorted(perm) == list(range(n))
-
-
 def _inverse_permutations(perms: list, n: int) -> np.ndarray | None:
     """The inverses of perms as the rows of one array, or None unless every
-    one passes _is_permutation: one pass over all of them for what it checks
-    one at a time (integer types, not bool; length n; sorted, 0..n-1)."""
+    one holds integers, not bools, that permute 0..n-1: the oracle's one
+    permutation rule, in one pass over all (integer types; length n; sorted)."""
     try:
         if not {n}.issuperset(map(len, perms)):
             return None
@@ -176,7 +172,7 @@ def apply_correction(state: FullState, perm) -> FullState:
     """Relabel basis states on both parties: index j becomes perm[j].
     ValidationError unless perm is a permutation of 0..n-1 of integers."""
     n, perm = state.n, tuple(perm)
-    if not _is_permutation(perm, n):
+    if _inverse_permutations([perm], n) is None:
         raise ValidationError(f"correction {perm} is not a permutation of 0..{n - 1}")
     p = np.zeros((n, n))
     for j, t in enumerate(perm):
@@ -464,12 +460,12 @@ class _PlanRuntime:
     diagonals as columns, (branches, n, 1), so that a product scales rows,
     and the inverse corrections, (branches, n), which the walks index by.
     An operator of the wrong dimension raises DimensionMismatch, and a
-    correction that fails apply_correction's rule (_is_permutation)
+    correction that fails apply_correction's rule (_inverse_permutations)
     ValidationError, each naming the step and branch.  Every operator's
     dimension and every correction are checked in one pass over the whole
-    plan (_inverse_permutations, which accepts exactly what _is_permutation
-    accepts); the per-branch loop runs only when that pass fails, to name
-    the first fault with its step and branch.
+    plan; the per-branch loop runs only when that pass fails, to name the
+    first fault with its step and branch, asking the same rule of one
+    correction at a time.
     """
 
     def __init__(self, plan: LadderPlan):
@@ -491,7 +487,7 @@ class _PlanRuntime:
                         raise DimensionMismatch(
                             f"step {k} branch {i}: operator dim {br.op.n} vs state dim {n}"
                         )
-                    if not _is_permutation(br.correction, n):
+                    if _inverse_permutations([br.correction], n) is None:
                         raise ValidationError(
                             f"step {k} branch {i}: correction {tuple(br.correction)} "
                             f"is not a permutation of 0..{n - 1}"

@@ -8,6 +8,7 @@ amplitudes are the canonical stored representation.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
@@ -126,9 +127,19 @@ def validate(
     With squared=True the entries are read as squared coefficients and
     square-rooted.  Unsorted input is an error unless autosort is set.
     Normalization drift up to EPS_NORM is silently renormalized; larger
-    drift raises NotNormalized.
+    drift raises NotNormalized.  An entry that is not a real number (a str
+    or a bool, say) or that a float cannot hold raises NegativeEntry.
     """
-    vals = [float(x) for x in raw]
+    items = list(raw)
+    # One check per distinct entry type: a real number, not a bool.
+    bad = [k for k in set(map(type, items)) if k is bool or not issubclass(k, numbers.Real)]
+    if bad:
+        j = next(j for j, x in enumerate(items) if type(x) in bad)
+        raise NegativeEntry(f"entry {items[j]!r} at index {j} is not a real number")
+    try:
+        vals = list(map(float, items))
+    except OverflowError:
+        raise NegativeEntry("an entry is too large for a float") from None
     if len(vals) < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {len(vals)}")
     # As in SchmidtVector: the loop runs only to name the first bad entry.

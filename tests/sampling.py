@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .schmidt import SchmidtVector, validate
+from locc_ladder.schmidt import SchmidtVector, validate
 
 # Floor keeping sources strictly positive (source-grade).
 _MIN_COEFF = 1e-8

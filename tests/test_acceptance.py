@@ -33,7 +33,6 @@ from locc_ladder import (
     verify_plan,
 )
 from locc_ladder.cli import main
-from locc_ladder.sampling import mix_down, random_feasible_pair, random_spectrum
 
 from helpers import (
     forced_chain_layout_squares,
@@ -41,6 +40,7 @@ from helpers import (
     fsum_tail_margins,
     window_inequality_defect,
 )
+from sampling import mix_down, random_feasible_pair, random_spectrum
 
 
 def _pass(name, detail=""):

@@ -7,12 +7,17 @@ closed ``chain`` section and the benchmark read, and for the signature of
 ``sample_trajectories``.  The layering rules
 between the package's modules are pinned here too, read from their source,
 among them the import boundary that keeps numpy out of a process that never
-verifies a plan, and so is the rule that every unchecked construction names
-its check.
+verifies a plan and the rule that every module is one the CLI can run, and
+so is the rule that every unchecked construction names its check.
 """
 
 import ast
+import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -126,6 +131,48 @@ def test_unknown_name_is_an_attribute_error():
     assert str(info.value) == "module 'locc_ladder' has no attribute 'nope'"
 
 
+@pytest.mark.parametrize("name", ["_spectra", "no_such_name"])
+def test_only_public_names_load_from_the_oracle(name):
+    # __getattr__ resolves the names of __all__ alone: an oracle-private
+    # name is as unknown as a name nothing defines.
+    with pytest.raises(AttributeError) as info:
+        getattr(locc_ladder, name)
+    assert str(info.value) == f"module 'locc_ladder' has no attribute {name!r}"
+
+
+_DIR_BEFORE_ACCESS = """
+import json, sys
+import locc_ladder
+listed = dir(locc_ladder)
+print(json.dumps([listed, "locc_ladder.oracle" in sys.modules, sorted(vars(locc_ladder))]))
+"""
+
+
+def test_dir_lists_the_oracle_names_before_any_access():
+    # In a fresh interpreter, where no oracle name is bound yet: dir reads
+    # them from __all__ without loading the oracle.
+    src = str(Path(locc_ladder.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIR_BEFORE_ACCESS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    listed, oracle_loaded, bound = json.loads(proc.stdout)
+    assert not oracle_loaded
+    assert [name for name in ORACLE_NAMES if name in bound] == []
+    assert [name for name in ORACLE_NAMES if name not in listed] == []
+    assert listed == sorted(listed)
+
+
+def test_the_generators_are_not_in_the_package():
+    # The random pair generators live with the tests (tests/sampling.py).
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("locc_ladder.sampling")
+
+
 def test_sample_trajectories_signature_is_pinned():
     # verified is keyword-only, so that a report is never passed by position.
     params = inspect.signature(locc_ladder.sample_trajectories).parameters.values()
@@ -217,16 +264,16 @@ def _package_modules():
 
 def test_numpy_and_the_oracle_load_on_first_use():
     # The planner, the transcript and the CLI are scalar Python: only the
-    # oracle and the generators import numpy, and no module imports the
-    # oracle when it is itself imported (the package and the CLI do so
-    # inside a function; transcript.py names the report types for
-    # annotations alone), so a run that never verifies never loads numpy.
+    # oracle imports numpy, and no module imports the oracle when it is
+    # itself imported (the package and the CLI do so inside a function;
+    # transcript.py names the report types for annotations alone), so a run
+    # that never verifies never loads numpy.
     def imported(name):
         nodes = _import_time_imports(_module_tree(name))
         return {module for module, _ in _package_imports(ast.Module(body=nodes, type_ignores=[]))}
 
     modules = _package_modules()
-    assert [name for name in modules if _imports_numpy(_module_tree(name))] == ["oracle", "sampling"]
+    assert [name for name in modules if _imports_numpy(_module_tree(name))] == ["oracle"]
     assert [name for name in modules if "oracle" in imported(name)] == []
     assert _imports_numpy(ast.parse("def f():\n    from numpy.linalg import norm\n"))
     assert not _imports_numpy(ast.parse("import numbers\nfrom .numpyish import x\n"))
@@ -238,6 +285,37 @@ def test_numpy_and_the_oracle_load_on_first_use():
     )
     found = [ast.unparse(node) for node in _import_time_imports(ast.parse(sample))]
     assert found == ["from . import ladder", "from .oracle import B", "from .solvers import D"]
+
+
+def _reachable(trees, start):
+    """The modules of trees (name: ast) that start reaches through package
+    imports, function-level ones included; importing any of the package's
+    modules runs its __init__ first."""
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name in trees and name not in seen:
+            seen.add(name)
+            todo += [module for module, _ in _package_imports(trees[name])]
+            todo.append("__init__")
+    return seen
+
+
+def test_the_package_holds_what_the_cli_runs():
+    # Every module is reached from __main__, so that the package ships no
+    # code the CLI cannot run; test-only code lives under tests/.
+    trees = {name: _module_tree(name) for name in _package_modules()}
+    assert sorted(trees.keys() - _reachable(trees, "__main__")) == []
+    sample = {
+        "__init__": ast.parse("from .a import f\n"),
+        "__main__": ast.parse("from .b import g\n"),
+        "a": ast.parse(""),
+        "b": ast.parse("def g():\n    from . import c\n"),
+        "c": ast.parse("import locc_ladder.d\n"),
+        "d": ast.parse(""),
+        "e": ast.parse("from . import a\n"),
+    }
+    assert _reachable(sample, "__main__") == {"__init__", "__main__", "a", "b", "c", "d"}
 
 
 def test_transcript_sections_are_built_in_transcript_alone():

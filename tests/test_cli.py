@@ -13,11 +13,11 @@ import pytest
 import locc_ladder
 from locc_ladder import Transcript, cli, load_schema
 from locc_ladder.cli import _build_parser, main
-from locc_ladder.sampling import random_feasible_pair
 
 import jsonschema
 
 from helpers import DEGENERATE_PAIRS, PIN_FLOORS, asdict_json, degenerate_fuzz_pair, dense_pair
+from sampling import random_feasible_pair
 
 
 def run_cli(argv, payload=None, env_seed=None, monkeypatch=None):

@@ -48,7 +48,6 @@ from locc_ladder import plan_full as _plan_full
 from locc_ladder.cli import main as cli_main
 from locc_ladder.errors import ChainInvariantViolated
 from locc_ladder.ladder import _chain_layouts, _chain_windows, _lift, _window_decompose
-from locc_ladder.sampling import random_feasible_pair
 from locc_ladder.transcript import certificate_section, chain_section, steps_section
 
 from helpers import (
@@ -65,6 +64,7 @@ from helpers import (
     outcome,
     window_inequality_defect,
 )
+from sampling import random_feasible_pair
 
 
 def _sorted(layout):

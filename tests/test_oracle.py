@@ -1336,6 +1336,64 @@ class TestPlanIntake:
         assert runtime_builds == [plan, other]
 
 
+_N4_PLAN = plan_full(
+    validate([0.4, 0.3, 0.2, 0.1], squared=True),
+    validate([0.55, 0.25, 0.15, 0.05], squared=True),
+)
+_N4_BRANCHES = [(k, i) for k, step in enumerate(_N4_PLAN.steps) for i in range(len(step.branches))]
+
+_FLAVOURS = ["bool", "fractional", "huge", "integral-float", "long", "out-of-range", "short"]
+
+
+@st.composite
+def corrections(draw):
+    """A shuffle of 0..3, some labels as np.int64 (read like an int), with up
+    to three changes, each of a flavour a correction can go wrong by."""
+    perm = [draw(st.sampled_from([j, np.int64(j)])) for j in draw(st.permutations(range(4)))]
+    for flavour in draw(st.lists(st.sampled_from(_FLAVOURS), max_size=3)):
+        if flavour == "long":
+            perm.append(draw(st.integers(-1, 4)))
+            continue
+        if not perm:
+            continue
+        j = draw(st.integers(0, len(perm) - 1))
+        if flavour == "short":
+            del perm[j]
+        elif flavour == "bool":
+            perm[j] = bool(perm[j])
+        elif flavour == "fractional":
+            perm[j] += draw(st.floats(0.1, 0.9))
+        elif flavour == "huge":
+            perm[j] = draw(st.sampled_from([2**70, -(2**70)]))
+        elif flavour == "integral-float":
+            perm[j] = float(perm[j])
+        else:
+            perm[j] = draw(st.sampled_from([-1, 4, 7]))
+    return tuple(perm)
+
+
+@given(correction=corrections(), where=st.sampled_from(_N4_BRANCHES))
+@settings(max_examples=300, deadline=None)
+def test_one_permutation_rule(correction, where):
+    # apply_correction and the plan intake refuse the same corrections: the
+    # intake names the step and branch of the one it refuses.
+    state = FullState.from_layout(_N4_PLAN.chain.layouts[0])
+    try:
+        apply_correction(state, correction)
+        refused = False
+    except ValidationError:
+        refused = True
+    k, i = where
+    plan = _replace_branch(_N4_PLAN, k, i, correction=correction)
+    labels = re.escape(str(correction))
+    message = rf"^step {k} branch {i}: correction {labels} is not a permutation of 0\.\.3$"
+    if refused:
+        with pytest.raises(ValidationError, match=message):
+            verify_plan(plan, path_limit=0)
+    else:
+        verify_plan(plan, path_limit=0)
+
+
 def _attribute_readers(source, names):
     """{attribute: set of qualified names of the functions that read it}
     for each attribute name in names, over source; numpy's own (np.diag)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,6 @@ from locc_ladder import (
     majorizes,
     validate,
 )
-from locc_ladder.sampling import mix_down, random_spectrum
 from locc_ladder.schmidt import EPS_CMP, EPS_ZERO, amps_agree, states_equal
 
 from helpers import (
@@ -30,6 +30,7 @@ from helpers import (
     literal_states_equal,
     outcome,
 )
+from sampling import mix_down, random_spectrum
 
 
 def spectra(n=None, min_n=2, max_n=8):
@@ -81,6 +82,38 @@ class TestValidate:
     def test_bad_entries_name_the_first(self, raw, message):
         with pytest.raises(NegativeEntry, match=f"^{message}$"):
             validate(raw, squared=True)
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([10**400, 0], "an entry is too large for a float"),
+            ([0.6, Fraction(10**400)], "an entry is too large for a float"),
+            (["0.6", "0.4"], "entry '0.6' at index 0 is not a real number"),
+            ([True, False], "entry True at index 0 is not a real number"),
+            ([0.6, np.bool_(True)], "entry np.True_ at index 1 is not a real number"),
+            ([0.6, None], "entry None at index 1 is not a real number"),
+            ([0.6, 0.4j], "entry 0.4j at index 1 is not a real number"),
+        ],
+    )
+    def test_entries_that_are_not_real_numbers(self, raw, message):
+        # Input problems are ValueErrors (errors.py), so a float() that would
+        # overflow, read a str or a bool as a number, or raise TypeError is
+        # refused as NegativeEntry, naming the first bad entry.
+        with pytest.raises(NegativeEntry, match=f"^{re.escape(message)}$"):
+            validate(raw, squared=True)
+
+    @pytest.mark.parametrize(
+        "raw, floats",
+        [
+            ([1, 0], [1.0, 0.0]),
+            ([np.int64(1), 0.0], [1.0, 0.0]),
+            ([np.float32(0.5), Fraction(1, 2)], [0.5, 0.5]),
+            (iter([0.5, 0.5]), [0.5, 0.5]),
+        ],
+        ids=["ints", "numpy-int", "float32-and-fraction", "iterator"],
+    )
+    def test_real_numbers_of_any_type_are_read(self, raw, floats):
+        assert validate(raw, squared=True) == validate(floats, squared=True)
 
     def test_negative_zero_is_an_entry_of_zero(self):
         assert validate([1.0, -0.0], squared=True).squares == (1.0, 0.0)

@@ -21,7 +21,6 @@ from locc_ladder import (
     solve3,
     validate,
 )
-from locc_ladder.sampling import random_feasible_pair
 from locc_ladder.solvers import _clamp_prob, _cond, completeness_defect
 
 from helpers import (
@@ -32,6 +31,7 @@ from helpers import (
     literal_kraus_check,
     outcome,
 )
+from sampling import random_feasible_pair
 
 
 def branch_post_dev(step, source, target):
