@@ -1,9 +1,11 @@
 """Exception taxonomy shared by all modules.
 
 Input problems are ValueError subclasses so callers can catch either the
-specific class or plain ValueError.  Internal-consistency failures (things
-that indicate a bug rather than bad input) derive from InvariantViolated
-and are never silently swallowed.
+specific class or plain ValueError.  Whether an entry is a real number and
+an index an integer is decided in schmidt.py alone (_finite_nonnegative,
+_is_real_kind, _is_integer_kind); each caller raises its own class.
+Internal-consistency failures (things that indicate a bug rather than bad
+input) derive from InvariantViolated and are never silently swallowed.
 """
 
 

@@ -19,7 +19,6 @@ _lift turns every link of any chain into a measurement step.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, replace
 from itertools import chain as concat, repeat
@@ -30,6 +29,7 @@ from .errors import (
     ChainInvariantViolated,
     IndexRangeInvalid,
     LadderInfeasible,
+    NegativeEntry,
     NormalizationUnderflow,
     NotMajorized,
     OmegaNotMajorizing,
@@ -37,7 +37,8 @@ from .errors import (
     ZeroBlockNorm,
 )
 from .schmidt import EPS_CMP, EPS_COMPLETE, EPS_NORM, EPS_ZERO, SchmidtVector
-from .schmidt import _finite_nonnegative, amps_agree, effective_rank, majorizes, states_equal
+from .schmidt import _finite_nonnegative, _is_integer_kind, _is_real_kind
+from .schmidt import amps_agree, effective_rank, majorizes, states_equal
 from .solvers import (
     DiagonalKraus,
     MeasurementStep,
@@ -58,8 +59,10 @@ class IntermediateChain:
     lists the basis indices, integers strictly increasing, that link k
     transforms.
     states, the layouts sorted, are derived once at construction, where a
-    chain of the wrong shape is refused; m and the window indices are kept
-    as Python ints, so that the chain's transcript section can be written.
+    chain of the wrong shape or with an entry the entry rule refuses is
+    refused; m and the window indices are kept as Python ints and the
+    tilde values (one per link but the last) as floats, so that the chain's
+    transcript section can be written.
     """
 
     layouts: tuple[tuple[float, ...], ...]
@@ -75,11 +78,22 @@ class IntermediateChain:
         for k, layout in enumerate(layouts):
             if len(layout) != n:
                 raise IndexRangeInvalid(f"layout {k} spans {len(layout)} indices, expected {n}")
+            # By type only: _layout_states refuses any other bad entry by SchmidtVector's checks.
+            if not all(map(_is_real_kind, set(map(type, layout)))):
+                j, a = next((j, a) for j, a in enumerate(layout) if not _is_real_kind(type(a)))
+                raise NegativeEntry(f"layout {k} entry {a!r} at index {j} is not a real number")
         for w in windows:
-            ok = all(map(_is_index, w)) and all(map(operator.lt, w, w[1:]))
+            ok = all(map(_is_integer_kind, set(map(type, w)))) and all(map(operator.lt, w, w[1:]))
             if not ok or (w and not 0 <= w[0] <= w[-1] < n):
                 raise IndexRangeInvalid(f"index range {w} invalid for dimension {n}")
+        tilde = self.tilde_values
+        if not _finite_nonnegative(tilde):
+            j, t = next((j, t) for j, t in enumerate(tilde) if not _finite_nonnegative((t,)))
+            raise NegativeEntry(f"tilde value {t!r} at index {j}")
+        if len(tilde) != len(windows) - 1:
+            raise IndexRangeInvalid(f"{len(tilde)} tilde values for {len(windows)} links")
         object.__setattr__(self, "m", _block_size(self.m))
+        object.__setattr__(self, "tilde_values", tuple(map(float, tilde)))
         object.__setattr__(self, "windows", tuple(tuple(map(int, w)) for w in windows))
         # Outside the fields, so eq, repr and hash see the layouts alone.
         object.__setattr__(self, "_states", _layout_states(layouts, n))
@@ -106,8 +120,9 @@ class IntermediateChain:
 def _layout_states(layouts, n: int) -> tuple[SchmidtVector, ...]:
     """The layouts sorted, as states; through SchmidtVector unless one pass finds no fault."""
     amps = [tuple(sorted(x, reverse=True)) for x in layouts]
-    if n >= 2 and _finite_nonnegative(list(concat.from_iterable(amps))):
-        # checked: n >= 2, finite and >= 0 above, sorted; the drift is tested next.
+    if n >= 2 and _finite_nonnegative(list(concat.from_iterable(amps)), typed=False):
+        # checked: n >= 2, real (__post_init__'s type check, or the builders' floats),
+        # finite and >= 0 above, sorted; the drift is tested next.
         states = tuple(map(SchmidtVector._trusted, amps))
         if all(abs(sum(s.squares) - 1.0) <= EPS_NORM for s in states):
             return states
@@ -169,7 +184,7 @@ def choose_omega(
     must come out sorted and must majorize block_source, otherwise the block
     split is infeasible and the corresponding error is raised.
     """
-    if not (isinstance(block_norm, numbers.Real) and 0.0 < block_norm < math.inf):
+    if not (_finite_nonnegative((block_norm,)) and block_norm > 0.0):
         raise ZeroBlockNorm(f"block norm {block_norm!r} must be a finite number > 0")
     m = block_source.n
     if len(target_tail) != m - 1:
@@ -178,14 +193,10 @@ def choose_omega(
     tail_sq = sum(t * t for t in tail)
     head_sq = 1.0 - tail_sq
     if head_sq < -EPS_CMP:
-        raise NormalizationUnderflow(
-            f"fixed tail weight {tail_sq!r} exceeds the block weight"
-        )
+        raise NormalizationUnderflow(f"fixed tail weight {tail_sq!r} exceeds the block weight")
     head = math.sqrt(max(head_sq, 0.0))
     if tail and head * head < tail[0] * tail[0] - EPS_CMP:
-        raise OmegaNotSorted(
-            f"closing coefficient {head!r} below fixed tail head {tail[0]!r}"
-        )
+        raise OmegaNotSorted(f"closing coefficient {head!r} below fixed tail head {tail[0]!r}")
     omega = SchmidtVector((head, *tail))
     report = majorizes(block_source, omega)
     if not report.holds:
@@ -281,16 +292,9 @@ def _chain(layouts, tilde_sqs, m, windows) -> IntermediateChain:
     return IntermediateChain._trusted(tuple(layouts), int(m), tilde_values, windows)
 
 
-def _is_index(i) -> bool:
-    """i is an integer and not a bool.  int comes first in the isinstance
-    tuple: the numbers.Integral lookup alone made a chain's window check
-    several times slower."""
-    return isinstance(i, (int, numbers.Integral)) and not isinstance(i, bool)
-
-
 def _block_size(m) -> int:
     """m as a Python int; BlockTooLarge unless it is an integer >= 2."""
-    if not isinstance(m, numbers.Integral) or m < 2:
+    if not _is_integer_kind(type(m)) or m < 2:
         raise BlockTooLarge(f"block size {m!r} must be an integer >= 2")
     return int(m)
 
@@ -397,7 +401,7 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
     positional window is unsorted, operators and corrections are conjugated
     by the sorting permutation so they act on the stated indices.
     """
-    if not (_is_index(k) and 0 <= k < chain.l):
+    if not (_is_integer_kind(type(k)) and 0 <= k < chain.l):
         raise IndexRangeInvalid(f"link {k!r} not in [0, {chain.l})")
     idx = chain.windows[k]
     source_layout, target_layout = chain.layouts[k], chain.layouts[k + 1]

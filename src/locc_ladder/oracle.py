@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
 from .ladder import LadderPlan
-from .schmidt import EPS_NORM, EPS_ZERO, MAX_ORACLE_DIM
+from .schmidt import EPS_NORM, EPS_ZERO, MAX_ORACLE_DIM, _is_integer_kind
 from .solvers import DiagonalKraus
 
 # Verification thresholds.
@@ -144,11 +144,6 @@ def apply_kraus(state: FullState, op: DiagonalKraus, party: str = "A"):
     return post, prob
 
 
-def _integer_type(kind: type) -> bool:
-    """Whether kind is a Python or numpy integer type, bool excluded."""
-    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
-
-
 def _inverse_permutations(perms: list, n: int) -> np.ndarray | None:
     """The inverses of perms as the rows of one array, or None unless every
     one holds integers, not bools, that permute 0..n-1: the oracle's one
@@ -156,7 +151,7 @@ def _inverse_permutations(perms: list, n: int) -> np.ndarray | None:
     try:
         if not {n}.issuperset(map(len, perms)):
             return None
-        if not all(map(_integer_type, set(map(type, concat.from_iterable(perms))))):
+        if not all(map(_is_integer_kind, set(map(type, concat.from_iterable(perms))))):
             return None
         # An integer too large for intp raises OverflowError.
         labels = np.array(perms, dtype=np.intp).reshape(-1, n)
@@ -802,8 +797,8 @@ def _sampling_runtime(plan: LadderPlan) -> _PlanRuntime:
 
 
 def _integer(name: str, value) -> int:
-    """value as a Python int: a Python or numpy integer, not a bool."""
-    if not _integer_type(type(value)):
+    """value as a Python int; ValidationError unless _is_integer_kind(type(value))."""
+    if not _is_integer_kind(type(value)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -813,7 +808,7 @@ def run_trajectory(plan: LadderPlan, seed: int, shot_index: int) -> TrajectoryRe
     sample_trajectories(plan, shots, seed), walked as a block of one shot."""
     seed = _integer("seed", seed)
     # Philox keys the shot's stream with its index as one uint64 word.
-    if not (_integer_type(type(shot_index)) and 0 <= shot_index < 1 << 64):
+    if not (_is_integer_kind(type(shot_index)) and 0 <= shot_index < 1 << 64):
         raise ValidationError(f"shot_index must be an integer in [0, 2**64), got {shot_index!r}")
     runtime = _sampling_runtime(plan)
     draws = _shot_draws(seed, shot_index, 1, len(runtime.steps))

@@ -39,11 +39,26 @@ MAX_ORACLE_DIM = 64
 _EPS_EXACT = 1e-13
 
 
-def _finite_nonnegative(values: Sequence[float]) -> bool:
-    """Whether every entry is a finite number >= 0 (-0.0 included).  False,
-    not an error, for an entry this cannot judge, such as a str."""
+def _is_real_kind(kind: type) -> bool:
+    """The entry rule's type half: a real-number type (numbers.Real, as numpy's
+    scalars and Fraction are), not bool.  float and int first: an ABC lookup is slow."""
+    return issubclass(kind, (float, int, numbers.Real)) and kind is not bool
+
+
+def _is_integer_kind(kind: type) -> bool:
+    """The index rule: an integer type (numbers.Integral, as numpy's integer
+    scalars are), not bool; int first, as in _is_real_kind."""
+    return issubclass(kind, (int, numbers.Integral)) and kind is not bool
+
+
+def _finite_nonnegative(values: Sequence[float], *, typed: bool = True) -> bool:
+    """The entry rule: whether every entry is a real number (_is_real_kind,
+    asked once per distinct type) that a float holds, finite and >= 0 (-0.0
+    included).  False, not an error, for an entry this cannot judge.
+    typed=False skips the type half, for entries of known types."""
     try:
-        return all(map(math.isfinite, values)) and min(values, default=0.0) >= 0.0
+        kinds_ok = not typed or all(map(_is_real_kind, set(map(type, values))))
+        return kinds_ok and all(map(math.isfinite, values)) and min(values, default=0.0) >= 0.0
     except (TypeError, OverflowError):
         return False
 
@@ -55,7 +70,7 @@ class SchmidtVector:
     Invariants: entries non-increasing, squares summing to one.  A
     "source-grade" vector additionally has strictly positive entries;
     targets and intermediate states may carry zeros.  SchmidtVector(amps)
-    checks n >= 2 and entries finite, non-negative, ordered and normalized;
+    checks n >= 2, each entry by the entry rule, and order and norm;
     _trusted(amps) checks nothing, for amplitudes whose checks the caller
     has just made ("# checked:" names them).
     """
@@ -71,7 +86,7 @@ class SchmidtVector:
         floors = map(operator.sub, amps[1:], repeat(EPS_CMP))
         if not (_finite_nonnegative(amps) and all(map(operator.ge, amps, floors))):
             for j, a in enumerate(amps):
-                if not (a >= 0.0) or a != a or a == float("inf"):
+                if not _finite_nonnegative((a,)):
                     raise NegativeEntry(f"amplitude {a!r} at index {j}")
                 if j and amps[j - 1] < a - EPS_CMP:
                     raise NotSorted(f"amplitudes increase at index {j}")
@@ -131,24 +146,20 @@ def validate(
     or a bool, say) or that a float cannot hold raises NegativeEntry.
     """
     items = list(raw)
-    # One check per distinct entry type: a real number, not a bool.
-    bad = [k for k in set(map(type, items)) if k is bool or not issubclass(k, numbers.Real)]
-    if bad:
-        j = next(j for j, x in enumerate(items) if type(x) in bad)
-        raise NegativeEntry(f"entry {items[j]!r} at index {j} is not a real number")
-    try:
-        vals = list(map(float, items))
-    except OverflowError:
-        raise NegativeEntry("an entry is too large for a float") from None
-    if len(vals) < 2:
-        raise DimensionTooSmall(f"need dimension >= 2, got {len(vals)}")
+    if len(items) < 2:
+        raise DimensionTooSmall(f"need dimension >= 2, got {len(items)}")
     # As in SchmidtVector: the loop runs only to name the first bad entry.
-    if not _finite_nonnegative(vals):
-        for j, x in enumerate(vals):
-            if not math.isfinite(x):
-                raise NegativeEntry(f"non-finite entry {x!r} at index {j}")
-            if x < 0.0:
-                raise NegativeEntry(f"negative entry {x!r} at index {j}")
+    if not _finite_nonnegative(items):
+        j, x = next((j, x) for j, x in enumerate(items) if not _finite_nonnegative((x,)))
+        if not _is_real_kind(type(x)):
+            raise NegativeEntry(f"entry {x!r} at index {j} is not a real number")
+        try:
+            x = float(x)
+        except OverflowError:
+            raise NegativeEntry("an entry is too large for a float") from None
+        fault = "negative" if math.isfinite(x) else "non-finite"
+        raise NegativeEntry(f"{fault} entry {x!r} at index {j}")
+    vals = list(map(float, items))
     if any(map(operator.lt, vals, vals[1:])):
         if not autosort:
             raise NotSorted("entries are not non-increasing (pass autosort to sort)")

@@ -12,6 +12,7 @@ from itertools import repeat
 
 from .errors import (
     DimensionMismatch,
+    NegativeEntry,
     NotMajorized,
     SolverInvariantViolated,
     SourceHasZero,
@@ -28,7 +29,8 @@ TRIVIAL = "TRIVIAL"
 @dataclass(frozen=True)
 class DiagonalKraus:
     """A measurement operator diagonal in the Schmidt basis.  DiagonalKraus(diag)
-    checks that every entry is finite and >= 0; _trusted(diag) checks nothing,
+    checks every entry by the entry rule (a real number, not a bool, finite and
+    >= 0) and raises NegativeEntry; _trusted(diag) checks nothing,
     for entries the caller has just established ("# checked:" names how).
     """
 
@@ -37,8 +39,8 @@ class DiagonalKraus:
     def __post_init__(self):
         if not _finite_nonnegative(self.diag):
             for d in self.diag:
-                if not (d >= 0.0) or d == float("inf"):
-                    raise ValueError(f"operator entry {d!r} must be finite and >= 0")
+                if not _finite_nonnegative((d,)):
+                    raise NegativeEntry(f"operator entry {d!r} must be finite and >= 0")
 
     @classmethod
     def _trusted(cls, diag: tuple[float, ...]) -> DiagonalKraus:
@@ -112,13 +114,20 @@ def _trivial_step(source: SchmidtVector, target: SchmidtVector) -> MeasurementSt
         correction=tuple(range(n)),
         post_state=target,
     )
-    return MeasurementStep(
-        branches=(branch,),
-        source=source,
-        target=target,
-        case_tag=TRIVIAL,
-        pruned_count=0,
-    )
+    return MeasurementStep(branches=(branch,), source=source, target=target, case_tag=TRIVIAL)
+
+
+def _trivial_solve(source: SchmidtVector, target: SchmidtVector, n: int) -> bool:
+    """solve2's and solve3's preamble: refuses a pair not of dimension n, not majorized
+    or with a vanishing source coefficient; True when source equals target."""
+    if source.n != n or target.n != n:
+        raise DimensionMismatch(f"solve{n} requires dimension {n}")
+    report = majorizes(source, target)
+    if not report.holds:
+        raise NotMajorized(report)
+    if not source.is_source_grade():
+        raise SourceHasZero(f"source {source.amps} has a vanishing coefficient")
+    return states_equal(source, target)
 
 
 def _cond(a: float, b: float, den: float) -> float:
@@ -198,14 +207,7 @@ def solve3(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
     orderings of the middle coefficients; outcome 1 lands on the target
     directly and the other outcomes need one swap each.
     """
-    if source.n != 3 or target.n != 3:
-        raise DimensionMismatch("solve3 requires dimension 3")
-    report = majorizes(source, target)
-    if not report.holds:
-        raise NotMajorized(report)
-    if not source.is_source_grade():
-        raise SourceHasZero(f"source {source.amps} has a vanishing coefficient")
-    if states_equal(source, target):
+    if _trivial_solve(source, target, 3):
         return _trivial_step(source, target)
 
     a1, b1, c1 = source.amps
@@ -217,9 +219,7 @@ def solve3(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
         # Middle coefficient shrinks (ties routed here for reproducibility).
         if s2 - sb2 <= EPS_ZERO or s2 - sc2 <= EPS_ZERO:
             return _trivial_step(source, target)  # degenerate: states coincide
-        _assert_ordering(
-            [("a2", a2), ("a1", a1), ("b1", b1), ("b2", b2), ("c2", c2)], CASE_I
-        )
+        _assert_ordering([("a2", a2), ("a1", a1), ("b1", b1), ("b2", b2), ("c2", c2)], CASE_I)
         cond2, cond3 = _cond(sb1, sb2, s2 - sb2), _cond(sc1, sc2, s2 - sc2)
         p2 = _clamp_prob((sb1 - sb2) / (s2 - sb2), "p2", cond2)
         p3 = _clamp_prob((sc1 - sc2) / (s2 - sc2), "p3", cond3)
@@ -237,9 +237,7 @@ def solve3(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
     # Middle coefficient grows.
     if s2 - sc2 <= EPS_ZERO or sb2 - sc2 <= EPS_ZERO:
         return _trivial_step(source, target)
-    _assert_ordering(
-        [("a2", a2), ("b2", b2), ("b1", b1), ("c1", c1), ("c2", c2)], CASE_II
-    )
+    _assert_ordering([("a2", a2), ("b2", b2), ("b1", b1), ("c1", c1), ("c2", c2)], CASE_II)
     cond2, cond3 = _cond(s2, s1, s2 - sc2), _cond(sb2, sb1, sb2 - sc2)
     p2 = _clamp_prob((s2 - s1) / (s2 - sc2), "p2", cond2)
     p3 = _clamp_prob((sb2 - sb1) / (sb2 - sc2), "p3", cond3)
@@ -254,14 +252,7 @@ def solve3(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
 
 def solve2(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
     """Single two-outcome measurement for a 2-dimensional transformation."""
-    if source.n != 2 or target.n != 2:
-        raise DimensionMismatch("solve2 requires dimension 2")
-    report = majorizes(source, target)
-    if not report.holds:
-        raise NotMajorized(report)
-    if not source.is_source_grade():
-        raise SourceHasZero(f"source {source.amps} has a vanishing coefficient")
-    if states_equal(source, target):
+    if _trivial_solve(source, target, 2):
         return _trivial_step(source, target)
 
     a1, b1 = source.amps

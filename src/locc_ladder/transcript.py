@@ -21,7 +21,6 @@ other list, item by item.
 from __future__ import annotations
 
 import json
-import numbers
 import operator
 from dataclasses import MISSING, dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -30,7 +29,7 @@ from typing import TYPE_CHECKING, Optional
 from . import __version__
 from .errors import DimensionMismatch, ValidationError
 from .ladder import InfeasibilityCertificate, IntermediateChain, LadderPlan
-from .schmidt import MajorizationReport, SchmidtVector, validate
+from .schmidt import MajorizationReport, SchmidtVector, _is_real_kind, validate
 
 if TYPE_CHECKING:
     from .oracle import FrequencyReport, VerificationReport
@@ -67,7 +66,7 @@ class ProblemSpec:
             if not isinstance(payload[key], list) or not payload[key]:
                 raise ValidationError(f"'{key}' must be a non-empty array")
         for key in ("squared", "autosort"):
-            if key in payload and not isinstance(payload[key], bool):
+            if key in payload and type(payload[key]) is not bool:
                 raise ValidationError(f"'{key}' must be a boolean")
         return cls(
             source=_numbers(payload, "source"),
@@ -104,14 +103,12 @@ _JSON_KINDS = {
 
 
 def _numbers(payload: dict, key: str) -> list[float]:
-    """payload[key] as floats; each entry must be a real number (from JSON an
-    int or a float; from Python also any ``numbers.Real`` such as numpy's
-    scalars or a Fraction), not a bool, and one that a float can hold."""
+    """payload[key] as floats; each entry must be a real number that a float
+    can hold (from JSON an int or a float; from Python the entry rule's
+    types, _is_real_kind, such as numpy's scalars or a Fraction)."""
     out = []
     for i, x in enumerate(payload[key]):
-        # float and int first: the numbers.Real check alone is an ABC
-        # lookup, which made parsing 3.5x slower.
-        if isinstance(x, bool) or not isinstance(x, (float, int, numbers.Real)):
+        if not _is_real_kind(type(x)):
             kind = _JSON_KINDS.get(type(x), type(x).__name__)
             raise ValidationError(f"'{key}'[{i}] must be a number, not {kind}")
         try:

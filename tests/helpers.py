@@ -10,6 +10,7 @@ whole-tuple forms must equal bit for bit, refusals included.
 import dataclasses
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -33,13 +34,25 @@ from locc_ladder.oracle import (
 from locc_ladder.schmidt import EPS_CMP, EPS_NORM
 
 
+def literal_entry_ok(a):
+    """The entry rule, literally: a real number and not a bool, that a float
+    holds, finite and >= 0."""
+    if isinstance(a, bool) or not isinstance(a, numbers.Real):
+        return False
+    try:
+        x = float(a)
+    except OverflowError:
+        return False
+    return a >= 0.0 and math.isfinite(x)
+
+
 def literal_schmidt_squares(amps):
     """SchmidtVector's checks by the literal per-entry loop: raises what
     SchmidtVector(amps) must raise, else returns the squares it must hold."""
     if len(amps) < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {len(amps)}")
     for j, a in enumerate(amps):
-        if not (a >= 0.0) or a != a or a == float("inf"):
+        if not literal_entry_ok(a):
             raise NegativeEntry(f"amplitude {a!r} at index {j}")
         if j and amps[j - 1] < a - EPS_CMP:
             raise NotSorted(f"amplitudes increase at index {j}")
@@ -52,8 +65,8 @@ def literal_schmidt_squares(amps):
 def literal_kraus_check(diag):
     """DiagonalKraus's check by the literal per-entry loop."""
     for d in diag:
-        if not (d >= 0.0) or d == float("inf"):
-            raise ValueError(f"operator entry {d!r} must be finite and >= 0")
+        if not literal_entry_ok(d):
+            raise NegativeEntry(f"operator entry {d!r} must be finite and >= 0")
 
 
 def literal_majorization(source_sq, target_sq):

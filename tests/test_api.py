@@ -8,7 +8,8 @@ closed ``chain`` section and the benchmark read, and for the signature of
 between the package's modules are pinned here too, read from their source,
 among them the import boundary that keeps numpy out of a process that never
 verifies a plan and the rule that every module is one the CLI can run, and
-so is the rule that every unchecked construction names its check.
+so are the rules that every unchecked construction names its check and that
+the number and integer type rules are spelled in schmidt.py alone.
 """
 
 import ast
@@ -217,17 +218,62 @@ def _package_imports(tree):
 
 def test_oracle_takes_only_plan_data_from_the_planner():
     # The oracle is the independent check of a plan: from the planner's
-    # modules it may take the plan's types and the input tolerances, never
-    # planner code.
+    # modules it may take the plan's types, the input tolerances and the
+    # package's one integer rule for its integer arguments, never planner
+    # code.
     allowed = {
         ("ladder", "LadderPlan"),
         ("solvers", "DiagonalKraus"),
         ("schmidt", "EPS_NORM"),
         ("schmidt", "EPS_ZERO"),
         ("schmidt", "MAX_ORACLE_DIM"),
+        ("schmidt", "_is_integer_kind"),
     }
     imports = _package_imports(_module_tree("oracle"))
     assert {(m, name) for m, name in imports if m != "errors"} <= allowed
+
+
+_TYPE_RULE_NAMES = {("numbers", "Real"), ("numbers", "Integral"), ("np", "integer"), ("numpy", "integer")}
+
+
+def _type_rule_spellings(tree):
+    """Where tree spells a number or integer type rule of its own: numbers.Real,
+    numbers.Integral or np.integer, an import from numbers, or isinstance or
+    issubclass against bool (alone or in a tuple)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) in _TYPE_RULE_NAMES:
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("isinstance", "issubclass"):
+            kinds = node.args[1:2]
+            kinds = kinds[0].elts if kinds and isinstance(kinds[0], ast.Tuple) else kinds
+            if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_the_number_and_integer_rules_live_in_schmidt_alone():
+    # What counts as a real entry and as an integer index is decided in
+    # schmidt.py (_is_real_kind, _is_integer_kind); every other module asks
+    # those, so no two modules can disagree about a bool or a numpy scalar.
+    spelled = {name: _type_rule_spellings(_module_tree(name)) for name in _package_modules()}
+    assert {name: found for name, found in spelled.items() if found and name != "schmidt"} == {}
+    assert spelled["schmidt"]
+    sample = (
+        "isinstance(x, bool)\nissubclass(k, (int, np.integer)) and not issubclass(k, bool)\n"
+        "isinstance(x, (float, numbers.Real))\nfrom numbers import Integral\n"
+        "isinstance(x, int)\ntype(x) is bool\nnumbers.Number\n"
+    )
+    assert sorted(_type_rule_spellings(ast.parse(sample))) == [
+        "from numbers import Integral",
+        "isinstance(x, bool)",
+        "issubclass(k, bool)",
+        "np.integer",
+        "numbers.Real",
+    ]
 
 
 def _import_time_imports(tree):

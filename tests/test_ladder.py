@@ -149,14 +149,18 @@ class TestChooseOmega:
         with pytest.raises(OmegaNotSorted):
             choose_omega(block, [0.9], 1.0)
 
-    @pytest.mark.parametrize("norm", [0.0, -0.0, -1.0, math.nan, math.inf, "1.0", None])
+    @pytest.mark.parametrize(
+        "norm",
+        [0.0, -0.0, -1.0, math.nan, math.inf, "1.0", None, True, pytest.param(10**400, id="10**400")],
+    )
     def test_block_norm_must_be_finite_and_positive(self, norm):
         # Refused by name: 0.0 would divide by zero, and a negative or NaN
-        # norm would surface as a negative amplitude the caller never gave.
+        # norm would surface as a negative amplitude the caller never gave;
+        # a bool is not a number to the entry rule.
         block = validate([0.5, 0.5], squared=True)
         with pytest.raises(ZeroBlockNorm, match=rf"^block norm {re.escape(repr(norm))} must be"):
             choose_omega(block, [0.1], norm)
-        for real in (1, True, np.float64(1.0), Fraction(1)):
+        for real in (1, np.float64(1.0), Fraction(1)):
             assert choose_omega(block, [0.5], real) == choose_omega(block, [0.5], 1.0)
 
 
@@ -204,6 +208,14 @@ class TestIntermediateChain:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             IntermediateChain((first, layout), 2, (), (window,))
 
+    @pytest.mark.parametrize("entry", ["x", True, None, 0.6j, np.bool_(True)])
+    def test_a_layout_entry_that_is_not_a_real_number_is_named(self, entry):
+        # Refused before the layouts are sorted: a str beside a float would
+        # not sort, and a bool would be read as 1 or 0.
+        message = f"^layout 1 entry {re.escape(repr(entry))} at index 0 is not a real number$"
+        with pytest.raises(NegativeEntry, match=message):
+            IntermediateChain(((0.8, 0.6), (entry, 0.6)), 2, (), ((0, 1),))
+
     @pytest.mark.parametrize("layouts, windows", [(0, 0), (1, 1), (2, 0), (2, 2), (3, 1), (3, 4)])
     def test_one_window_per_link(self, n4_pair, layouts, windows):
         # Refused when the chain is built, not by a lift that indexes past
@@ -231,6 +243,30 @@ class TestIntermediateChain:
         with pytest.raises(IndexRangeInvalid, match=message):
             IntermediateChain((source.amps, source.amps), 3, (), (window,))
 
+    @pytest.mark.parametrize(
+        "tilde, error, message",
+        [
+            (("x",), NegativeEntry, "tilde value 'x' at index 0"),
+            ((True,), NegativeEntry, "tilde value True at index 0"),
+            ((None,), NegativeEntry, "tilde value None at index 0"),
+            ((math.nan,), NegativeEntry, "tilde value nan at index 0"),
+            ((-0.5,), NegativeEntry, "tilde value -0.5 at index 0"),
+            ((10**400,), NegativeEntry, f"tilde value {10**400!r} at index 0"),
+            ((), IndexRangeInvalid, "0 tilde values for 2 links"),
+            ((0.5, 0.5), IndexRangeInvalid, "2 tilde values for 2 links"),
+        ],
+        ids=["str", "bool", "none", "nan", "negative", "int-beyond-float", "too-few", "too-many"],
+    )
+    def test_tilde_values_are_one_real_entry_per_link_but_the_last(self, n4_pair, tilde, error, message):
+        # They reach the transcript's chain section, typed there as floats.
+        source, _ = n4_pair
+        layouts, windows = (source.amps,) * 3, ((1, 2, 3), (0, 1))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            IntermediateChain(layouts, 3, tilde, windows)
+        for real in (0.5, np.float64(0.5), Fraction(1, 2), -0.0):
+            chain = IntermediateChain(layouts, 3, (real,), windows)
+            assert chain.tilde_values == (float(real),) and type(chain.tilde_values[0]) is float
+
     @pytest.mark.parametrize("m", [2.5, 1, True, np.float64(3), Fraction(3)])
     def test_block_size_is_an_integer_of_at_least_two(self, n4_pair, m):
         source, _ = n4_pair
@@ -251,20 +287,21 @@ class TestIntermediateChain:
     @pytest.mark.parametrize("n", [2, 3, 7, 16])
     def test_built_chains_equal_the_checked_construction(self, n, m, monkeypatch):
         # The builders build their windows from range and skip the window
-        # checks; the chain, its states and its Python ints are the checked
+        # checks: the integer rule is asked only of each builder's block
+        # size.  The chain, its states and its Python ints are the checked
         # constructor's.
         rng = np.random.default_rng([20261019, n])
         target = np.sort(rng.dirichlet(np.ones(n)))[::-1]
         source = np.full(n, 1.0 / n)
         pair = validate(list(source), squared=True), validate(list(target), squared=True)
         checks = []
-        monkeypatch.setattr(ladder, "_is_index", lambda i: checks.append(i) or True)
+        monkeypatch.setattr(ladder, "_is_integer_kind", lambda kind: checks.append(kind) or True)
         chains = [greatest_first_chain(*pair, m)]
         try:
             chains.append(intermediate_chain(*pair, m))
         except LadderInfeasible:
             pass
-        assert checks == []
+        assert checks == [type(m)] * 2
         monkeypatch.undo()
         for chain in chains:
             if isinstance(chain, InfeasibilityCertificate):

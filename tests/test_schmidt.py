@@ -142,23 +142,30 @@ def _third(second):
     return (1 - 0.36 - second * second) ** 0.5
 
 
-# (id, amplitudes, accepted): each edge of SchmidtVector's checks.
+# (id, amplitudes, outcome): each edge of SchmidtVector's checks; outcome is
+# True when accepted, else the error it raises.
 SCHMIDT_EDGES = [
-    ("nan-first", (math.nan, 0.6, 0.8), False),
-    ("nan-after-negative", (1.0, -0.5, math.nan), False),
-    ("inf", (math.inf, 0.0), False),
-    ("minus-inf", (1.0, -math.inf), False),
-    ("minus-1e-300", (1.0, -1e-300), False),
+    ("nan-first", (math.nan, 0.6, 0.8), NegativeEntry),
+    ("nan-after-negative", (1.0, -0.5, math.nan), NegativeEntry),
+    ("inf", (math.inf, 0.0), NegativeEntry),
+    ("minus-inf", (1.0, -math.inf), NegativeEntry),
+    ("minus-1e-300", (1.0, -1e-300), NegativeEntry),
     ("minus-zero", (1.0, -0.0), True),
     ("rise-of-eps", (0.6, 0.6 + EPS_CMP, _third(0.6 + EPS_CMP)), True),
-    ("rise-of-2eps", (0.6, 0.6 + 2 * EPS_CMP, _third(0.6 + 2 * EPS_CMP)), False),
+    ("rise-of-2eps", (0.6, 0.6 + 2 * EPS_CMP, _third(0.6 + 2 * EPS_CMP)), NotSorted),
     ("drift-0.9e-9", ((0.5 + 0.9e-9) ** 0.5, 0.5**0.5), True),
-    ("drift-1.1e-9", ((0.5 + 1.1e-9) ** 0.5, 0.5**0.5), False),
-    ("length-1", (1.0,), False),
-    ("length-0", (), False),
-    ("strings", ("b", "a"), False),
+    ("drift-1.1e-9", ((0.5 + 1.1e-9) ** 0.5, 0.5**0.5), NotNormalized),
+    ("length-1", (1.0,), DimensionTooSmall),
+    ("length-0", (), DimensionTooSmall),
+    ("strings", ("b", "a"), NegativeEntry),
     ("fractions", (Fraction(4, 5), Fraction(3, 5)), True),
-    ("int-beyond-float", (10**400, 0), False),
+    ("int-beyond-float", (10**400, 0), NegativeEntry),
+    ("fraction-beyond-float", (Fraction(10**400), 0), NegativeEntry),
+    ("bools", (True, False), NegativeEntry),
+    ("bool-after-float", (1.0, False), NegativeEntry),
+    ("numpy-bool", (np.bool_(True), 0.0), NegativeEntry),
+    ("none", (1.0, None), NegativeEntry),
+    ("complex", (0.8 + 0j, 0.6), NegativeEntry),
 ]
 
 
@@ -179,14 +186,15 @@ class TestChecksEqualTheLiteralLoops:
     type and message."""
 
     @pytest.mark.parametrize(
-        "amps, accepted", [c[1:] for c in SCHMIDT_EDGES], ids=[c[0] for c in SCHMIDT_EDGES]
+        "amps, expected", [c[1:] for c in SCHMIDT_EDGES], ids=[c[0] for c in SCHMIDT_EDGES]
     )
-    def test_edges(self, amps, accepted):
+    def test_edges(self, amps, expected):
         want = outcome(literal_schmidt_squares, amps)
         assert outcome(_squares, amps) == want
-        assert (not isinstance(want[0], type)) == accepted
-        if accepted:
+        if expected is True:
             assert float_bits(_squares(amps)) == float_bits(want)
+        else:
+            assert want[0] is expected and issubclass(expected, ValueError)
 
     @given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, 1.0, EPS_CMP]), max_size=6))
     @settings(max_examples=300, deadline=None)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from locc_ladder import (
     TWO_OUTCOME,
     DiagonalKraus,
     DimensionMismatch,
+    NegativeEntry,
     NotMajorized,
     SolverInvariantViolated,
     SourceHasZero,
@@ -180,6 +182,22 @@ class TestSolve3Fixtures:
             )
 
 
+@pytest.mark.parametrize("solve, n", [(solve2, 2), (solve3, 3)])
+def test_both_solvers_check_a_pair_in_one_order(solve, n):
+    # Dimension, then majorization, then a vanishing source coefficient, and
+    # only then equal states, which take the trivial step.
+    flat = validate([1.0 / n] * n, squared=True)
+    product = validate([1.0] + [0.0] * (n - 1), squared=True)
+    wide = validate([0.25] * 4, squared=True)
+    with pytest.raises(DimensionMismatch, match=f"^solve{n} requires dimension {n}$"):
+        solve(wide, wide)
+    with pytest.raises(NotMajorized):
+        solve(product, flat)
+    with pytest.raises(SourceHasZero):
+        solve(product, product)
+    assert solve(flat, flat).case_tag == TRIVIAL
+
+
 class TestSolve2Fixtures:
     def test_balanced_to_skewed(self):
         step = solve2(
@@ -250,7 +268,7 @@ class TestSolverProperties:
                 assert a2 >= b2 - eps >= b1 - 2 * eps >= c1 - 3 * eps >= c2 - 4 * eps
 
 
-# (id, diagonal, accepted): each edge of DiagonalKraus's check.
+# (id, diagonal, accepted): each edge of DiagonalKraus's check, the entry rule.
 KRAUS_EDGES = [
     ("nan", (0.5, math.nan), False),
     ("nan-after-negative", (1.0, -0.5, math.nan), False),
@@ -260,7 +278,13 @@ KRAUS_EDGES = [
     ("minus-zero", (1.0, -0.0), True),
     ("empty", (), True),
     ("strings", ("a",), False),
-    ("int-beyond-float", (10**400, 0), True),
+    ("string-after-float", ("a", 1.0), False),
+    ("int-beyond-float", (10**400, 0), False),
+    ("bool", (True, 1.0), False),
+    ("bool-after-float", (1.0, False), False),
+    ("none", (1.0, None), False),
+    ("numpy-float", (np.float64(0.5), 1.0), True),
+    ("fraction", (Fraction(1, 2), 1.0), True),
 ]
 
 
@@ -273,6 +297,7 @@ class TestChecksEqualTheLiteralLoops:
         assert (want is None) == accepted
         got = outcome(DiagonalKraus, diag)
         assert isinstance(got, DiagonalKraus) if accepted else got == want
+        assert accepted or want[0] is NegativeEntry
 
     @given(
         st.integers(1, 4).flatmap(
