@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from itertools import chain as concat, repeat
+from itertools import repeat
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -60,9 +60,9 @@ class IntermediateChain:
     transforms.
     states, the layouts sorted, are derived once at construction, where a
     chain of the wrong shape or with an entry the entry rule refuses is
-    refused; m and the window indices are kept as Python ints and the
-    tilde values (one per link but the last) as floats, so that the chain's
-    transcript section can be written.
+    refused; the layouts and the tilde values (one per link but the last)
+    are kept as floats and m and the window indices as Python ints, so that
+    the chain's transcript section can be written.
     """
 
     layouts: tuple[tuple[float, ...], ...]
@@ -75,13 +75,18 @@ class IntermediateChain:
         if len(windows) != len(layouts) - 1:
             raise ChainInvariantViolated(f"{len(windows)} windows for {len(layouts)} layouts")
         n = len(layouts[0])
+        floats = []
         for k, layout in enumerate(layouts):
             if len(layout) != n:
                 raise IndexRangeInvalid(f"layout {k} spans {len(layout)} indices, expected {n}")
-            # By type only: _layout_states refuses any other bad entry by SchmidtVector's checks.
+            # By type only: SchmidtVector refuses any other bad entry of the sorted floats.
             if not all(map(_is_real_kind, set(map(type, layout)))):
                 j, a = next((j, a) for j, a in enumerate(layout) if not _is_real_kind(type(a)))
                 raise NegativeEntry(f"layout {k} entry {a!r} at index {j} is not a real number")
+            try:
+                floats.append(tuple(map(float, layout)))
+            except OverflowError:
+                raise NegativeEntry(f"layout {k} has an entry too large for a float") from None
         for w in windows:
             ok = all(map(_is_integer_kind, set(map(type, w)))) and all(map(operator.lt, w, w[1:]))
             if not ok or (w and not 0 <= w[0] <= w[-1] < n):
@@ -92,20 +97,29 @@ class IntermediateChain:
             raise NegativeEntry(f"tilde value {t!r} at index {j}")
         if len(tilde) != len(windows) - 1:
             raise IndexRangeInvalid(f"{len(tilde)} tilde values for {len(windows)} links")
+        object.__setattr__(self, "layouts", tuple(floats))
         object.__setattr__(self, "m", _block_size(self.m))
         object.__setattr__(self, "tilde_values", tuple(map(float, tilde)))
         object.__setattr__(self, "windows", tuple(tuple(map(int, w)) for w in windows))
         # Outside the fields, so eq, repr and hash see the layouts alone.
-        object.__setattr__(self, "_states", _layout_states(layouts, n))
+        states = (SchmidtVector(tuple(sorted(x, reverse=True))) for x in floats)
+        object.__setattr__(self, "_states", tuple(states))
 
     @classmethod
     def _trusted(cls, layouts, m: int, tilde_values, windows) -> IntermediateChain:
-        """The chain without its shape checks, for layouts and windows built
-        to shape ("# checked:" names how), m and the window indices already
-        Python ints; its states are derived as at construction."""
+        """The chain unchecked, for layouts and windows built to shape ("# checked:"
+        names how), m and the window indices already Python ints; its states
+        skip SchmidtVector's checks unless one is off its norm."""
         chain = object.__new__(cls)
         vars(chain).update(layouts=layouts, m=m, tilde_values=tilde_values, windows=windows)
-        vars(chain)["_states"] = _layout_states(layouts, len(layouts[0]))
+        amps = [tuple(sorted(x, reverse=True)) for x in layouts]
+        # checked: n >= 2 and every entry real, finite and >= 0, since the
+        # builders' layouts hold only checked states' amplitudes and _amp's
+        # roots; sorted above; the drift is tested next.
+        states = tuple(map(SchmidtVector._trusted, amps))
+        if not all(abs(sum(s.squares) - 1.0) <= EPS_NORM for s in states):
+            states = tuple(map(SchmidtVector, amps))
+        vars(chain)["_states"] = states
         return chain
 
     @property
@@ -115,18 +129,6 @@ class IntermediateChain:
     @property
     def l(self) -> int:
         return len(self.windows)
-
-
-def _layout_states(layouts, n: int) -> tuple[SchmidtVector, ...]:
-    """The layouts sorted, as states; through SchmidtVector unless one pass finds no fault."""
-    amps = [tuple(sorted(x, reverse=True)) for x in layouts]
-    if n >= 2 and _finite_nonnegative(list(concat.from_iterable(amps)), typed=False):
-        # checked: n >= 2, real (__post_init__'s type check, or the builders' floats),
-        # finite and >= 0 above, sorted; the drift is tested next.
-        states = tuple(map(SchmidtVector._trusted, amps))
-        if all(abs(sum(s.squares) - 1.0) <= EPS_NORM for s in states):
-            return states
-    return tuple(map(SchmidtVector, amps))
 
 
 @dataclass(frozen=True)
@@ -189,6 +191,9 @@ def choose_omega(
     m = block_source.n
     if len(target_tail) != m - 1:
         raise IndexRangeInvalid(f"need {m - 1} tail amplitudes, got {len(target_tail)}")
+    if not _finite_nonnegative(target_tail):
+        j, t = next((j, t) for j, t in enumerate(target_tail) if not _finite_nonnegative((t,)))
+        raise NegativeEntry(f"tail amplitude {t!r} at index {j}")
     tail = [float(t) / block_norm for t in target_tail]
     tail_sq = sum(t * t for t in tail)
     head_sq = 1.0 - tail_sq
@@ -216,9 +221,6 @@ def _chain_windows(n: int, m: int, greatest_first: bool = False) -> tuple[tuple[
         wins.append(tuple(range(hi - m, hi)))
         hi -= m - 1
     wins.append(tuple(range(hi)))
-    l = 1 + math.ceil((n - m) / (m - 1)) if n > m else 1
-    if len(wins) != l:
-        raise ChainInvariantViolated(f"built {len(wins)} links, expected {l}")
     if greatest_first:
         return tuple(tuple(n - 1 - i for i in reversed(w)) for w in wins)
     return tuple(wins)
@@ -255,15 +257,13 @@ def _chain_layouts(source, target, windows, at_start: bool) -> tuple[list, list[
     return layouts, tilde_sqs
 
 
-def _link_refusal(
-    chain: IntermediateChain, pair: tuple[SchmidtVector, SchmidtVector], message: str
-) -> Optional[InfeasibilityCertificate]:
+def _link_refusal(chain: IntermediateChain, message: str) -> Optional[InfeasibilityCertificate]:
     """The certificate, its message formatted with k, next, failing_k and
     margin, for the chain's first link not majorized by its successor; None
     when every link is, so that the chain is realizable (Nielsen's theorem).
-    pair is the (source, target) that _trivial_pair majorized: a chain whose
-    states are that pair alone is its one link, so it is not tested again."""
-    if chain.states == pair:
+    A builder's one-link chain is the sorted pair that _trivial_pair
+    majorized, so it is not tested again."""
+    if chain.l == 1:
         return None
     for k, (a, b) in enumerate(zip(chain.states, chain.states[1:])):
         report = majorizes(a, b)
@@ -324,7 +324,6 @@ def intermediate_chain(source: SchmidtVector, target: SchmidtVector, m: int) -> 
     chain = _chain(*_chain_layouts(source, target, windows, True), m, windows)
     cert = _link_refusal(
         chain,
-        (source, target),
         "intermediate state {k} is not majorized by state {next} "
         "(tail k={failing_k}, margin {margin:.3e}); "
         "the smallest-first ladder cannot transform this pair",
@@ -378,9 +377,7 @@ def greatest_first_chain(
 
     chain = _chain(layouts, tilde_sqs, m, windows)
     cert = _link_refusal(
-        chain,
-        (source, target),
-        "intermediate {k} not majorized by its successor (tail k={failing_k})",
+        chain, "intermediate {k} not majorized by its successor (tail k={failing_k})"
     )
     return chain if cert is None else cert
 
@@ -512,7 +509,7 @@ def _lift(chain: IntermediateChain) -> tuple[MeasurementStep, ...]:
         except (OmegaNotMajorizing, OmegaNotSorted, NotMajorized) as exc:
             # Fires when a link _link_refusal accepts within EPS_CMP fails
             # the block check once normalized by a small block norm (pair
-            # 215 of the pinned corpus; one tolerance domain, ROADMAP item 1).
+            # 215 of the pinned corpus; one tolerance domain, ROADMAP item 12).
             cert = InfeasibilityCertificate(
                 kind="block_not_majorized",
                 step_index=k + 1,
@@ -530,9 +527,9 @@ def plan_full(source: SchmidtVector, target: SchmidtVector) -> LadderPlan:
     min(n, 3)-wide blocks and lifts it: each block is solved in closed form
     and its operators embedded into the full dimension.  Emits floor(n/2)
     steps for n >= 3 whenever source != target, one per window of
-    _chain_windows, which checks its own count.  A one-link chain over every
-    index takes the pair's own step: trivial for equal states, solve2 at
-    n = 2 (a lift would renormalize the block and move the plan's bits).
+    _chain_windows.  A one-link chain over every index takes the pair's
+    own step: trivial for equal states, solve2 at n = 2 (a lift would
+    renormalize the block and move the plan's bits).
     """
     n = source.n
     # intermediate_chain runs the preamble (majorization included) once.

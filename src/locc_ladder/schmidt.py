@@ -51,13 +51,12 @@ def _is_integer_kind(kind: type) -> bool:
     return issubclass(kind, (int, numbers.Integral)) and kind is not bool
 
 
-def _finite_nonnegative(values: Sequence[float], *, typed: bool = True) -> bool:
+def _finite_nonnegative(values: Sequence[float]) -> bool:
     """The entry rule: whether every entry is a real number (_is_real_kind,
     asked once per distinct type) that a float holds, finite and >= 0 (-0.0
-    included).  False, not an error, for an entry this cannot judge.
-    typed=False skips the type half, for entries of known types."""
+    included).  False, not an error, for an entry this cannot judge."""
     try:
-        kinds_ok = not typed or all(map(_is_real_kind, set(map(type, values))))
+        kinds_ok = all(map(_is_real_kind, set(map(type, values))))
         return kinds_ok and all(map(math.isfinite, values)) and min(values, default=0.0) >= 0.0
     except (TypeError, OverflowError):
         return False
@@ -164,7 +163,7 @@ def validate(
         if not autosort:
             raise NotSorted("entries are not non-increasing (pass autosort to sort)")
         vals.sort(reverse=True)
-    amps = [x**0.5 for x in vals] if squared else vals
+    amps = [x**0.5 for x in vals] if squared else vals  # not math.sqrt: last bits differ for some x
     total = sum(map(operator.mul, amps, amps))
     drift = abs(total - 1.0)
     if drift > EPS_NORM:

@@ -166,7 +166,7 @@ def _build_step(source, target, specs, case_tag, probs):
         if p < EPS_ZERO:
             pruned += 1
             continue
-        root = p**0.5
+        root = p**0.5  # not math.sqrt: last bits differ for some p
         # checked: ratios over a source-grade source (solve2/3), p from _clamp_prob.
         op = DiagonalKraus._trusted(tuple(d * root for d in diag))
         raw = op.apply(source.amps)

@@ -163,6 +163,21 @@ class TestChooseOmega:
         for real in (1, np.float64(1.0), Fraction(1)):
             assert choose_omega(block, [0.5], real) == choose_omega(block, [0.5], 1.0)
 
+    @pytest.mark.parametrize(
+        "tail",
+        ["0.5", True, None, math.nan, -0.5, pytest.param(10**400, id="10**400")],
+    )
+    def test_tail_amplitudes_pass_the_entry_rule(self, tail):
+        # Refused by name, before a str is parsed, a bool read as 1.0 or a
+        # NaN reported as omega's head.
+        block = validate([0.5, 0.5], squared=True)
+        message = rf"^tail amplitude {re.escape(repr(tail))} at index 0$"
+        with pytest.raises(NegativeEntry, match=message):
+            choose_omega(block, [tail], 1.0)
+        for real in (np.float64(0.5), Fraction(1, 2)):
+            assert choose_omega(block, [real], 1.0) == choose_omega(block, [0.5], 1.0)
+        assert choose_omega(block, [-0.0], 1.0) == SchmidtVector((1.0, -0.0))
+
 
 class TestIntermediateChain:
     def test_running_example(self, n4_pair):
@@ -197,16 +212,28 @@ class TestIntermediateChain:
                 NotNormalized,
                 "squared amplitudes sum off by 2.000e-09",
             ),
+            ((10**400, 0.6), NegativeEntry, "layout 1 has an entry too large for a float"),
         ],
-        ids=["nan", "inf", "negative", "one-entry", "off-norm"],
+        ids=["nan", "inf", "negative", "one-entry", "off-norm", "int-beyond-float"],
     )
     def test_a_bad_layout_raises_the_checked_constructors_error(self, layout, error, message):
-        # The layouts' states skip the constructor's checks only when the
-        # chain's own pass finds nothing wrong.
+        # A public chain's states go through the checked constructor once
+        # its layouts are floats; the conversion refuses what a float cannot hold.
         first = layout if len(layout) == 1 else (0.8, 0.6)
         window = tuple(range(len(layout)))
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             IntermediateChain((first, layout), 2, (), (window,))
+
+    @pytest.mark.parametrize("real", [np.float64, Fraction])
+    def test_layouts_are_held_as_floats(self, real):
+        # So that the chain's transcript section is written, and written as
+        # the float chain's.
+        floats = ((0.6, 0.8), (0.8, 0.6))
+        given = tuple(tuple(real(str(a)) for a in x) for x in floats)
+        chain = IntermediateChain(given, 2, (), ((0, 1),))
+        assert chain.layouts == floats and {type(a) for x in chain.layouts for a in x} == {float}
+        float_chain = IntermediateChain(floats, 2, (), ((0, 1),))
+        assert json.dumps(chain_section(chain)) == json.dumps(chain_section(float_chain))
 
     @pytest.mark.parametrize("entry", ["x", True, None, 0.6j, np.bool_(True)])
     def test_a_layout_entry_that_is_not_a_real_number_is_named(self, entry):
@@ -630,7 +657,7 @@ def _greatest_first_windows_reference(n, m):
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(2, 64), m=st.integers(2, 8))
+@given(n=st.integers(2, 128), m=st.integers(2, 70))
 def test_chain_windows_cover_and_link(n, m):
     links = 1 + math.ceil((n - m) / (m - 1)) if n > m else 1
     for wins in (_chain_windows(n, m), _chain_windows(n, m, greatest_first=True)):

@@ -16,6 +16,11 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         ("plan_demo.py", ["--shots", "200"], r"^plan: 2 steps$"),
         ("collapse_frequency.py", ["--trials", "50"], r"^greatest-first outcomes"),
+        (
+            "degenerate_fuzz.py",
+            ["--trials", "30"],
+            r"^by exit code:\n(  exit \d +\d+\n)+exit 1 by class:\n  completeness +\d+$",
+        ),
         # Each cell's third column is the median margin of its refusals.
         (
             "ladder_feasibility_scan.py",
