@@ -482,6 +482,12 @@ class TestGreatestFirstChain:
             )
 
 
+# Squared coefficients whose first window, (1, 2, 3), ends in the source's
+# zero: its block is solved on the two positive heads, and the zero's rank
+# is carried through the lift untouched.
+ZERO_TAIL_BLOCK_PAIR = ([0.4, 0.35, 0.25, 0.0], [0.6, 0.3, 0.1, 0.0])
+
+
 def _identity_chain(state, window, layouts=None):
     """A one-link chain from state to itself on window, with the layouts
     it is given in place of the state's own."""
@@ -710,6 +716,12 @@ class TestPlanFull:
         assert len(plan.steps) == 1
         assert plan.steps[0].case_tag == CASE_II
 
+    def test_zero_tail_block_steps_on_its_positive_heads(self):
+        plan = plan_full(*(validate(x, squared=True) for x in ZERO_TAIL_BLOCK_PAIR))
+        step = plan.steps[0]
+        assert (step.case_tag, step.window, len(step.branches)) == (TWO_OUTCOME, (1, 2, 3), 2)
+        assert plan.chain.layouts[0][3] == plan.chain.layouts[1][3] == 0.0
+
     def test_identity_short_circuits(self):
         v = validate([0.3, 0.25, 0.2, 0.15, 0.1], squared=True)
         plan = plan_full(v, v)
@@ -842,6 +854,11 @@ PLANNER_DIGESTS = [
     ("zero-tail-7", DEGENERATE_PAIRS[3], "2769ec1b34c83ffb3d4069002c1039316d27c6e6e2d39d792aec4d0b6088e155"),
     ("tiny-6a", DEGENERATE_PAIRS[4], "b6bd5add734f1cf1dabd717b063e4cd1d346ced74756abbb51b5febae21ae905"),
     ("tiny-6b", DEGENERATE_PAIRS[5], "2a49af894d6bb4edbf345c4094e503d59ebb3f75d2d1d22c4f00df4d995c9a4b"),
+    (
+        "zero-tail-block-4",
+        ZERO_TAIL_BLOCK_PAIR,
+        "a2f615c73e45a248c5ce038231d5405743d6c8f761df38e12e07155d68f7d422",
+    ),
     (
         "readme-n4",
         ([0.4, 0.3, 0.2, 0.1], [0.55, 0.25, 0.15, 0.05]),
