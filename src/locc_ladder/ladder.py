@@ -392,11 +392,14 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
 
     The step takes chain.layouts[k] to chain.layouts[k + 1] on the basis
     indices chain.windows[k]; its source and target are chain.states[k] and
-    chain.states[k + 1], those layouts sorted.  Untouched
-    indices carry sqrt(prob) on every branch operator so that per-index
-    completeness survives; corrections extend by the identity.  When the
-    positional window is unsorted, operators and corrections are conjugated
-    by the sorting permutation so they act on the stated indices.
+    chain.states[k + 1], those layouts sorted.  A block step of m indices
+    acts on the window's m leading ranks; the window's smallest source
+    coefficients from rank m on, like the indices outside the window, are
+    untouched: they carry sqrt(prob) on every branch operator so that
+    per-index completeness survives, and keep their rank (the window's
+    rank s goes to the next layout's rank s; outside it, the identity).
+    When the positional window is unsorted, operators and corrections are
+    conjugated by the sorting permutation so they act on the stated indices.
     """
     if not (_is_integer_kind(type(k)) and 0 <= k < chain.l):
         raise IndexRangeInvalid(f"link {k!r} not in [0, {chain.l})")
@@ -404,7 +407,7 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
     source_layout, target_layout = chain.layouts[k], chain.layouts[k + 1]
     n = len(source_layout)
     m = block_step.source.n
-    if len(idx) != m:
+    if m > len(idx):
         raise IndexRangeInvalid(f"index range {idx} incompatible with block size {m}")
     # Completeness misses a bad prob where the window spans every index.  NaN fails.
     in_range = all(0.0 <= br.prob <= 1.0 for br in block_step.branches)
@@ -420,11 +423,15 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
     sigma = _sort_perm(source_window)
     tau = _sort_perm(target_window)
 
+    untouched = list(range(n))
+    for s in range(m, len(idx)):
+        untouched[idx[sigma[s]]] = idx[tau[s]]
+    head = sigma[:m]
     branches = []
     for br in block_step.branches:
         diag = [math.sqrt(br.prob)] * n
-        corr = list(range(n))
-        for s, r in enumerate(sigma):
+        corr = untouched.copy()
+        for s, r in enumerate(head):
             diag[idx[r]] = br.op.diag[s]
             corr[idx[r]] = idx[tau[br.correction[s]]]
         raw = tuple(map(operator.mul, diag, source_layout))
@@ -464,36 +471,18 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
 
 
 def _solve_block(block_src: SchmidtVector, omega: SchmidtVector) -> MeasurementStep:
-    """Dispatch to the closed-form solvers, reducing away shared zero tails."""
-    m = block_src.n
-    zeros = sum(1 for a in block_src.amps if a <= EPS_ZERO)
-    if zeros == 0:
-        return solve3(block_src, omega) if m == 3 else solve2(block_src, omega)
-    # Shared zero coordinates stay untouched; solve the positive head only.
-    if any(omega.amps[j] > EPS_ZERO for j in range(m - zeros, m)):
+    """Dispatch to the closed-form solvers on the positive heads: a shared
+    zero tail is left out of the step, and embed_step carries it untouched."""
+    keep = effective_rank(block_src)
+    if any(a > EPS_ZERO for a in omega.amps[keep:]):
         raise OmegaNotMajorizing("target block outranks the source block")
-    keep = m - zeros
     if keep < 2:
         return _trivial_step(block_src, omega)
-    # checked: keep >= 2 heads of checked, exactly sorted states; dropped tails <= EPS_ZERO.
-    sub_src = SchmidtVector._trusted(block_src.amps[:keep])
-    sub_tgt = SchmidtVector._trusted(omega.amps[:keep])
-    sub = solve3(sub_src, sub_tgt) if keep == 3 else solve2(sub_src, sub_tgt)
-    branches = []
-    for br in sub.branches:
-        diag = br.op.diag + tuple(math.sqrt(br.prob) for _ in range(zeros))
-        corr = br.correction + tuple(range(keep, m))
-        # checked: a solver's branch, padded with sqrt(prob) and the dropped tail.
-        op = DiagonalKraus._trusted(diag)
-        post = SchmidtVector._trusted(br.post_state.amps + block_src.amps[keep:])
-        branches.append(OutcomeBranch(op, br.prob, corr, post))
-    return MeasurementStep(
-        branches=tuple(branches),
-        source=block_src,
-        target=omega,
-        case_tag=sub.case_tag,
-        pruned_count=sub.pruned_count,
-    )
+    if keep < block_src.n:
+        # checked: keep >= 2 heads of checked, exactly sorted states; dropped tails <= EPS_ZERO.
+        block_src = SchmidtVector._trusted(block_src.amps[:keep])
+        omega = SchmidtVector._trusted(omega.amps[:keep])
+    return solve3(block_src, omega) if keep == 3 else solve2(block_src, omega)
 
 
 def _lift(chain: IntermediateChain) -> tuple[MeasurementStep, ...]:

@@ -31,7 +31,8 @@ from locc_ladder.oracle import (
     apply_correction,
     apply_kraus,
 )
-from locc_ladder.schmidt import EPS_CMP, EPS_NORM
+from locc_ladder.schmidt import EPS_CMP, EPS_NORM, SchmidtVector
+from locc_ladder.solvers import DiagonalKraus, MeasurementStep, OutcomeBranch
 
 
 def literal_entry_ok(a):
@@ -225,6 +226,27 @@ def forced_chain_layout_squares(source_sq, target_sq, k):
     p = n - 2 * k  # 1-based insertion position
     tilde_sq = math.fsum(source_sq[p - 1 :]) - math.fsum(target_sq[p:])
     return list(source_sq[: p - 1]) + [tilde_sq] + list(target_sq[p:])
+
+
+def padded_block_step(step, block_src, omega):
+    """step, solved on the positive heads of block_src and omega, padded to
+    their dimension by hand: each dropped rank takes sqrt(prob) on every
+    operator and keeps its label, and each post state ends in the source's
+    dropped tail.  The block step embed_step must lift as it lifts step."""
+    keep, m = step.source.n, block_src.n
+    branches = []
+    for br in step.branches:
+        diag = br.op.diag + tuple(math.sqrt(br.prob) for _ in range(keep, m))
+        corr = br.correction + tuple(range(keep, m))
+        post = SchmidtVector(br.post_state.amps + block_src.amps[keep:])
+        branches.append(OutcomeBranch(DiagonalKraus(diag), br.prob, corr, post))
+    return MeasurementStep(
+        branches=tuple(branches),
+        source=block_src,
+        target=omega,
+        case_tag=step.case_tag,
+        pruned_count=step.pruned_count,
+    )
 
 
 def literal_path_check(plan, path_limit=20000):

@@ -39,6 +39,7 @@ from locc_ladder import (
     greatest_first_chain,
     intermediate_chain,
     majorizes,
+    solve2,
     solve3,
     validate,
     verify_plan,
@@ -62,6 +63,7 @@ from helpers import (
     literal_kraus_check,
     literal_schmidt_squares,
     outcome,
+    padded_block_step,
     window_inequality_defect,
 )
 from sampling import random_feasible_pair
@@ -543,6 +545,23 @@ class TestEmbedStep:
             _identity_chain(source, (1, 2, 9))
         with pytest.raises(IndexRangeInvalid, match="incompatible with block size 3$"):
             embed_step(trivial, _identity_chain(source, (1, 2)), 0)
+
+    def test_a_step_on_the_leading_ranks_lifts_as_its_padding(self):
+        # The first link's block ends in the source's zero, so the planner
+        # solves its two positive heads; lifted onto the 3-index window, that
+        # step must equal the lift of the same step padded to the window.
+        source, target = (validate(x, squared=True) for x in ZERO_TAIL_BLOCK_PAIR)
+        chain = intermediate_chain(source, target, 3)
+        block, norm = _window_decompose(chain.layouts[0], chain.windows[0])
+        tail = sorted((chain.layouts[1][i] for i in chain.windows[0]), reverse=True)[1:]
+        omega = choose_omega(block, tail, norm)
+        heads = solve2(SchmidtVector(block.amps[:2]), SchmidtVector(omega.amps[:2]))
+        assert ladder._solve_block(block, omega) == heads
+        padded = padded_block_step(heads, block, omega)
+        assert (heads.n, padded.n, block.amps[2]) == (2, 3, 0.0)
+        lifted = embed_step(heads, chain, 0)
+        assert lifted == embed_step(padded, chain, 0)
+        assert lifted == plan_full(source, target).steps[0]
 
     @pytest.mark.parametrize("k", [-1, 1, 2, True, False, 0.0, np.float64(0), Fraction(0)])
     def test_link_must_be_an_integer_in_range(self, n4_pair, k):
