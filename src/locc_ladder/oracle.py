@@ -320,9 +320,12 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     all raises, naming the step and branch: DimensionMismatch for an
     operator of the wrong dimension, ValidationError for a correction that
     apply_correction would refuse.  ValidationError also for an outcome of
-    zero probability and for a path_limit that is not an integer.
+    zero probability, for a path_limit that is not an integer and for more
+    steps than the chain has links.
     """
     path_limit = _integer("path_limit", path_limit)
+    if len(plan.steps) > plan.chain.l:
+        raise ValidationError(f"plan has {len(plan.steps)} steps for a chain of {plan.chain.l} links")
     path_count = math.prod(len(step.branches) for step in plan.steps)
     # Built first, so a malformed correction is named before any check runs.
     runtime = _PlanRuntime(plan)

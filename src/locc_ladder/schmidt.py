@@ -69,9 +69,10 @@ class SchmidtVector:
     Invariants: entries non-increasing, squares summing to one.  A
     "source-grade" vector additionally has strictly positive entries;
     targets and intermediate states may carry zeros.  SchmidtVector(amps)
-    checks n >= 2, each entry by the entry rule, and order and norm;
-    _trusted(amps) checks nothing, for amplitudes whose checks the caller
-    has just made ("# checked:" names them).
+    checks n >= 2, each entry by the entry rule, and order, then holds the
+    amplitudes as floats and checks their norm; _trusted(amps) checks
+    nothing, for floats whose checks the caller has just made ("# checked:"
+    names them).
     """
 
     amps: tuple[float, ...]
@@ -89,10 +90,12 @@ class SchmidtVector:
                     raise NegativeEntry(f"amplitude {a!r} at index {j}")
                 if j and amps[j - 1] < a - EPS_CMP:
                     raise NotSorted(f"amplitudes increase at index {j}")
+        amps = tuple(map(float, amps))
         squares = tuple(map(operator.mul, amps, amps))
         drift = abs(sum(squares) - 1.0)
         if drift > EPS_NORM:
             raise NotNormalized(f"squared amplitudes sum off by {drift:.3e}")
+        object.__setattr__(self, "amps", amps)
         # Outside the fields, so eq, repr and hash see amps alone.
         object.__setattr__(self, "_squares", squares)
 

@@ -49,7 +49,8 @@ def literal_entry_ok(a):
 
 def literal_schmidt_squares(amps):
     """SchmidtVector's checks by the literal per-entry loop: raises what
-    SchmidtVector(amps) must raise, else returns the squares it must hold."""
+    SchmidtVector(amps) must raise, else returns the squares it must hold,
+    those of the amplitudes as floats."""
     if len(amps) < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {len(amps)}")
     for j, a in enumerate(amps):
@@ -57,6 +58,7 @@ def literal_schmidt_squares(amps):
             raise NegativeEntry(f"amplitude {a!r} at index {j}")
         if j and amps[j - 1] < a - EPS_CMP:
             raise NotSorted(f"amplitudes increase at index {j}")
+    amps = [float(a) for a in amps]
     drift = abs(sum(a * a for a in amps) - 1.0)
     if drift > EPS_NORM:
         raise NotNormalized(f"squared amplitudes sum off by {drift:.3e}")

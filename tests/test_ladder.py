@@ -237,6 +237,22 @@ class TestIntermediateChain:
         float_chain = IntermediateChain(floats, 2, (), ((0, 1),))
         assert json.dumps(chain_section(chain)) == json.dumps(chain_section(float_chain))
 
+    @pytest.mark.parametrize("real", [Fraction, np.float32])
+    def test_chains_from_states_of_any_real_type_hold_floats(self, real):
+        # A state holds its amplitudes as floats, so a chain or plan built
+        # from it is written as the float state's.  0.5 is exact in both types.
+        v, u = SchmidtVector((real(0.5),) * 4), SchmidtVector((0.5,) * 4)
+        assert v == u and {type(a) for a in v.amps} == {float}
+        w = validate([0.5, 0.25, 0.125, 0.125], squared=True)
+
+        def written(source, target):
+            plan = _plan_full(source, target)
+            chain = intermediate_chain(source, target, 3)
+            return json.dumps([chain_section(chain), chain_section(plan.chain), steps_section(plan)])
+
+        assert written(v, v) == written(u, u)
+        assert written(v, w) == written(u, w)
+
     @pytest.mark.parametrize("entry", ["x", True, None, 0.6j, np.bool_(True)])
     def test_a_layout_entry_that_is_not_a_real_number_is_named(self, entry):
         # Refused before the layouts are sorted: a str beside a float would

@@ -242,6 +242,12 @@ class TestVerifyPlan:
             verify_plan(plan, path_limit=limit)
         assert verify_plan(plan, path_limit=np.int64(6)).path_check.enumerated
 
+    def test_more_steps_than_links(self, n4_pair):
+        plan = plan_full(*n4_pair)
+        plan = dataclasses.replace(plan, steps=plan.steps * 2)
+        with pytest.raises(ValidationError, match="^plan has 4 steps for a chain of 2 links$"):
+            verify_plan(plan)
+
 
 class TestTrajectories:
     def test_replay_is_identical(self, n4_pair):
