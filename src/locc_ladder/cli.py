@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 from dataclasses import replace
@@ -40,6 +39,7 @@ from .schmidt import MAX_ORACLE_DIM, majorizes
 from .transcript import (
     ProblemSpec,
     Transcript,
+    _loads,
     certificate_section,
     chain_section,
     frequencies_section,
@@ -137,13 +137,7 @@ class _Refused(Exception):
 
 
 def _read_problem(args, stdin: TextIO) -> ProblemSpec:
-    text = stdin.read()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"stdin is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise ValidationError("stdin nests JSON too deeply") from exc
+    payload = _loads(stdin.read(), "stdin")
     return ProblemSpec.from_payload(
         payload, squared=args.squared, autosort=args.autosort
     )

@@ -2,11 +2,12 @@
 
 States live here as full n x n amplitude matrices in the product basis, so a
 defective operator cannot hide behind the diagonal shortcut used by the
-planner.  Every check reads a plan's operators and corrections through one
-_PlanRuntime, which refuses an operator of the wrong dimension and any
-correction that apply_correction refuses (one rule, _inverse_permutations),
-naming the step and branch; one vectorised pass over the whole plan checks
-them, and a per-branch loop runs only to name the first fault.  verify_plan's
+planner.  Every entry point reads a plan through one _PlanRuntime, which
+refuses more steps than links, a chain off the plan's pair, an operator of
+the wrong dimension and any correction that apply_correction refuses (one
+rule, _inverse_permutations), naming the step and branch of the last two;
+one vectorised pass over the whole plan checks those, and a per-branch loop
+runs only to name the first fault.  verify_plan's
 per-step checks apply each operator with apply_kraus and the rest as literal
 matrix products, one np.matmul per product over the step's stacked
 (branches, n, n) matrices.
@@ -24,14 +25,15 @@ literal products' values bit for bit (a product with a diagonal or
 permutation matrix adds only exact zeros).  Both move batches of path
 prefixes as one array through one kernel (_scale, _relabel); the walk
 expands a batch by all of a step's branches in one pass, and keeps a path
-table: each prefix's running branch sums, each path's deviation.
-Trajectory sampling draws from per-shot
+table on the runtime: each prefix's running branch sums, each path's
+deviation.  Trajectory sampling draws from per-shot
 counter-based streams, so a report depends only on (plan, shots, seed), in
-one thread, in blocks of shots whose streams are one Philox array.  The
-shots descend the path table of a report that walked this very plan, or else
-walk chunks of distinct path prefixes a step at a time, so that shots
-sharing a prefix share its arithmetic; one choice rule serves both.
-run_trajectory is the prefix walk over a block of one shot.  Every shot's
+one thread, in blocks of shots whose streams are one Philox array.  One
+intake (_sampler) picks the block walk: the shots descend the path table of
+a report that walked this very plan, or else walk chunks of distinct path
+prefixes a step at a time, so that shots sharing a prefix share its
+arithmetic; one choice rule serves both.  run_trajectory is the prefix walk
+over a block of one shot.  Every shot's
 draws, path and final deviation are bit-identical to walking that shot alone
 with numpy's own Philox stream, the reference the tests compare against.
 """
@@ -298,8 +300,8 @@ def _check_step(k, step, scales, invs, psi: FullState, next_matrix, next_spectru
 def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport:
     """Recheck a plan step by step against full-matrix arithmetic.
 
-    Reads the plan's operators and corrections once, into one _PlanRuntime,
-    whatever path_limit is, and builds each layout's diagonal matrix once:
+    Reads the plan once, into one _PlanRuntime, whatever path_limit is,
+    and builds each layout's diagonal matrix once:
     the runtime's start is step 0's state, and step k's next state is step
     k + 1's, the same array with the same FullState check, so only the
     current pair is held.  Verifies per-index completeness, branch
@@ -313,21 +315,19 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     end (when their number is within path_limit) on full amplitude
     matrices, by row scaling and index permutation (_walk_paths); the path
     check equals, bit for bit, that of walking each path with apply_kraus
-    and apply_correction.  The runtime and the walk's path table stay on
+    and apply_correction.  The runtime, with the walk's path table, stays on
     the report, outside its fields, for sample_trajectories to reuse.
 
-    Deviations are reported, not raised.  A plan that cannot be applied at
-    all raises, naming the step and branch: DimensionMismatch for an
-    operator of the wrong dimension, ValidationError for a correction that
-    apply_correction would refuse.  ValidationError also for an outcome of
-    zero probability, for a path_limit that is not an integer and for more
-    steps than the chain has links.
+    Deviations are reported, not raised, for a step without outcomes or
+    fewer steps than links too.  A plan that _PlanRuntime refuses raises:
+    DimensionMismatch for an operator of the wrong dimension, and
+    ValidationError for a bad correction (each naming the step and branch),
+    more steps than links or a chain off the plan's pair.  ValidationError
+    also for an outcome of zero probability and a non-integer path_limit.
     """
     path_limit = _integer("path_limit", path_limit)
-    if len(plan.steps) > plan.chain.l:
-        raise ValidationError(f"plan has {len(plan.steps)} steps for a chain of {plan.chain.l} links")
     path_count = math.prod(len(step.branches) for step in plan.steps)
-    # Built first, so a malformed correction is named before any check runs.
+    # Built first, so a malformed plan is refused before any check runs.
     runtime = _PlanRuntime(plan)
     layouts = plan.chain.layouts
     step_checks = []
@@ -350,16 +350,15 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
         passed &= check.completeness_dev <= TOL_COMPLETENESS
         passed &= check.prob_sum_dev <= TOL_PROB_SUM
 
-    table = None
     if path_count <= path_limit:
         total_prob, max_final_dev, bounds, devs = _walk_paths(runtime)
-        table = _PathTable(bounds, devs)
+        runtime.paths = bounds, devs
     else:
         # Too many paths: per-step sums multiply to the total path probability.
         total_prob = math.prod(sum(br.prob for br in step.branches) for step in plan.steps)
         max_final_dev = 0.0
     path = PathCheck(
-        enumerated=table is not None,
+        enumerated=runtime.paths is not None,
         path_count=path_count,
         total_prob_dev=abs(total_prob - 1.0),
         max_final_dev=max_final_dev,
@@ -375,7 +374,6 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     )
     # Outside the fields, so eq, repr and hash see the checks alone.
     object.__setattr__(report, "_runtime", runtime)
-    object.__setattr__(report, "_paths", table)
     return report
 
 
@@ -449,11 +447,18 @@ def _shot_draws(seed: int, first_shot: int, count: int, depth: int) -> np.ndarra
 
 
 class _PlanRuntime:
-    """A plan's operators and corrections as arrays, the oracle's one
-    reader of them: for _check_step, _walk_paths and _sample_block.  It
-    keeps the plan it read, so that sample_trajectories reuses the one on a
-    verify_plan report only for that very plan.
+    """A plan's operators and corrections as arrays: the oracle's one
+    reader, refuser and memory of a plan.  It keeps the plan it read, so
+    that sample_trajectories reuses a verify_plan report's runtime only for
+    that very plan, and paths, None until verify_plan walks every path:
+    then (bounds, devs), where bounds[k] has a row per prefix of k branches
+    in lexicographic order (prefix p then branch b is p * branches + b),
+    the running sums of step k's outcome probabilities, and devs each
+    path's final deviation, in that order.
 
+    ValidationError for more steps than the chain has links, or for a chain
+    whose first and last layouts are not exactly, entry by entry, the
+    amplitudes of plan.source and plan.target.
     Per step, views of one array each for the whole plan: the operators'
     diagonals as columns, (branches, n, 1), so that a product scales rows,
     and the inverse corrections, (branches, n), which the walks index by.
@@ -467,9 +472,15 @@ class _PlanRuntime:
     """
 
     def __init__(self, plan: LadderPlan):
+        layouts = plan.chain.layouts
+        if len(plan.steps) > plan.chain.l:
+            raise ValidationError(f"plan has {len(plan.steps)} steps for a chain of {plan.chain.l} links")
+        if layouts[0] != plan.source.amps or layouts[-1] != plan.target.amps:
+            raise ValidationError("plan's chain does not run from its source to its target")
         self.plan = plan
-        self.start = _diagonal(plan.chain.layouts[0])
-        self.target = _diagonal(plan.chain.layouts[-1])
+        self.paths = None
+        self.start = _diagonal(layouts[0])
+        self.target = _diagonal(layouts[-1])
         n = len(self.start)
         branches, ends = [], []
         for step in plan.steps:
@@ -558,18 +569,6 @@ def _relabel(out: np.ndarray, prob: np.ndarray, gather: np.ndarray, dest: np.nda
     np.divide(dest, np.sqrt(prob).reshape(-1, 1, 1), out=dest)
 
 
-@dataclass(frozen=True, eq=False)
-class _PathTable:
-    """A plan's branch paths, as verify_plan's walk computed them.
-    bounds[k] has a row per prefix of k branches, in lexicographic order
-    (prefix p then branch b is prefix p * branches + b): the running sums
-    of step k's outcome probabilities.  devs has each path's final
-    deviation, in the same order."""
-
-    bounds: tuple[np.ndarray, ...]
-    devs: np.ndarray
-
-
 def _target_back(target: np.ndarray, invs: np.ndarray) -> np.ndarray:
     """P^T T P for the permutation matrix P of each inverse correction:
     entry (a, c) is T's at the place _relabel moves entry (a, c) to."""
@@ -590,7 +589,7 @@ def _leaf_devs(out: np.ndarray, prob: np.ndarray, back: np.ndarray) -> np.ndarra
 
 def _walk_paths(runtime: _PlanRuntime):
     """Total probability and worst final deviation over every branch path,
-    and the path table's bounds and per-path deviations (_PathTable).
+    and the path table's bounds and per-path deviations (_PlanRuntime.paths).
 
     Depth first over batches of path prefixes, each batch one C-contiguous
     (B, n, n) array of amplitude matrices in ascending path order, with its
@@ -771,32 +770,38 @@ def _leaves(choice: np.ndarray, first: np.ndarray, hits: np.ndarray, dev: np.nda
     return choice[first[order]], hits[order], dev[order]
 
 
-def _descend(table: _PathTable, draws: np.ndarray):
-    """_sample_block's answer read off a path table: each shot's prefix
-    row holds the bits _sample_block computes from the prefix's matrix."""
+def _descend(runtime: _PlanRuntime, draws: np.ndarray):
+    """_sample_block's answer read off the runtime's path table: each
+    shot's prefix row holds the bits _sample_block computes from the
+    prefix's matrix."""
     count, depth = draws.shape
-    widest = max((b.shape[1] for b in table.bounds), default=1)
+    table, devs = runtime.paths
+    widest = max((b.shape[1] for b in table), default=1)
     choice = np.empty((count, depth), dtype=np.min_scalar_type(widest))
     prefix = np.zeros(count, dtype=np.intp)
-    for k, bounds in enumerate(table.bounds):
+    for k, bounds in enumerate(table):
         chosen = _choose(draws[:, k], bounds[prefix].T)
         choice[:, k] = chosen
         prefix = prefix * bounds.shape[1] + chosen
     paths, first, hits = np.unique(prefix, return_index=True, return_counts=True)
-    return _leaves(choice, first, hits, table.devs[paths])
+    return _leaves(choice, first, hits, devs[paths])
 
 
-def _refuse_empty_steps(plan: LadderPlan) -> None:
-    """The walks that draw one outcome per step refuse a step without outcomes."""
+def _sampler(plan: LadderPlan, verified: VerificationReport | None = None):
+    """The block walk for plan's shots, which draw one outcome per step, so
+    a step without outcomes is refused.  It descends the path table when
+    verified's _PlanRuntime read this very plan and walked its paths
+    (_descend); otherwise it walks the matrices (_sample_block), on that
+    runtime when it read this plan, or else on a new one."""
     for k, step in enumerate(plan.steps):
         if not step.branches:
             raise ValidationError(f"step {k} has no outcomes to sample")
-
-
-def _sampling_runtime(plan: LadderPlan) -> _PlanRuntime:
-    """_PlanRuntime for the walks that draw one outcome per step."""
-    _refuse_empty_steps(plan)
-    return _PlanRuntime(plan)
+    runtime = getattr(verified, "_runtime", None)
+    if runtime is None or runtime.plan is not plan:
+        runtime = _PlanRuntime(plan)
+    elif runtime.paths is not None:
+        return functools.partial(_descend, runtime)
+    return functools.partial(_sample_block, runtime)
 
 
 def _integer(name: str, value) -> int:
@@ -813,9 +818,7 @@ def run_trajectory(plan: LadderPlan, seed: int, shot_index: int) -> TrajectoryRe
     # Philox keys the shot's stream with its index as one uint64 word.
     if not (_is_integer_kind(type(shot_index)) and 0 <= shot_index < 1 << 64):
         raise ValidationError(f"shot_index must be an integer in [0, 2**64), got {shot_index!r}")
-    runtime = _sampling_runtime(plan)
-    draws = _shot_draws(seed, shot_index, 1, len(runtime.steps))
-    paths, _, dev = _sample_block(runtime, draws)
+    paths, _, dev = _sampler(plan)(_shot_draws(seed, shot_index, 1, len(plan.steps)))
     final_dev = float(dev[0])
     return TrajectoryRecord(
         seed=seed,
@@ -833,12 +836,13 @@ def sample_trajectories(
 
     Every shot owns its own counter-based stream, so identical (plan,
     shots, seed) produce identical reports.  Shots go in blocks of
-    SHOT_BLOCK, and one pass computes a block's draws (_shot_draws).  When
-    verified is verify_plan's report on this very plan object and walked
-    every branch path, the shots descend its path table (_descend) and touch
-    no matrix; otherwise one walk over chunks of path prefixes
-    (_sample_block) computes each distinct prefix once for all shots that
-    share it, on the report's _PlanRuntime when it is this plan's.  Either
+    SHOT_BLOCK, and one pass computes a block's draws (_shot_draws).  The
+    block walk is _sampler's: when verified is verify_plan's report on this
+    very plan object and walked every branch path, the shots descend the
+    path table on its _PlanRuntime (_descend) and touch no matrix;
+    otherwise one walk over chunks of path prefixes (_sample_block)
+    computes each distinct prefix once for all shots that share it, on the
+    report's runtime when it is this plan's.  Either
     way the report aggregates run_trajectory over shots 0 .. shots - 1,
     with paths in order of their first shot, and equals, bit for bit, the
     aggregate of walking each shot alone.
@@ -850,16 +854,7 @@ def sample_trajectories(
     if not (verified is None or isinstance(verified, VerificationReport)):
         raise ValidationError(f"verified must be a VerificationReport, got {verified!r}")
 
-    _refuse_empty_steps(plan)
-    runtime = getattr(verified, "_runtime", None)
-    if runtime is None or runtime.plan is not plan:
-        runtime, table = _PlanRuntime(plan), None
-    else:
-        table = verified._paths
-    if table is not None:
-        walk = functools.partial(_descend, table)
-    else:
-        walk = functools.partial(_sample_block, runtime)
+    walk = _sampler(plan, verified)
     depth = len(plan.steps)
     path_counts: dict = {}
     branch_counts = [np.zeros(len(s.branches), dtype=np.int64) for s in plan.steps]

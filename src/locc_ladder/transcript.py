@@ -38,6 +38,17 @@ if TYPE_CHECKING:
 _PAYLOAD_KEYS = ("source", "target", "squared", "autosort")
 
 
+def _loads(text: str, what: str):
+    """json.loads(text); ValidationError naming what, for text that is not
+    JSON or that nests too deeply to parse."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{what} nests JSON too deeply") from exc
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Raw problem statement as read from the input document."""
@@ -249,13 +260,7 @@ class Transcript:
 
     @classmethod
     def from_json(cls, text: str) -> "Transcript":
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"transcript is not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise ValidationError("transcript nests JSON too deeply") from exc
-        return cls.from_dict(d)
+        return cls.from_dict(_loads(text, "transcript"))
 
 
 def majorization_section(report: MajorizationReport) -> dict:

@@ -342,7 +342,7 @@ def walk_one_shot(runtime, seed: int, shot_index: int) -> TrajectoryRecord:
     """Reference walk of one shot; sample_trajectories and run_trajectory
     must agree with it.
 
-    runtime is the plan's oracle._sampling_runtime.  The shot draws from
+    runtime is the plan's oracle._PlanRuntime.  The shot draws from
     numpy's own Philox stream, adds each branch's probability in branch
     order, takes the first branch whose running sum exceeds its draw times
     the total (else the last), and makes one post state per step.

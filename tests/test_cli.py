@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import io
 import json
 import os
@@ -420,6 +421,23 @@ def test_oracle_dimension_cap(monkeypatch, command):
     reversed_pair = {"source": payload["target"], "target": payload["source"]}
     assert run_cli([command, "--format", "machine"], reversed_pair)[0] == 2
     assert built == []
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_plan_for_another_target_is_one_error_line(monkeypatch, command, fmt):
+    # A planner that built a chain to another target, labelled with the
+    # target asked for: the oracle refuses the plan, and nothing is written.
+    plan_full = cli.plan_full
+    other = locc_ladder.validate([0.6, 0.2, 0.15, 0.05], squared=True)
+
+    def mislabelled(source, target):
+        return dataclasses.replace(plan_full(source, other), target=target)
+
+    monkeypatch.setattr(cli, "plan_full", mislabelled)
+    code, out, err = run_cli([command, "--squared", "--format", fmt], N4)
+    message = "error: plan's chain does not run from its source to its target\n"
+    assert (code, out, err) == (1, "", message)
 
 
 class TestCachedParser:

@@ -27,7 +27,7 @@ from locc_ladder import (
 )
 from locc_ladder import cli, oracle
 from locc_ladder.errors import LadderInfeasible, LoccLadderError, ValidationError
-from locc_ladder.oracle import _sampling_runtime, _shot_draws
+from locc_ladder.oracle import _PlanRuntime, _shot_draws
 
 from helpers import (
     DEGENERATE_PAIRS,
@@ -358,7 +358,7 @@ class TestTrajectories:
     @pytest.mark.parametrize("shot_index", [0, 2**64 - 1])
     def test_shot_index_range_ends(self, n4_pair, shot_index):
         plan = plan_full(*n4_pair)
-        expected = walk_one_shot(_sampling_runtime(plan), 3, shot_index)
+        expected = walk_one_shot(_PlanRuntime(plan), 3, shot_index)
         assert run_trajectory(plan, seed=3, shot_index=shot_index) == expected
 
 
@@ -386,7 +386,7 @@ def test_batched_draws_equal_per_shot_streams(seed, depth):
 
 def _per_shot_runs(plan, seed, shots):
     """The reference walk of each shot, with the aggregates a report holds."""
-    runtime = _sampling_runtime(plan)
+    runtime = _PlanRuntime(plan)
     runs = [walk_one_shot(runtime, seed, i) for i in range(shots)]
     path_counts = {}
     branch_counts = [[0] * len(step.branches) for step in plan.steps]
@@ -471,7 +471,7 @@ class TestRunTrajectoryMatchesPerShotReference:
     )
     def test_single_shots_equal_the_reference(self, make, seed):
         plan = make()
-        runtime = _sampling_runtime(plan)
+        runtime = _PlanRuntime(plan)
         for shot in (0, 1, 2, 5, 17, 40, 149, 2**40 + 1):
             got = run_trajectory(plan, seed, shot)
             assert got == walk_one_shot(runtime, seed, shot)
@@ -630,8 +630,8 @@ def _descent_equals_matrix_walk(plan, shots, seed, calls):
     assert list(descended.path_counts.items()) == list(walked.path_counts.items())
     _assert_report_is_per_shot(descended, plan, seed, shots)
     draws = _shot_draws(seed, 0, shots, len(plan.steps))
-    table_block = oracle._descend(verified._paths, draws)
-    matrix_block = oracle._sample_block(_sampling_runtime(plan), draws)
+    table_block = oracle._descend(verified._runtime, draws)
+    matrix_block = oracle._sample_block(_PlanRuntime(plan), draws)
     for a, b in zip(table_block, matrix_block):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -1307,6 +1307,28 @@ class TestPlanIntake:
         message = rf"^step 1 branch {branch}: operator dim 5 vs state dim 4$"
         with pytest.raises(DimensionMismatch, match=message):
             walk(bad)
+
+    @pytest.mark.parametrize("walk", WALKS, ids=WALK_IDS)
+    def test_more_steps_than_links(self, n4_pair, walk):
+        plan = plan_full(*n4_pair)
+        plan = dataclasses.replace(plan, steps=plan.steps * 2)
+        with pytest.raises(ValidationError, match="^plan has 4 steps for a chain of 2 links$"):
+            walk(plan)
+
+    @pytest.mark.parametrize("walk", WALKS, ids=WALK_IDS)
+    @pytest.mark.parametrize("end", ["source", "target"])
+    def test_chain_that_misses_the_plans_pair(self, n4_pair, walk, end):
+        # A plan for another pair, labelled with this one: its chain starts
+        # or ends elsewhere, and every walk refuses it before judging it.
+        source, target = n4_pair
+        other = validate([0.6, 0.2, 0.15, 0.05], squared=True)
+        if end == "source":
+            plan = dataclasses.replace(plan_full(target, other), source=source, target=other)
+        else:
+            plan = dataclasses.replace(plan_full(source, other), target=target)
+        message = "^plan's chain does not run from its source to its target$"
+        with pytest.raises(ValidationError, match=message):
+            walk(plan)
 
     def test_numpy_integer_labels_are_read(self, n4_pair):
         # apply_correction's rule takes any integer type, numpy's included.
