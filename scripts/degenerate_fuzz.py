@@ -9,7 +9,8 @@ it through `plan --squared --autosort --format machine`.  An answer is a
 verified plan (exit 0), a refusal (exit 2, not majorized, or exit 3, a
 certified ladder refusal) or an error line (exit 1).  The script prints the
 count of each exit code, then the exit-1 answers by class of their error
-line and by floor.
+line and by floor, and the exit-3 answers by the kind of certificate their
+transcript holds.
 """
 
 import argparse
@@ -49,22 +50,24 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    exits, classes, floors = Counter(), Counter(), Counter()
+    exits, classes, floors, kinds = Counter(), Counter(), Counter(), Counter()
     for trial in range(args.trials):
         floor = FLOORS[int(rng.integers(3))]
         source, target = degenerate_fuzz_pair(rng, trial, floor)
         stdin = io.StringIO(json.dumps({"source": source, "target": target}))
-        stderr = io.StringIO()
+        stdout, stderr = io.StringIO(), io.StringIO()
         code = cli_main(
             ["plan", "--squared", "--autosort", "--format", "machine"],
             stdin,
-            io.StringIO(),
+            stdout,
             stderr,
         )
         exits[code] += 1
         if code == 1:
             classes[classify(stderr.getvalue())] += 1
             floors[floor] += 1
+        elif code == 3:
+            kinds[json.loads(stdout.getvalue())["certificate"]["kind"]] += 1
 
     print(f"plan over {args.trials} degenerate fuzz pairs (seed {args.seed}):")
     print("by exit code:")
@@ -76,6 +79,9 @@ def main():
     print("exit 1 by floor:")
     for floor in sorted(FLOORS, reverse=True):
         print(f"  {floor:<8g} {floors[floor]:7d}")
+    print("exit 3 by certificate kind:")
+    for kind in sorted(kinds):
+        print(f"  {kind:22s} {kinds[kind]:7d}")
 
 
 if __name__ == "__main__":

@@ -238,16 +238,23 @@ def solve3(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
     if s2 - sc2 <= EPS_ZERO or sb2 - sc2 <= EPS_ZERO:
         return _trivial_step(source, target)
     _assert_ordering([("a2", a2), ("b2", b2), ("b1", b1), ("c1", c1), ("c2", c2)], CASE_II)
-    cond2, cond3 = _cond(s2, s1, s2 - sc2), _cond(sb2, sb1, sb2 - sc2)
-    p2 = _clamp_prob((s2 - s1) / (s2 - sc2), "p2", cond2)
-    p3 = _clamp_prob((sb2 - sb1) / (sb2 - sc2), "p3", cond3)
-    p1 = _clamp_prob(s1 / s2 - (sc2 / s2) * p2 - p3, "p1", 1 + cond2 + cond3)
+    cond3 = _cond(sb2, sb1, sb2 - sc2)
     specs = [
         ((a2 / a1, b2 / b1, c2 / c1), (0, 1, 2)),
         ((c2 / a1, b2 / b1, a2 / c1), (2, 1, 0)),
         ((a2 / a1, c2 / b1, b2 / c1), (0, 2, 1)),
     ]
-    return _build_step(source, target, specs, CASE_II, (p1, p2, p3))
+
+    def step(p2, cond2):
+        p2 = _clamp_prob(p2, "p2", cond2)
+        p3 = _clamp_prob((sb2 - sb1) / (sb2 - sc2), "p3", cond3)
+        p1 = _clamp_prob(s1 / s2 - (sc2 / s2) * p2 - p3, "p1", 1 + cond2 + cond3)
+        return _build_step(source, target, specs, CASE_II, (p1, p2, p3))
+
+    try:
+        return step((s2 - s1) / (s2 - sc2), _cond(s2, s1, s2 - sc2))
+    except SolverInvariantViolated:  # per index, as in solve2
+        return step(((sc1 - sc2) + (sb1 - sb2)) / (s2 - sc2), _cond(sb1 + sc1, sb2 + sc2, s2 - sc2))
 
 
 def solve2(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
@@ -257,15 +264,20 @@ def solve2(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
 
     a1, b1 = source.amps
     a2, b2 = target.amps
-    s1, _ = source.squares
+    s1, sb1 = source.squares
     s2, sb2 = target.squares
     if s2 - sb2 <= EPS_ZERO:
         # Maximally entangled target: majorization forces source == target.
         return _trivial_step(source, target)
     p1 = _clamp_prob((s1 - sb2) / (s2 - sb2), "p1'", _cond(s1, sb2, s2 - sb2))
-    p2 = _clamp_prob((s2 - s1) / (s2 - sb2), "p2'", _cond(s2, s1, s2 - sb2))
     specs = [
         ((a2 / a1, b2 / b1), (0, 1)),
         ((b2 / a1, a2 / b1), (1, 0)),
     ]
-    return _build_step(source, target, specs, TWO_OUTCOME, (p1, p2))
+    try:
+        p2 = _clamp_prob((s2 - s1) / (s2 - sb2), "p2'", _cond(s2, s1, s2 - sb2))
+        return _build_step(source, target, specs, TWO_OUTCOME, (p1, p2))
+    except SolverInvariantViolated:
+        # Per index: sb1 - sb2 keeps a tiny sb1 that s2 - s1's rounding swamps.
+        p2 = _clamp_prob((sb1 - sb2) / (s2 - sb2), "p2'", _cond(sb1, sb2, s2 - sb2))
+        return _build_step(source, target, specs, TWO_OUTCOME, (p1, p2))

@@ -2,7 +2,8 @@
 
 One invocation produces one JSON document.  Every section of it is built
 here, by the ``*_section`` functions, from the planner's and the oracle's
-data; those classes write no document themselves.  Floats pass through
+data; those classes write no document themselves, and every section that
+copies a record's fields comes from ``_record``.  Floats pass through
 Python's shortest-round-trip repr, so parsing a serialized transcript
 reproduces it exactly.  The document layout is pinned by
 transcript.schema.json shipped with the package.
@@ -20,6 +21,7 @@ other list, item by item.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 from dataclasses import MISSING, dataclass, fields
@@ -33,9 +35,6 @@ from .schmidt import MajorizationReport, SchmidtVector, _is_real_kind, validate
 
 if TYPE_CHECKING:
     from .oracle import FrequencyReport, VerificationReport
-
-
-_PAYLOAD_KEYS = ("source", "target", "squared", "autosort")
 
 
 def _loads(text: str, what: str):
@@ -69,7 +68,7 @@ class ProblemSpec:
         if not isinstance(payload, dict):
             raise ValidationError("input document must be a JSON object")
         for key in payload:
-            if key not in _PAYLOAD_KEYS:
+            if key not in _field_names(cls):
                 raise ValidationError(f"input document has unknown key {key!r}")
         for key in ("source", "target"):
             if key not in payload:
@@ -96,12 +95,7 @@ class ProblemSpec:
         return source, target
 
     def echo(self) -> dict:
-        return {
-            "source": list(self.source),
-            "target": list(self.target),
-            "squared": self.squared,
-            "autosort": self.autosort,
-        }
+        return _record(self)
 
 
 _JSON_KINDS = {
@@ -126,6 +120,20 @@ def _numbers(payload: dict, key: str) -> list[float]:
             out.append(float(x))
         except OverflowError:
             raise ValidationError(f"'{key}'[{i}] is too large for a float") from None
+    return out
+
+
+@functools.cache
+def _field_names(kind: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(kind))
+
+
+def _record(record) -> dict:
+    """A dataclass record's fields by name, in order, lists and tuples copied as lists."""
+    out = {}
+    for name in _field_names(type(record)):
+        value = getattr(record, name)
+        out[name] = list(value) if isinstance(value, (list, tuple)) else value
     return out
 
 
@@ -222,13 +230,11 @@ class Transcript:
     note: Optional[str] = None
 
     def to_dict(self) -> dict:
-        """The fields as a dict, in declaration order.
-
-        The dict is shallow: it shares the section objects this transcript
-        holds, which the ``*_section`` functions built fresh for it.
-        Callers must not mutate what it returns.
+        """The fields as a dict, in declaration order: a new ``steps`` list,
+        but the section dicts this transcript holds, which the ``*_section``
+        functions built fresh for it.  Callers must not mutate what it returns.
         """
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return _record(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Transcript":
@@ -236,9 +242,8 @@ class Transcript:
         is not an object, has an unknown field or lacks a required one."""
         if not isinstance(d, dict):
             raise ValidationError("transcript must be a JSON object")
-        names = [f.name for f in fields(cls)]
         for key in d:
-            if key not in names:
+            if key not in _field_names(cls):
                 raise ValidationError(f"transcript has unknown field {key!r}")
         for f in fields(cls):
             if f.default is MISSING and f.name not in d:
@@ -264,11 +269,7 @@ class Transcript:
 
 
 def majorization_section(report: MajorizationReport) -> dict:
-    return {
-        "holds": report.holds,
-        "failing_k": report.failing_k,
-        "tail_margins": list(report.tail_margins),
-    }
+    return _record(report)
 
 
 def chain_section(chain: IntermediateChain) -> dict:
@@ -305,7 +306,7 @@ def steps_section(plan: LadderPlan) -> list:
 
 
 def certificate_section(cert: InfeasibilityCertificate) -> dict:
-    return {f.name: getattr(cert, f.name) for f in fields(cert)}
+    return _record(cert)
 
 
 def verification_section(report: VerificationReport) -> dict:
@@ -313,7 +314,6 @@ def verification_section(report: VerificationReport) -> dict:
     # has loaded the oracle, which a run that never verifies does not need.
     from .oracle import TOL_COMPLETENESS, TOL_PATH, TOL_PROB, TOL_PROB_SUM, TOL_SPECTRUM, TOL_STATE
 
-    path = report.path_check
     return {
         "passed": report.passed,
         "max_deviation": report.max_deviation,
@@ -322,25 +322,11 @@ def verification_section(report: VerificationReport) -> dict:
                 "step_index": s.step_index,
                 "completeness_dev": s.completeness_dev,
                 "prob_sum_dev": s.prob_sum_dev,
-                "branches": [
-                    {
-                        "branch_index": b.branch_index,
-                        "prob_dev": b.prob_dev,
-                        "post_state_dev": b.post_state_dev,
-                        "spectrum_dev": b.spectrum_dev,
-                    }
-                    for b in s.branch_checks
-                ],
+                "branches": [_record(b) for b in s.branch_checks],
             }
             for s in report.step_checks
         ],
-        "path": {
-            "enumerated": path.enumerated,
-            "path_count": path.path_count,
-            "total_prob_dev": path.total_prob_dev,
-            "max_final_dev": path.max_final_dev,
-            "all_reach_target": path.all_reach_target,
-        },
+        "path": _record(report.path_check),
         "tolerances": {
             "completeness": TOL_COMPLETENESS,
             "prob_sum": TOL_PROB_SUM,

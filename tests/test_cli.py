@@ -440,6 +440,16 @@ def test_plan_for_another_target_is_one_error_line(monkeypatch, command, fmt):
     assert (code, out, err) == (1, "", message)
 
 
+def test_near_product_source_gets_a_verified_plan():
+    # solve2's closed form p2' = (s2 - s1) / (s2 - sb2) loses the source's
+    # 1e-6 tail to the normalisation's rounding, so completeness misses; the
+    # per-index form (sb1 - sb2) / (s2 - sb2) answers with a verified plan.
+    payload = {"source": [0.999999, 0.000001], "target": [1, 0]}
+    code, out, err = run_cli(["plan", "--squared", "--format", "machine"], payload)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verification"]["passed"] is True
+
+
 class TestCachedParser:
     """main reuses one parser per process; every call must parse afresh."""
 

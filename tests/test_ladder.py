@@ -960,7 +960,17 @@ def test_chain_builders_outcomes_are_pinned():
     assert {"chain", "negative_coefficient", "rank_collapse", "link_not_majorized"} <= gf_kinds
     assert any(o[0] == "plan" for o in outcomes)
     text = json.dumps(outcomes, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == "477083377bb6a7978f46b899a8140897b64249160151c8e1c6b2f661b107a48b"
+    assert hashlib.sha256(text.encode()).hexdigest() == "1caeb2b9c2e09b367d66a46716c34fffb2aaf856c709681894e12326f4ba46f1"
+
+
+def test_per_index_fallback_plans_pinned_trials():
+    # Trials 94 and 175 fail completeness in solve3's CASE_II and trial 353
+    # in solve2 with the closed forms; the per-index forms plan them.
+    rng = np.random.default_rng(12)
+    pairs = [degenerate_fuzz_pair(rng, trial, PIN_FLOORS[trial % 4]) for trial in range(354)]
+    for trial in (94, 175, 353):
+        source, target = (validate(x, squared=True, autosort=True) for x in pairs[trial])
+        assert verify_plan(_plan_full(source, target)).passed, trial
 
 
 def test_unchecked_constructions_pass_the_checks_they_skip(monkeypatch):

@@ -315,6 +315,46 @@ class TestSchema:
             jsonschema.validate(bad, load_schema())
 
 
+def record_copies(n4_pair):
+    """Each section that copies a record, by name: (record, section)."""
+    source, target = n4_pair
+    spec = ProblemSpec(source=[0.4, 0.3, 0.2, 0.1], target=[0.55, 0.25, 0.15, 0.05], squared=True)
+    report = majorizes(source, target)
+    pair = [validate(x, squared=True) for x in ([0.4, 0.3, 0.3], [0.7, 0.2, 0.1])]
+    cert = greatest_first_chain(*pair, 2)
+    checks = verify_plan(plan_full(source, target))
+    verification = verification_section(checks)
+    t = plan_transcript(n4_pair)
+    return {
+        "echo": (spec, spec.echo()),
+        "majorization": (report, majorization_section(report)),
+        "certificate": (cert, certificate_section(cert)),
+        "branch": (checks.step_checks[0].branch_checks[0], verification["steps"][0]["branches"][0]),
+        "path": (checks.path_check, verification["path"]),
+        "transcript": (t, t.to_dict()),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["echo", "majorization", "certificate", "branch", "path", "transcript"]
+)
+def test_sections_copy_their_records(n4_pair, name):
+    # A section is its record's fields in declaration order, tuples as
+    # lists, and shares no list with it: mutating the record's lists after
+    # the copy (spec.source after echo(), say) leaves the section as it was.
+    record, section = record_copies(n4_pair)[name]
+    values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+    lists = {k: v for k, v in values.items() if isinstance(v, (list, tuple))}
+    assert list(section) == list(values)
+    assert section == {**values, **{k: list(v) for k, v in lists.items()}}
+    assert not any(section[k] is v for k, v in lists.items())
+    before = json.dumps(section, sort_keys=True)
+    for value in lists.values():
+        if type(value) is list:
+            value.append(0.0)
+    assert json.dumps(section, sort_keys=True) == before
+
+
 def stdlib_json(t):
     return json.dumps(t.to_dict(), indent=2, sort_keys=True) + "\n"
 
