@@ -40,9 +40,9 @@ class DimensionMismatch(ValidationError):
 class NotMajorized(LoccLadderError):
     """Transformation is infeasible: the majorization condition fails."""
 
-    def __init__(self, report, msg=None):
+    def __init__(self, report):
         self.report = report
-        super().__init__(msg or f"majorization fails at k={report.failing_k}")
+        super().__init__(f"majorization fails at k={report.failing_k}")
 
 
 class SourceHasZero(LoccLadderError):
@@ -84,9 +84,9 @@ class LadderInfeasible(LoccLadderError):
     for that link.  The attached certificate names the offending link.
     """
 
-    def __init__(self, certificate, msg=None):
+    def __init__(self, certificate):
         self.certificate = certificate
-        super().__init__(msg or str(certificate))
+        super().__init__(str(certificate))
 
 
 class InvariantViolated(LoccLadderError):

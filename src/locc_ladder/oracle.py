@@ -52,13 +52,11 @@ from .ladder import LadderPlan
 from .schmidt import EPS_NORM, EPS_ZERO, MAX_ORACLE_DIM, _is_integer_kind
 from .solvers import DiagonalKraus
 
-# Verification thresholds.
-TOL_COMPLETENESS = 1e-12
-TOL_PROB_SUM = 1e-12
-TOL_PROB = 1e-10
-TOL_STATE = 1e-10
-TOL_SPECTRUM = 1e-10
-TOL_PATH = 1e-10
+# verify_plan's thresholds, each check's by the name the transcript gives it.
+TOLERANCES = {
+    "completeness": 1e-12, "prob_sum": 1e-12,
+    "prob": 1e-10, "post_state": 1e-10, "spectrum": 1e-10, "path": 1e-10,
+}
 # A sampled trajectory counts as arrived when entrywise within this bound.
 TOL_TRAJECTORY = 1e-8
 
@@ -331,9 +329,8 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     runtime = _PlanRuntime(plan)
     layouts = plan.chain.layouts
     step_checks = []
-    worst = 0.0
-    # Every comparison is dev <= tolerance, so that a NaN deviation fails.
-    passed = True
+    # (tolerance name, deviation) of every check, in the order they run.
+    judged = []
     matrix = runtime.start
     for k, step in enumerate(plan.steps):
         psi = FullState(matrix)
@@ -342,13 +339,10 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
         check = _check_step(k, step, *runtime.steps[k], psi, next_matrix, next_spectrum)
         matrix = next_matrix
         for b in check.branch_checks:
-            worst = max(worst, b.prob_dev, b.post_state_dev, b.spectrum_dev)
-            passed &= b.prob_dev <= TOL_PROB and b.post_state_dev <= TOL_STATE
-            passed &= b.spectrum_dev <= TOL_SPECTRUM
+            judged += ("prob", b.prob_dev), ("post_state", b.post_state_dev)
+            judged.append(("spectrum", b.spectrum_dev))
+        judged += ("completeness", check.completeness_dev), ("prob_sum", check.prob_sum_dev)
         step_checks.append(check)
-        worst = max(worst, check.completeness_dev, check.prob_sum_dev)
-        passed &= check.completeness_dev <= TOL_COMPLETENESS
-        passed &= check.prob_sum_dev <= TOL_PROB_SUM
 
     if path_count <= path_limit:
         total_prob, max_final_dev, bounds, devs = _walk_paths(runtime)
@@ -362,15 +356,15 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
         path_count=path_count,
         total_prob_dev=abs(total_prob - 1.0),
         max_final_dev=max_final_dev,
-        all_reach_target=max_final_dev <= TOL_PATH,
+        all_reach_target=max_final_dev <= TOLERANCES["path"],
     )
-    worst = max(worst, path.total_prob_dev, path.max_final_dev)
-    passed &= path.total_prob_dev <= TOL_PATH and path.all_reach_target
+    judged += ("path", path.total_prob_dev), ("path", path.max_final_dev)
     report = VerificationReport(
         step_checks=tuple(step_checks),
         path_check=path,
-        passed=passed,
-        max_deviation=worst,
+        # dev <= tolerance fails a NaN deviation; max from 0.0 skips it.
+        passed=all(dev <= TOLERANCES[name] for name, dev in judged),
+        max_deviation=max(0.0, *(dev for _, dev in judged)),
     )
     # Outside the fields, so eq, repr and hash see the checks alone.
     object.__setattr__(report, "_runtime", runtime)

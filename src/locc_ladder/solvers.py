@@ -203,30 +203,44 @@ def _build_step(source, target, specs, case_tag, probs):
 def solve3(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
     """Single three-outcome measurement for a 3-dimensional transformation.
 
-    The operator ratios and probabilities differ between the two possible
-    orderings of the middle coefficients; outcome 1 lands on the target
-    directly and the other outcomes need one swap each.
+    The two orderings of the middle coefficients take different operators:
+    CASE_I when it shrinks (in squares, ties within EPS_CMP included), else
+    CASE_II.  When the routed case fails its own check, the other case is
+    built; if that fails too, the routed case's error is raised.
     """
     if _trivial_solve(source, target, 3):
         return _trivial_step(source, target)
+    shrinks = source.squares[1] >= target.squares[1] - EPS_CMP
+    cases = (CASE_I, CASE_II) if shrinks else (CASE_II, CASE_I)
+    errors = []
+    for case_tag in cases:
+        try:
+            return _solve3_case(source, target, case_tag, routed=not errors)
+        except SolverInvariantViolated as exc:
+            errors.append(exc)
+    raise errors[0]
 
+
+def _solve3_case(source, target, case_tag: str, routed: bool) -> MeasurementStep:
+    """solve3's step in one case: outcome 1 lands on the target directly, the
+    others after one swap each.  A vanishing denominator means the states
+    coincide if the case is the routed one, else that it cannot be built."""
     a1, b1, c1 = source.amps
     a2, b2, c2 = target.amps
     s1, sb1, sc1 = source.squares
     s2, sb2, sc2 = target.squares
-
-    if sb1 >= sb2 - EPS_CMP:
-        # Middle coefficient shrinks (ties routed here for reproducibility).
-        if s2 - sb2 <= EPS_ZERO or s2 - sc2 <= EPS_ZERO:
-            return _trivial_step(source, target)  # degenerate: states coincide
+    # One of the case's denominators vanishes.
+    if min(s2 - sc2, s2 - sb2 if case_tag == CASE_I else sb2 - sc2) <= EPS_ZERO:
+        if not routed:
+            raise SolverInvariantViolated(f"{case_tag} denominator vanishes")
+        return _trivial_step(source, target)
+    if case_tag == CASE_I:
         _assert_ordering([("a2", a2), ("a1", a1), ("b1", b1), ("b2", b2), ("c2", c2)], CASE_I)
         cond2, cond3 = _cond(sb1, sb2, s2 - sb2), _cond(sc1, sc2, s2 - sc2)
         p2 = _clamp_prob((sb1 - sb2) / (s2 - sb2), "p2", cond2)
         p3 = _clamp_prob((sc1 - sc2) / (s2 - sc2), "p3", cond3)
         # p2 and p3 enter with weights of at most 1.
-        p1 = _clamp_prob(
-            s1 / s2 - (sb2 / s2) * p2 - (sc2 / s2) * p3, "p1", 1 + cond2 + cond3
-        )
+        p1 = _clamp_prob(s1 / s2 - (sb2 / s2) * p2 - (sc2 / s2) * p3, "p1", 1 + cond2 + cond3)
         specs = [
             ((a2 / a1, b2 / b1, c2 / c1), (0, 1, 2)),
             ((b2 / a1, a2 / b1, c2 / c1), (1, 0, 2)),
@@ -235,8 +249,6 @@ def solve3(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
         return _build_step(source, target, specs, CASE_I, (p1, p2, p3))
 
     # Middle coefficient grows.
-    if s2 - sc2 <= EPS_ZERO or sb2 - sc2 <= EPS_ZERO:
-        return _trivial_step(source, target)
     _assert_ordering([("a2", a2), ("b2", b2), ("b1", b1), ("c1", c1), ("c2", c2)], CASE_II)
     cond3 = _cond(sb2, sb1, sb2 - sc2)
     specs = [

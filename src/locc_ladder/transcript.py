@@ -312,7 +312,7 @@ def certificate_section(cert: InfeasibilityCertificate) -> dict:
 def verification_section(report: VerificationReport) -> dict:
     # Imported here, not at the top: a report exists only once verify_plan
     # has loaded the oracle, which a run that never verifies does not need.
-    from .oracle import TOL_COMPLETENESS, TOL_PATH, TOL_PROB, TOL_PROB_SUM, TOL_SPECTRUM, TOL_STATE
+    from .oracle import TOLERANCES
 
     return {
         "passed": report.passed,
@@ -327,14 +327,7 @@ def verification_section(report: VerificationReport) -> dict:
             for s in report.step_checks
         ],
         "path": _record(report.path_check),
-        "tolerances": {
-            "completeness": TOL_COMPLETENESS,
-            "prob_sum": TOL_PROB_SUM,
-            "prob": TOL_PROB,
-            "post_state": TOL_STATE,
-            "spectrum": TOL_SPECTRUM,
-            "path": TOL_PATH,
-        },
+        "tolerances": dict(TOLERANCES),
     }
 
 

@@ -21,8 +21,8 @@ from locc_ladder.errors import (
     NotSorted,
 )
 from locc_ladder.oracle import (
-    TOL_PATH,
     TOL_TRAJECTORY,
+    TOLERANCES,
     BranchCheck,
     FullState,
     PathCheck,
@@ -292,7 +292,7 @@ def literal_path_check(plan, path_limit=20000):
         path_count=path_count,
         total_prob_dev=abs(total_prob - 1.0),
         max_final_dev=max_final_dev,
-        all_reach_target=max_final_dev <= TOL_PATH,
+        all_reach_target=max_final_dev <= TOLERANCES["path"],
     )
 
 

@@ -960,7 +960,7 @@ def test_chain_builders_outcomes_are_pinned():
     assert {"chain", "negative_coefficient", "rank_collapse", "link_not_majorized"} <= gf_kinds
     assert any(o[0] == "plan" for o in outcomes)
     text = json.dumps(outcomes, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == "1caeb2b9c2e09b367d66a46716c34fffb2aaf856c709681894e12326f4ba46f1"
+    assert hashlib.sha256(text.encode()).hexdigest() == "af95d6a8d896fb7fb2ff556d5ecc61ba013d8dd1e002c5626669d3ab54851a58"
 
 
 def test_per_index_fallback_plans_pinned_trials():
@@ -969,6 +969,16 @@ def test_per_index_fallback_plans_pinned_trials():
     rng = np.random.default_rng(12)
     pairs = [degenerate_fuzz_pair(rng, trial, PIN_FLOORS[trial % 4]) for trial in range(354)]
     for trial in (94, 175, 353):
+        source, target = (validate(x, squared=True, autosort=True) for x in pairs[trial])
+        assert verify_plan(_plan_full(source, target)).passed, trial
+
+
+def test_other_case_fallback_plans_pinned_trials():
+    # Each of these trials has a block that solve3 routes to one case, which
+    # fails its own check; the other case plans it.
+    rng = np.random.default_rng(12)
+    pairs = [degenerate_fuzz_pair(rng, trial, PIN_FLOORS[trial % 4]) for trial in range(508)]
+    for trial in (79, 243, 267, 279, 319, 479, 507):
         source, target = (validate(x, squared=True, autosort=True) for x in pairs[trial])
         assert verify_plan(_plan_full(source, target)).passed, trial
 

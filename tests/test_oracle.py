@@ -234,6 +234,21 @@ class TestVerifyPlan:
         bad = perturb_plan(plan, 1, 0, 0, -1e-6)
         assert not verify_plan(bad).passed
 
+    def test_nan_deviation_fails_and_is_skipped_by_the_max(self, n4_pair):
+        # A NaN probability makes its branch's prob_dev and its step's
+        # prob_sum_dev NaN: no comparison with a tolerance holds, so the plan
+        # fails, and max_deviation is the largest of the other deviations.
+        bad = _replace_branch(plan_full(*n4_pair), 0, 1, prob=math.nan)
+        report = verify_plan(bad)
+        assert not report.passed
+        devs = [report.path_check.total_prob_dev, report.path_check.max_final_dev]
+        for s in report.step_checks:
+            devs += [s.completeness_dev, s.prob_sum_dev]
+            devs += [d for b in s.branch_checks for d in (b.prob_dev, b.post_state_dev, b.spectrum_dev)]
+        assert sum(map(math.isnan, devs)) == 2
+        assert math.isnan(report.step_checks[0].branch_checks[1].prob_dev)
+        assert report.max_deviation == max(0.0, *(d for d in devs if not math.isnan(d)))
+
     @pytest.mark.parametrize("limit", [None, "x", True])
     def test_path_limit_must_be_an_integer(self, n4_pair, limit):
         plan = plan_full(*n4_pair)

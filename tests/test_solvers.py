@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from locc_ladder import (
     CASE_I,
     CASE_II,
+    EPS_COMPLETE,
     TRIVIAL,
     TWO_OUTCOME,
     DiagonalKraus,
     DimensionMismatch,
     NegativeEntry,
     NotMajorized,
+    SchmidtVector,
     SolverInvariantViolated,
     SourceHasZero,
     plan_full,
@@ -23,7 +25,7 @@ from locc_ladder import (
     solve3,
     validate,
 )
-from locc_ladder.solvers import _clamp_prob, _cond, completeness_defect
+from locc_ladder.solvers import _clamp_prob, _cond, _solve3_case, completeness_defect
 
 from helpers import (
     DEGENERATE_PAIRS,
@@ -143,6 +145,31 @@ class TestSolve3Fixtures:
         assert step.pruned_count == 1
         assert literal_completeness_defect(step) < 1e-12
         assert branch_post_dev(step, source, target) < 1e-12
+
+    def test_failing_routed_case_falls_back_to_the_other(self):
+        # A block of degenerate fuzz trial 24 (n = 15): its middle squares
+        # shrink within EPS_CMP, so it routes to CASE_I, whose closed form
+        # misses completeness; CASE_II builds it.
+        source = SchmidtVector((0.6018644829557946, 0.5720516545513323, 0.557239668976857))
+        target = SchmidtVector((0.6018644829634296, 0.5720516545517493, 0.5572396689681824))
+        with pytest.raises(SolverInvariantViolated, match="completeness"):
+            _solve3_case(source, target, CASE_I, routed=True)
+        step = solve3(source, target)
+        assert step.case_tag == CASE_II
+        assert completeness_defect(step) <= EPS_COMPLETE
+        assert branch_post_dev(step, source, target) < 1e-12
+
+    def test_other_case_with_vanishing_denominator_is_not_trivial(self):
+        # Degenerate fuzz trial 1622 (n = 3): CASE_I fails completeness, and
+        # CASE_II would divide by sb2 - sc2 = 0.  The states differ by 0.47
+        # in amplitude, so the fallback must not take the trivial step that
+        # the routed case takes there: the routed case's error stands.
+        source = SchmidtVector((0.8834120699923104, 0.46859696391558214, 9.999999999984999e-07))
+        target = SchmidtVector((1.0, 0.0, 0.0))
+        with pytest.raises(SolverInvariantViolated, match="CASE_II denominator vanishes"):
+            _solve3_case(source, target, CASE_II, routed=False)
+        with pytest.raises(SolverInvariantViolated, match="completeness sum deviates"):
+            solve3(source, target)
 
     def test_negative_probability_bound_scales_with_conditioning(self):
         assert _cond(0.33, 0.32, 0.05) == pytest.approx(13.0)

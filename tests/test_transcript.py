@@ -23,7 +23,7 @@ from locc_ladder import (
     validate,
     verify_plan,
 )
-from locc_ladder import transcript
+from locc_ladder import oracle, transcript
 from locc_ladder.errors import ValidationError
 from locc_ladder.transcript import (
     certificate_section,
@@ -353,6 +353,13 @@ def test_sections_copy_their_records(n4_pair, name):
         if type(value) is list:
             value.append(0.0)
     assert json.dumps(section, sort_keys=True) == before
+
+
+def test_verification_section_copies_the_tolerance_table(n4_pair):
+    section = verification_section(verify_plan(plan_full(*n4_pair)))
+    assert section["tolerances"] == oracle.TOLERANCES
+    section["tolerances"]["path"] = 1.0
+    assert oracle.TOLERANCES["path"] == 1e-10
 
 
 def stdlib_json(t):
