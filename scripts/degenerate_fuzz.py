@@ -10,10 +10,13 @@ verified plan (exit 0), a refusal (exit 2, not majorized, or exit 3, a
 certified ladder refusal) or an error line (exit 1).  The script prints the
 count of each exit code, then the exit-1 answers by class of their error
 line and by floor, and the exit-3 answers by the kind of certificate their
-transcript holds.
+transcript holds.  Its last line is one sha256 over every answer, in trial
+order: the exit code and a newline, then stdout, then stderr, as UTF-8; two
+versions of the program that answer every trial alike print the same line.
 """
 
 import argparse
+import hashlib
 import io
 import json
 import sys
@@ -52,6 +55,7 @@ def main():
 
     rng = np.random.default_rng(args.seed)
     exits, classes, floors, kinds = Counter(), Counter(), Counter(), Counter()
+    answers = hashlib.sha256()
     for trial in range(args.trials):
         floor = FLOORS[int(rng.integers(3))]
         source, target = degenerate_fuzz_pair(rng, trial, floor)
@@ -63,6 +67,8 @@ def main():
             stdout,
             stderr,
         )
+        for part in (f"{code}\n", stdout.getvalue(), stderr.getvalue()):
+            answers.update(part.encode())
         exits[code] += 1
         if code == 1:
             classes[classify(stderr.getvalue())] += 1
@@ -83,6 +89,7 @@ def main():
     print("exit 3 by certificate kind:")
     for kind in sorted(kinds):
         print(f"  {kind:22s} {kinds[kind]:7d}")
+    print(f"answers sha256 {answers.hexdigest()}")
 
 
 if __name__ == "__main__":

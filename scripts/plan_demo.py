@@ -37,7 +37,7 @@ def main():
     for k, state in enumerate(plan.chain.states):
         print(f"  chain state {k}: lambda = {tuple(round(x, 12) for x in state.squares)}")
     for k, step in enumerate(plan.steps):
-        print(f"\nstep {k}: {step.case_tag} on indices {step.window}")
+        print(f"\nstep {k}: {step.case_tag} on indices {plan.chain.windows[k]}")
         for i, br in enumerate(step.branches):
             diag = tuple(round(d, 6) for d in br.op.diag)
             print(

@@ -3,12 +3,13 @@
 Each invocation reads one JSON problem document from stdin and writes one
 result document (JSON transcript or human-readable text) to stdout.
 
-Exit codes: 0 success, 1 input or usage error or a built plan that fails
-verification, 2 majorization fails, 3 pair is feasible but the ladder
-construction is not.  Exits 0, 2 and 3 answer on stdout alone; exit 1 writes
-one ``error:`` line to stderr alone.  Each command returns its answer (exit
-code, transcript, human lines), or raises it as _Refused; only main writes
-it, through _emit, and only main maps an error to exit 1.
+Exit codes: 0 success, 1 input or usage error or a built plan that misses
+the parsed pair or fails verification, 2 majorization fails, 3 pair is
+feasible but the ladder construction is not.  Exits 0, 2 and 3 answer on
+stdout alone; exit 1 writes one ``error:`` line to stderr alone.  Each
+command returns its answer (exit code, transcript, human lines), or raises
+it as _Refused; only main writes it, through _emit, and only main maps an
+error to exit 1.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused: ``parse_args`` leaves it unchanged, so calls stay independent.
@@ -188,7 +189,8 @@ def _planned(args, stdin: TextIO, not_majorized: str, infeasible: str, note=None
     verify is an input error before any plan is built.  A pair the ladder
     cannot realize is refused with exit 3, its certificate, note and the
     human text infeasible, formatted with the certificate as cert.  A built
-    plan that fails verification is an error line."""
+    plan whose chain misses the parsed pair, or that fails verification, is
+    an error line."""
     spec, source, target, report = _majorized(args, stdin, not_majorized)
     if source.n > MAX_ORACLE_DIM:
         raise ValidationError(f"oracle capped at dimension {MAX_ORACLE_DIM}")
@@ -201,6 +203,9 @@ def _planned(args, stdin: TextIO, not_majorized: str, infeasible: str, note=None
         )
         lines = [infeasible.format(cert=cert)]
         raise _Refused(EXIT_LADDER_INFEASIBLE, transcript, lines) from exc
+    layouts = plan.chain.layouts
+    if layouts[0] != source.amps or layouts[-1] != target.amps:
+        raise InvariantViolated("built plan does not run from the source to the target")
     verification = verify_plan(plan)
     if not verification.passed:
         deviation = f"max deviation {verification.max_deviation:.3e}"
@@ -242,7 +247,7 @@ def cmd_plan(args, stdin: TextIO) -> _Answer:
     lines = [f"majorization holds; plan has {len(plan.steps)} step(s)"]
     for k, step in enumerate(plan.steps):
         probs = ", ".join(f"{br.prob:.12g}" for br in step.branches)
-        window = "all" if step.window is None else str(list(step.window))
+        window = list(plan.chain.windows[k])
         lines.append(
             f"step {k}: {step.case_tag} on indices {window}, outcome probs [{probs}]"
         )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence, Union
 
@@ -150,12 +150,10 @@ class InfeasibilityCertificate:
 
 @dataclass(frozen=True)
 class LadderPlan:
-    """Executable multi-step plan: chain of states plus embedded measurements."""
+    """Executable multi-step plan: a chain and one step per link, step k on chain.windows[k]."""
 
     chain: IntermediateChain
     steps: tuple[MeasurementStep, ...]
-    source: SchmidtVector
-    target: SchmidtVector
 
 
 def _window_weight(layout: Sequence[float], window: Sequence[int]) -> tuple[tuple, float]:
@@ -463,7 +461,6 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
         target=chain.states[k + 1],
         case_tag=block_step.case_tag,
         pruned_count=block_step.pruned_count,
-        window=idx,
     )
     if completeness_defect(step) > EPS_COMPLETE:
         raise ChainInvariantViolated("embedded step loses completeness")
@@ -520,14 +517,12 @@ def plan_full(source: SchmidtVector, target: SchmidtVector) -> LadderPlan:
     own step: trivial for equal states, solve2 at n = 2 (a lift would
     renormalize the block and move the plan's bits).
     """
-    n = source.n
     # intermediate_chain runs the preamble (majorization included) once.
-    chain = intermediate_chain(source, target, min(n, 3))
+    chain = intermediate_chain(source, target, min(source.n, 3))
     if chain.l == 1 and states_equal(source, target):
-        step = _trivial_step(source, target)
+        steps = (_trivial_step(source, target),)
     elif chain.m == 2:
-        step = solve2(source, target)
+        steps = (solve2(source, target),)
     else:
-        return LadderPlan(chain=chain, steps=_lift(chain), source=source, target=target)
-    steps = (replace(step, window=tuple(range(n))),)
-    return LadderPlan(chain=chain, steps=steps, source=source, target=target)
+        steps = _lift(chain)
+    return LadderPlan(chain=chain, steps=steps)

@@ -3,9 +3,9 @@
 States live here as full n x n amplitude matrices in the product basis, so a
 defective operator cannot hide behind the diagonal shortcut used by the
 planner.  Every entry point reads a plan through one _PlanRuntime, which
-refuses more steps than links, a chain off the plan's pair, an operator of
-the wrong dimension and any correction that apply_correction refuses (one
-rule, _inverse_permutations), naming the step and branch of the last two;
+refuses more steps than links, an operator of the wrong dimension and any
+correction that apply_correction refuses (one rule,
+_inverse_permutations), naming the step and branch of the last two;
 one vectorised pass over the whole plan checks those, and a per-branch loop
 runs only to name the first fault.  verify_plan's
 per-step checks apply each operator with apply_kraus and the rest as literal
@@ -319,9 +319,10 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     Deviations are reported, not raised, for a step without outcomes or
     fewer steps than links too.  A plan that _PlanRuntime refuses raises:
     DimensionMismatch for an operator of the wrong dimension, and
-    ValidationError for a bad correction (each naming the step and branch),
-    more steps than links or a chain off the plan's pair.  ValidationError
-    also for an outcome of zero probability and a non-integer path_limit.
+    ValidationError for a bad correction (each naming the step and branch)
+    or more steps than links.  ValidationError also for an outcome of zero
+    probability and a non-integer path_limit.  max_deviation is NaN when any
+    deviation is.
     """
     path_limit = _integer("path_limit", path_limit)
     path_count = math.prod(len(step.branches) for step in plan.steps)
@@ -359,12 +360,13 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
         all_reach_target=max_final_dev <= TOLERANCES["path"],
     )
     judged += ("path", path.total_prob_dev), ("path", path.max_final_dev)
+    devs = [dev for _, dev in judged]
     report = VerificationReport(
         step_checks=tuple(step_checks),
         path_check=path,
-        # dev <= tolerance fails a NaN deviation; max from 0.0 skips it.
+        # dev <= tolerance fails a NaN deviation; max from 0.0 would skip it.
         passed=all(dev <= TOLERANCES[name] for name, dev in judged),
-        max_deviation=max(0.0, *(dev for _, dev in judged)),
+        max_deviation=math.nan if any(map(math.isnan, devs)) else max(0.0, *devs),
     )
     # Outside the fields, so eq, repr and hash see the checks alone.
     object.__setattr__(report, "_runtime", runtime)
@@ -450,9 +452,7 @@ class _PlanRuntime:
     the running sums of step k's outcome probabilities, and devs each
     path's final deviation, in that order.
 
-    ValidationError for more steps than the chain has links, or for a chain
-    whose first and last layouts are not exactly, entry by entry, the
-    amplitudes of plan.source and plan.target.
+    ValidationError for more steps than the chain has links.
     Per step, views of one array each for the whole plan: the operators'
     diagonals as columns, (branches, n, 1), so that a product scales rows,
     and the inverse corrections, (branches, n), which the walks index by.
@@ -469,8 +469,6 @@ class _PlanRuntime:
         layouts = plan.chain.layouts
         if len(plan.steps) > plan.chain.l:
             raise ValidationError(f"plan has {len(plan.steps)} steps for a chain of {plan.chain.l} links")
-        if layouts[0] != plan.source.amps or layouts[-1] != plan.target.amps:
-            raise ValidationError("plan's chain does not run from its source to its target")
         self.plan = plan
         self.paths = None
         self.start = _diagonal(layouts[0])

@@ -72,18 +72,13 @@ class OutcomeBranch:
 
 @dataclass(frozen=True)
 class MeasurementStep:
-    """A complete generalized measurement taking source to target.
-
-    window, when set, lists the basis indices the step actually acts on
-    (identity elsewhere); block-level steps leave it None.
-    """
+    """A complete generalized measurement taking source to target."""
 
     branches: tuple[OutcomeBranch, ...]
     source: SchmidtVector
     target: SchmidtVector
     case_tag: str
     pruned_count: int = 0
-    window: tuple[int, ...] | None = None
 
     @property
     def n(self) -> int:
@@ -119,7 +114,8 @@ def _trivial_step(source: SchmidtVector, target: SchmidtVector) -> MeasurementSt
 
 def _trivial_solve(source: SchmidtVector, target: SchmidtVector, n: int) -> bool:
     """solve2's and solve3's preamble: refuses a pair not of dimension n, not majorized
-    or with a vanishing source coefficient; True when source equals target."""
+    or with a vanishing source coefficient; True when source equals target or
+    the target is flat (maximally entangled: majorization forces the two equal)."""
     if source.n != n or target.n != n:
         raise DimensionMismatch(f"solve{n} requires dimension {n}")
     report = majorizes(source, target)
@@ -127,7 +123,8 @@ def _trivial_solve(source: SchmidtVector, target: SchmidtVector, n: int) -> bool
         raise NotMajorized(report)
     if not source.is_source_grade():
         raise SourceHasZero(f"source {source.amps} has a vanishing coefficient")
-    return states_equal(source, target)
+    flat = target.squares[0] - target.squares[-1] <= EPS_ZERO
+    return flat or states_equal(source, target)
 
 
 def _cond(a: float, b: float, den: float) -> float:
@@ -205,35 +202,37 @@ def solve3(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
 
     The two orderings of the middle coefficients take different operators:
     CASE_I when it shrinks (in squares, ties within EPS_CMP included), else
-    CASE_II.  When the routed case fails its own check, the other case is
+    CASE_II.  When the routed case's own denominator vanishes, the states
+    coincide.  When the routed case fails its own check, the other case is
     built; if that fails too, the routed case's error is raised.
     """
     if _trivial_solve(source, target, 3):
         return _trivial_step(source, target)
-    shrinks = source.squares[1] >= target.squares[1] - EPS_CMP
+    s2, sb2, sc2 = target.squares
+    shrinks = source.squares[1] >= sb2 - EPS_CMP
     cases = (CASE_I, CASE_II) if shrinks else (CASE_II, CASE_I)
+    if (s2 - sb2 if shrinks else sb2 - sc2) <= EPS_ZERO:
+        return _trivial_step(source, target)
     errors = []
     for case_tag in cases:
         try:
-            return _solve3_case(source, target, case_tag, routed=not errors)
+            return _solve3_case(source, target, case_tag)
         except SolverInvariantViolated as exc:
             errors.append(exc)
     raise errors[0]
 
 
-def _solve3_case(source, target, case_tag: str, routed: bool) -> MeasurementStep:
+def _solve3_case(source, target, case_tag: str) -> MeasurementStep:
     """solve3's step in one case: outcome 1 lands on the target directly, the
-    others after one swap each.  A vanishing denominator means the states
-    coincide if the case is the routed one, else that it cannot be built."""
+    others after one swap each.  Its own denominator, s2 - sb2 for CASE_I and
+    sb2 - sc2 for CASE_II, vanishing means that it cannot be built (a flat
+    target, s2 - sc2 vanishing, is _trivial_solve's)."""
     a1, b1, c1 = source.amps
     a2, b2, c2 = target.amps
     s1, sb1, sc1 = source.squares
     s2, sb2, sc2 = target.squares
-    # One of the case's denominators vanishes.
-    if min(s2 - sc2, s2 - sb2 if case_tag == CASE_I else sb2 - sc2) <= EPS_ZERO:
-        if not routed:
-            raise SolverInvariantViolated(f"{case_tag} denominator vanishes")
-        return _trivial_step(source, target)
+    if (s2 - sb2 if case_tag == CASE_I else sb2 - sc2) <= EPS_ZERO:
+        raise SolverInvariantViolated(f"{case_tag} denominator vanishes")
     if case_tag == CASE_I:
         _assert_ordering([("a2", a2), ("a1", a1), ("b1", b1), ("b2", b2), ("c2", c2)], CASE_I)
         cond2, cond3 = _cond(sb1, sb2, s2 - sb2), _cond(sc1, sc2, s2 - sc2)
@@ -278,9 +277,6 @@ def solve2(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
     a2, b2 = target.amps
     s1, sb1 = source.squares
     s2, sb2 = target.squares
-    if s2 - sb2 <= EPS_ZERO:
-        # Maximally entangled target: majorization forces source == target.
-        return _trivial_step(source, target)
     p1 = _clamp_prob((s1 - sb2) / (s2 - sb2), "p1'", _cond(s1, sb2, s2 - sb2))
     specs = [
         ((a2 / a1, b2 / b1), (0, 1)),

@@ -288,7 +288,7 @@ def steps_section(plan: LadderPlan) -> list:
         out.append(
             {
                 "index": k,
-                "window": list(step.window) if step.window is not None else None,
+                "window": list(plan.chain.windows[k]),
                 "case": step.case_tag,
                 "pruned_count": step.pruned_count,
                 "branches": [

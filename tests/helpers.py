@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import numbers
+from fractions import Fraction
 
 import numpy as np
 
@@ -221,6 +222,40 @@ def window_inequality_defect(prev_sq, next_sq, window):
     return worst
 
 
+def _exact_majorized(a, b):
+    """a is majorized by b, exactly: equal totals and every sum of b's k
+    largest at least a's."""
+    a, b = sorted(a, reverse=True), sorted(b, reverse=True)
+    ahead = [sum(b[:k]) - sum(a[:k]) for k in range(1, len(a) + 1)]
+    return ahead[-1] == 0 and min(ahead) >= 0
+
+
+def exact_ladder_feasible(source_sq, target_sq):
+    """Whether the smallest-first ladder of 3-wide blocks exists, in exact
+    arithmetic over the planner's float squares.
+
+    Each float square is taken as a Fraction and each vector renormalised
+    exactly.  The pair must be majorized; then intermediate k (k = 1, 2, ...
+    while its slot p = n - 1 - 2k is at least 1) keeps the source's first p
+    squares, puts the closing coefficient squared, sum(source[p:]) -
+    sum(target[p + 1:]), at p and copies the target after it.  A negative
+    closing coefficient is infeasible, and every link of source,
+    intermediates, target must be majorized with zero slack.
+    """
+    src, tgt = ([Fraction(x) for x in v] for v in (source_sq, target_sq))
+    src, tgt = ([x / sum(v) for x in v] for v in (src, tgt))
+    if not _exact_majorized(src, tgt):
+        return False
+    chain = [src]
+    for p in range(len(src) - 3, 0, -2):
+        tilde = sum(src[p:]) - sum(tgt[p + 1 :])
+        if tilde < 0:
+            return False
+        chain.append(src[:p] + [tilde] + tgt[p + 1 :])
+    chain.append(tgt)
+    return all(_exact_majorized(a, b) for a, b in zip(chain, chain[1:]))
+
+
 def forced_chain_layout_squares(source_sq, target_sq, k):
     """Squared layout of the k-th smallest-first intermediate (3-wide blocks),
     recomputed from the defining tail sums rather than the library."""
@@ -304,7 +339,7 @@ def literal_step_checks(plan):
     FullState.reduced_spectrum.
     """
     layouts = plan.chain.layouts
-    n = plan.source.n
+    n = len(layouts[0])
     step_checks = []
     for k, step in enumerate(plan.steps):
         psi = FullState.from_layout(layouts[k])

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import locc_ladder
-from locc_ladder import IntermediateChain, oracle
+from locc_ladder import IntermediateChain, LadderPlan, MeasurementStep, oracle
 
 PUBLIC_NAMES = [
     "BlockTooLarge",
@@ -188,6 +188,13 @@ def test_sample_trajectories_signature_is_pinned():
 def test_intermediate_chain_fields_are_pinned():
     # states is derived from layouts, not stored beside them.
     assert [f.name for f in fields(IntermediateChain)] == ["layouts", "m", "tilde_values", "windows"]
+
+
+def test_plan_and_step_fields_are_pinned():
+    # A plan's pair is its chain's first and last layouts, and step k's
+    # window is chain.windows[k]: neither is stored twice.
+    assert [f.name for f in fields(LadderPlan)] == ["chain", "steps"]
+    assert "window" not in [f.name for f in fields(MeasurementStep)]
 
 
 def _module_tree(name):

@@ -426,17 +426,33 @@ def test_oracle_dimension_cap(monkeypatch, command):
 @pytest.mark.parametrize("fmt", ["human", "machine"])
 @pytest.mark.parametrize("command", ["plan", "simulate"])
 def test_plan_for_another_target_is_one_error_line(monkeypatch, command, fmt):
-    # A planner that built a chain to another target, labelled with the
-    # target asked for: the oracle refuses the plan, and nothing is written.
+    # A planner that built a verified plan to another target: the CLI checks
+    # the plan's chain against the pair it parsed, and nothing is written.
     plan_full = cli.plan_full
     other = locc_ladder.validate([0.6, 0.2, 0.15, 0.05], squared=True)
-
-    def mislabelled(source, target):
-        return dataclasses.replace(plan_full(source, other), target=target)
-
-    monkeypatch.setattr(cli, "plan_full", mislabelled)
+    monkeypatch.setattr(cli, "plan_full", lambda source, target: plan_full(source, other))
     code, out, err = run_cli([command, "--squared", "--format", fmt], N4)
-    message = "error: plan's chain does not run from its source to its target\n"
+    message = "error: built plan does not run from the source to the target\n"
+    assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_nan_deviation_is_shown_in_the_error_line(monkeypatch, command):
+    # A NaN probability fails verification, and the error line names the
+    # NaN as the plan's deviation rather than the largest of the others.
+    plan_full = cli.plan_full
+
+    def nan_branch(source, target):
+        plan = plan_full(source, target)
+        step = plan.steps[0]
+        branches = list(step.branches)
+        branches[1] = dataclasses.replace(branches[1], prob=float("nan"))
+        steps = (dataclasses.replace(step, branches=tuple(branches)), *plan.steps[1:])
+        return dataclasses.replace(plan, steps=steps)
+
+    monkeypatch.setattr(cli, "plan_full", nan_branch)
+    code, out, err = run_cli([command, "--squared"], N4)
+    message = "error: built plan fails verification (max deviation nan)\n"
     assert (code, out, err) == (1, "", message)
 
 

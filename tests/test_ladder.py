@@ -47,7 +47,7 @@ from locc_ladder import (
 from locc_ladder import ladder
 from locc_ladder import plan_full as _plan_full
 from locc_ladder.cli import main as cli_main
-from locc_ladder.errors import ChainInvariantViolated
+from locc_ladder.errors import ChainInvariantViolated, LoccLadderError
 from locc_ladder.ladder import _chain_layouts, _chain_windows, _lift, _window_decompose
 from locc_ladder.transcript import certificate_section, chain_section, steps_section
 
@@ -57,6 +57,7 @@ from helpers import (
     degenerate_fuzz_pair,
     dense_pair,
     dirichlet_swept_pair,
+    exact_ladder_feasible,
     float_bits,
     forced_chain_layout_squares,
     fsum_majorized,
@@ -537,7 +538,7 @@ class TestEmbedStep:
         chain = intermediate_chain(source, target, 3)
         plan = plan_full(source, target)
         step = plan.steps[0]
-        assert step.window == (1, 2, 3)
+        assert plan.chain.windows[0] == (1, 2, 3)
         assert step.branches[2].correction == (0, 3, 2, 1)
         assert chain.states[1] == step.target
 
@@ -671,7 +672,7 @@ class TestEmbedStep:
             if isinstance(chain, InfeasibilityCertificate):
                 continue
             # Each link lifted as plan_full lifts the ladder's.
-            plan = LadderPlan(chain=chain, steps=_lift(chain), source=source, target=target)
+            plan = LadderPlan(chain=chain, steps=_lift(chain))
             assert verify_plan(plan).passed
             lifted += 1
         assert lifted == 211
@@ -754,7 +755,8 @@ class TestPlanFull:
     def test_zero_tail_block_steps_on_its_positive_heads(self):
         plan = plan_full(*(validate(x, squared=True) for x in ZERO_TAIL_BLOCK_PAIR))
         step = plan.steps[0]
-        assert (step.case_tag, step.window, len(step.branches)) == (TWO_OUTCOME, (1, 2, 3), 2)
+        assert (step.case_tag, len(step.branches)) == (TWO_OUTCOME, 2)
+        assert plan.chain.windows[0] == (1, 2, 3)
         assert plan.chain.layouts[0][3] == plan.chain.layouts[1][3] == 0.0
 
     def test_identity_short_circuits(self):
@@ -981,6 +983,27 @@ def test_other_case_fallback_plans_pinned_trials():
     for trial in (79, 243, 267, 279, 319, 479, 507):
         source, target = (validate(x, squared=True, autosort=True) for x in pairs[trial])
         assert verify_plan(_plan_full(source, target)).passed, trial
+
+
+def test_every_ladder_refusal_on_the_pinned_corpus_is_exactly_infeasible():
+    # plan_full refuses within tolerances; in exact arithmetic over the same
+    # float squares the smallest-first ladder must not exist either, so a
+    # refusal is never a rounding artefact of a feasible ladder.
+    assert exact_ladder_feasible([0.4, 0.3, 0.2, 0.1], [0.55, 0.25, 0.15, 0.05])
+    assert not exact_ladder_feasible([0.25] * 4, [0.3, 0.3, 0.3, 0.1])
+    rng = np.random.default_rng(12)
+    kinds = Counter()
+    for trial in range(512):
+        pair = degenerate_fuzz_pair(rng, trial, PIN_FLOORS[trial % 4])
+        source, target = (validate(x, squared=True, autosort=True) for x in pair)
+        try:
+            _plan_full(source, target)
+        except LadderInfeasible as exc:
+            kinds[exc.certificate.kind] += 1
+            assert not exact_ladder_feasible(source.squares, target.squares), trial
+        except LoccLadderError:
+            pass
+    assert kinds == {"link_not_majorized": 170, "block_not_majorized": 2}
 
 
 def test_unchecked_constructions_pass_the_checks_they_skip(monkeypatch):

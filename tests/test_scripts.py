@@ -19,7 +19,8 @@ ROOT = Path(__file__).resolve().parent.parent
         (
             "degenerate_fuzz.py",
             ["--trials", "30"],
-            r"^by exit code:\n(  exit \d +\d+\n)+exit 1 by class:\n  completeness +\d+$",
+            r"^by exit code:\n(  exit \d +\d+\n)+exit 1 by class:\n  completeness +\d+$"
+            r"(.|\n)*^answers sha256 [0-9a-f]{64}\n\Z",
         ),
         # Each cell's third column is the median margin of its refusals.
         (

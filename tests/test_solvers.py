@@ -153,7 +153,7 @@ class TestSolve3Fixtures:
         source = SchmidtVector((0.6018644829557946, 0.5720516545513323, 0.557239668976857))
         target = SchmidtVector((0.6018644829634296, 0.5720516545517493, 0.5572396689681824))
         with pytest.raises(SolverInvariantViolated, match="completeness"):
-            _solve3_case(source, target, CASE_I, routed=True)
+            _solve3_case(source, target, CASE_I)
         step = solve3(source, target)
         assert step.case_tag == CASE_II
         assert completeness_defect(step) <= EPS_COMPLETE
@@ -167,7 +167,7 @@ class TestSolve3Fixtures:
         source = SchmidtVector((0.8834120699923104, 0.46859696391558214, 9.999999999984999e-07))
         target = SchmidtVector((1.0, 0.0, 0.0))
         with pytest.raises(SolverInvariantViolated, match="CASE_II denominator vanishes"):
-            _solve3_case(source, target, CASE_II, routed=False)
+            _solve3_case(source, target, CASE_II)
         with pytest.raises(SolverInvariantViolated, match="completeness sum deviates"):
             solve3(source, target)
 
