@@ -389,13 +389,14 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
     """Lift a block measurement onto link k of the chain.
 
     The step takes chain.layouts[k] to chain.layouts[k + 1] on the basis
-    indices chain.windows[k]; its source and target are chain.states[k] and
-    chain.states[k + 1], those layouts sorted.  A block step of m indices
-    acts on the window's m leading ranks; the window's smallest source
-    coefficients from rank m on, like the indices outside the window, are
-    untouched: they carry sqrt(prob) on every branch operator so that
-    per-index completeness survives, and keep their rank (the window's
-    rank s goes to the next layout's rank s; outside it, the identity).
+    indices chain.windows[k]; each lifted branch must reproduce
+    chain.layouts[k + 1], the one check that the lift lands.  A block step
+    of m indices (its operators' length) acts on the window's m leading
+    ranks; the window's smallest source coefficients from rank m on, like
+    the indices outside the window, are untouched: they carry sqrt(prob) on
+    every branch operator so that per-index completeness survives, and keep
+    their rank (the window's rank s goes to the next layout's rank s;
+    outside it, the identity).
     When the positional window is unsorted, operators and corrections are
     conjugated by the sorting permutation so they act on the stated indices.
     """
@@ -404,20 +405,25 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
     idx = chain.windows[k]
     source_layout, target_layout = chain.layouts[k], chain.layouts[k + 1]
     n = len(source_layout)
-    m = block_step.source.n
-    if m > len(idx):
-        raise IndexRangeInvalid(f"index range {idx} incompatible with block size {m}")
     # Completeness misses a bad prob where the window spans every index.  NaN fails.
     in_range = all(0.0 <= br.prob <= 1.0 for br in block_step.branches)
     if not (in_range and probability_defect(block_step) <= EPS_COMPLETE):
         raise ChainInvariantViolated("block step probabilities must lie in [0, 1] and sum to one")
+    m = block_step.branches[0].op.n
+    labels = list(range(m))
+    for i, br in enumerate(block_step.branches):
+        corr = br.correction
+        kinds_ok = all(map(_is_integer_kind, map(type, corr)))
+        if not (br.op.n == len(corr) == m and kinds_ok and sorted(corr) == labels):
+            raise IndexRangeInvalid(
+                f"block branch {i}: operator and correction must hold {m} entries, "
+                f"the correction a permutation of 0..{m - 1}"
+            )
+    if m > len(idx):
+        raise IndexRangeInvalid(f"index range {idx} incompatible with block size {m}")
 
-    source_window, c = _window_weight(source_layout, idx)
+    source_window, _ = _window_weight(source_layout, idx)
     target_window = tuple(target_layout[i] for i in idx)
-    scaled = sorted((x / c for x in target_window), reverse=True)
-    if not amps_agree(scaled, block_step.target.amps):
-        raise IndexRangeInvalid("target window content disagrees with the block target")
-
     sigma = _sort_perm(source_window)
     tau = _sort_perm(target_window)
 
@@ -455,13 +461,7 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
                 post_state=SchmidtVector._trusted(tuple(sorted(relabeled, reverse=True))),
             )
         )
-    step = MeasurementStep(
-        branches=tuple(branches),
-        source=chain.states[k],
-        target=chain.states[k + 1],
-        case_tag=block_step.case_tag,
-        pruned_count=block_step.pruned_count,
-    )
+    step = MeasurementStep(tuple(branches), block_step.case_tag, block_step.pruned_count)
     if completeness_defect(step) > EPS_COMPLETE:
         raise ChainInvariantViolated("embedded step loses completeness")
     return step
@@ -474,7 +474,7 @@ def _solve_block(block_src: SchmidtVector, omega: SchmidtVector) -> MeasurementS
     if any(a > EPS_ZERO for a in omega.amps[keep:]):
         raise OmegaNotMajorizing("target block outranks the source block")
     if keep < 2:
-        return _trivial_step(block_src, omega)
+        return _trivial_step(omega)
     if keep < block_src.n:
         # checked: keep >= 2 heads of checked, exactly sorted states; dropped tails <= EPS_ZERO.
         block_src = SchmidtVector._trusted(block_src.amps[:keep])
@@ -520,7 +520,7 @@ def plan_full(source: SchmidtVector, target: SchmidtVector) -> LadderPlan:
     # intermediate_chain runs the preamble (majorization included) once.
     chain = intermediate_chain(source, target, min(source.n, 3))
     if chain.l == 1 and states_equal(source, target):
-        steps = (_trivial_step(source, target),)
+        steps = (_trivial_step(target),)
     elif chain.m == 2:
         steps = (solve2(source, target),)
     else:

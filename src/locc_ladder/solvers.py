@@ -72,17 +72,13 @@ class OutcomeBranch:
 
 @dataclass(frozen=True)
 class MeasurementStep:
-    """A complete generalized measurement taking source to target."""
+    """A complete generalized measurement, held as its outcomes: the states it
+    links are the pair its solver was handed, or the chain link it was lifted
+    onto."""
 
     branches: tuple[OutcomeBranch, ...]
-    source: SchmidtVector
-    target: SchmidtVector
     case_tag: str
     pruned_count: int = 0
-
-    @property
-    def n(self) -> int:
-        return self.source.n
 
 
 def completeness_defect(step: MeasurementStep) -> float:
@@ -100,8 +96,8 @@ def probability_defect(step: MeasurementStep) -> float:
     return abs(sum(br.prob for br in step.branches) - 1.0)
 
 
-def _trivial_step(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
-    n = source.n
+def _trivial_step(target: SchmidtVector) -> MeasurementStep:
+    n = target.n
     branch = OutcomeBranch(
         # checked: every entry is the constant 1.0.
         op=DiagonalKraus._trusted((1.0,) * n),
@@ -109,7 +105,7 @@ def _trivial_step(source: SchmidtVector, target: SchmidtVector) -> MeasurementSt
         correction=tuple(range(n)),
         post_state=target,
     )
-    return MeasurementStep(branches=(branch,), source=source, target=target, case_tag=TRIVIAL)
+    return MeasurementStep(branches=(branch,), case_tag=TRIVIAL)
 
 
 def _trivial_solve(source: SchmidtVector, target: SchmidtVector, n: int) -> bool:
@@ -183,13 +179,7 @@ def _build_step(source, target, specs, case_tag, probs):
                 f"branch post-state {post.amps} misses target {target.amps}"
             )
         branches.append(OutcomeBranch(op, p, tuple(corr), post))
-    step = MeasurementStep(
-        branches=tuple(branches),
-        source=source,
-        target=target,
-        case_tag=case_tag,
-        pruned_count=pruned,
-    )
+    step = MeasurementStep(branches=tuple(branches), case_tag=case_tag, pruned_count=pruned)
     if completeness_defect(step) > EPS_COMPLETE:
         raise SolverInvariantViolated("completeness sum deviates from identity")
     if probability_defect(step) > EPS_COMPLETE:
@@ -207,12 +197,12 @@ def solve3(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
     built; if that fails too, the routed case's error is raised.
     """
     if _trivial_solve(source, target, 3):
-        return _trivial_step(source, target)
+        return _trivial_step(target)
     s2, sb2, sc2 = target.squares
     shrinks = source.squares[1] >= sb2 - EPS_CMP
     cases = (CASE_I, CASE_II) if shrinks else (CASE_II, CASE_I)
     if (s2 - sb2 if shrinks else sb2 - sc2) <= EPS_ZERO:
-        return _trivial_step(source, target)
+        return _trivial_step(target)
     errors = []
     for case_tag in cases:
         try:
@@ -271,7 +261,7 @@ def _solve3_case(source, target, case_tag: str) -> MeasurementStep:
 def solve2(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
     """Single two-outcome measurement for a 2-dimensional transformation."""
     if _trivial_solve(source, target, 2):
-        return _trivial_step(source, target)
+        return _trivial_step(target)
 
     a1, b1 = source.amps
     a2, b2 = target.amps

@@ -265,25 +265,19 @@ def forced_chain_layout_squares(source_sq, target_sq, k):
     return list(source_sq[: p - 1]) + [tilde_sq] + list(target_sq[p:])
 
 
-def padded_block_step(step, block_src, omega):
-    """step, solved on the positive heads of block_src and omega, padded to
-    their dimension by hand: each dropped rank takes sqrt(prob) on every
-    operator and keeps its label, and each post state ends in the source's
-    dropped tail.  The block step embed_step must lift as it lifts step."""
-    keep, m = step.source.n, block_src.n
+def padded_block_step(step, block_src):
+    """step, solved on the positive heads of block_src, padded to its
+    dimension by hand: each dropped rank takes sqrt(prob) on every operator
+    and keeps its label, and each post state ends in the source's dropped
+    tail.  The block step embed_step must lift as it lifts step."""
+    keep, m = step.branches[0].op.n, block_src.n
     branches = []
     for br in step.branches:
         diag = br.op.diag + tuple(math.sqrt(br.prob) for _ in range(keep, m))
         corr = br.correction + tuple(range(keep, m))
         post = SchmidtVector(br.post_state.amps + block_src.amps[keep:])
         branches.append(OutcomeBranch(DiagonalKraus(diag), br.prob, corr, post))
-    return MeasurementStep(
-        branches=tuple(branches),
-        source=block_src,
-        target=omega,
-        case_tag=step.case_tag,
-        pruned_count=step.pruned_count,
-    )
+    return MeasurementStep(tuple(branches), step.case_tag, step.pruned_count)
 
 
 def literal_path_check(plan, path_limit=20000):

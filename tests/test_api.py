@@ -192,9 +192,10 @@ def test_intermediate_chain_fields_are_pinned():
 
 def test_plan_and_step_fields_are_pinned():
     # A plan's pair is its chain's first and last layouts, and step k's
-    # window is chain.windows[k]: neither is stored twice.
+    # window and states are chain.windows[k] and chain.states[k], [k + 1]:
+    # none is stored twice.
     assert [f.name for f in fields(LadderPlan)] == ["chain", "steps"]
-    assert "window" not in [f.name for f in fields(MeasurementStep)]
+    assert [f.name for f in fields(MeasurementStep)] == ["branches", "case_tag", "pruned_count"]
 
 
 def _module_tree(name):

@@ -49,6 +49,7 @@ from locc_ladder import plan_full as _plan_full
 from locc_ladder.cli import main as cli_main
 from locc_ladder.errors import ChainInvariantViolated, LoccLadderError
 from locc_ladder.ladder import _chain_layouts, _chain_windows, _lift, _window_decompose
+from locc_ladder.schmidt import amps_agree
 from locc_ladder.transcript import certificate_section, chain_section, steps_section
 
 from helpers import (
@@ -70,18 +71,18 @@ from helpers import (
 from sampling import random_feasible_pair
 
 
-def _sorted(layout):
-    return SchmidtVector(tuple(sorted(layout, reverse=True)))
+def _lands_on(step, state):
+    """Whether every branch of step ends in state, within EPS_CMP."""
+    return all(amps_agree(br.post_state.amps, state.amps) for br in step.branches)
 
 
 def plan_full(source, target):
-    """plan_full, checking that each step's source and target states are its
-    chain link's two layouts sorted: plan_full hands its chain's states to
-    the steps."""
+    """plan_full, checking that every branch of step k lands on the chain's
+    state k + 1, and the last step on the target."""
     plan = _plan_full(source, target)
     for k, step in enumerate(plan.steps):
-        assert step.source == _sorted(plan.chain.layouts[k])
-        assert step.target == _sorted(plan.chain.layouts[k + 1])
+        assert _lands_on(step, plan.chain.states[k + 1])
+    assert _lands_on(plan.steps[-1], target)
     return plan
 
 
@@ -501,6 +502,8 @@ class TestGreatestFirstChain:
             )
 
 
+LANDING_MISSED = "^embedded branch does not reproduce the next layout$"
+
 # Squared coefficients whose first window, (1, 2, 3), ends in the source's
 # zero: its block is solved on the two positive heads, and the zero's rank
 # is carried through the lift untouched.
@@ -528,7 +531,7 @@ class TestEmbedStep:
         assert step.branches[0].op.diag == (1.0, 1.0, 1.0, 1.0)
         assert step.branches[0].prob == 1.0
         assert step.branches[0].correction == (0, 1, 2, 3)
-        assert step.source is chain.states[0] and step.target is chain.states[1]
+        assert _lands_on(step, chain.states[1])
         assert chain.states == (source, source)
 
     def test_block_swap_becomes_full_swap(self, n4_pair):
@@ -540,7 +543,7 @@ class TestEmbedStep:
         step = plan.steps[0]
         assert plan.chain.windows[0] == (1, 2, 3)
         assert step.branches[2].correction == (0, 3, 2, 1)
-        assert chain.states[1] == step.target
+        assert _lands_on(step, chain.states[1])
 
     def test_untouched_indices_carry_sqrt_prob(self, n4_pair):
         plan = plan_full(*n4_pair)
@@ -574,8 +577,9 @@ class TestEmbedStep:
         omega = choose_omega(block, tail, norm)
         heads = solve2(SchmidtVector(block.amps[:2]), SchmidtVector(omega.amps[:2]))
         assert ladder._solve_block(block, omega) == heads
-        padded = padded_block_step(heads, block, omega)
-        assert (heads.n, padded.n, block.amps[2]) == (2, 3, 0.0)
+        padded = padded_block_step(heads, block)
+        sizes = {(a.op.n, b.op.n) for a, b in zip(heads.branches, padded.branches)}
+        assert (sizes, block.amps[2]) == ({(2, 3)}, 0.0)
         lifted = embed_step(heads, chain, 0)
         assert lifted == embed_step(padded, chain, 0)
         assert lifted == plan_full(source, target).steps[0]
@@ -608,6 +612,9 @@ class TestEmbedStep:
         message = r"^block step probabilities must lie in \[0, 1\] and sum to one$"
         with pytest.raises(ChainInvariantViolated, match=message):
             embed_step(bad, chain, 0)
+        # A step with no outcomes is refused here, before its block size is read.
+        with pytest.raises(ChainInvariantViolated, match=message):
+            embed_step(replace(step, branches=()), chain, 0)
 
     def test_window_must_carry_weight(self):
         v = validate([0.5, 0.5, 0.0, 0.0], squared=True)
@@ -630,7 +637,7 @@ class TestEmbedStep:
         source, target = n4_pair
         chain = intermediate_chain(source, target, 3)
         block, _ = _window_decompose(chain.layouts[0], chain.windows[0])
-        with pytest.raises(IndexRangeInvalid, match="^target window content disagrees"):
+        with pytest.raises(ChainInvariantViolated, match=LANDING_MISSED):
             embed_step(solve3(block, block), chain, 0)
 
     @pytest.mark.parametrize("d", [1e-11, 1e-6, 1e-3])
@@ -642,8 +649,47 @@ class TestEmbedStep:
         sq[0], sq[1] = sq[0] + d, sq[1] - d
         moved = (chain.layouts[0], tuple(map(math.sqrt, sq)), chain.layouts[2])
         bad = IntermediateChain(moved, chain.m, chain.tilde_values, chain.windows)
-        with pytest.raises(IndexRangeInvalid, match="^target window content disagrees"):
+        with pytest.raises(ChainInvariantViolated, match=LANDING_MISSED):
             _lift(bad)
+
+    def test_a_window_head_off_by_rounding_lifts_and_verifies(self):
+        # Layout 1's entry at index 2, the head of link 0's window (2, 3, 4)
+        # whose norm is about 1.7e-3, rises by 1e-14, and index 0 gives up
+        # the same squared weight.  Each branch lands within EPS_CMP; the
+        # same offset in block scale, over the window norm, would not.
+        source = validate([0.6, 0.4 - 3e-6, 1.5e-6, 1e-6, 0.5e-6], squared=True)
+        target = validate([0.6, 0.4 - 3e-6, 2e-6, 0.7e-6, 0.3e-6], squared=True)
+        chain = intermediate_chain(source, target, 3)
+        assert chain.windows == ((2, 3, 4), (0, 1, 2))
+        layout = list(chain.layouts[1])
+        raised = layout[2] + 1e-14
+        layout[0] = math.sqrt(layout[0] ** 2 - (raised**2 - layout[2] ** 2))
+        layout[2] = raised
+        layouts = (chain.layouts[0], tuple(layout), chain.layouts[2])
+        nudged = IntermediateChain(layouts, chain.m, chain.tilde_values, chain.windows)
+        assert verify_plan(LadderPlan(chain=nudged, steps=_lift(nudged))).passed
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda br: replace(br, op=DiagonalKraus(br.op.diag[:2])),
+            lambda br: replace(br, op=DiagonalKraus(br.op.diag + (0.5,))),
+            lambda br: replace(br, correction=(0, 1)),
+            lambda br: replace(br, correction=(0, 1, 7)),
+        ],
+        ids=["operator-short", "operator-long", "correction-short", "correction-out-of-range"],
+    )
+    def test_a_malformed_block_branch_is_refused_by_name(self, n4_pair, change):
+        # Link 0 of the README pair's chain, its block step as _lift solves
+        # it, with branch 1 changed.
+        chain = intermediate_chain(*n4_pair, 3)
+        block, norm = _window_decompose(chain.layouts[0], chain.windows[0])
+        tail = sorted((chain.layouts[1][i] for i in chain.windows[0]), reverse=True)[1:]
+        step = ladder._solve_block(block, choose_omega(block, tail, norm))
+        assert embed_step(step, chain, 0) == plan_full(*n4_pair).steps[0]
+        bad = replace(step, branches=(step.branches[0], change(step.branches[1]), step.branches[2]))
+        with pytest.raises(IndexRangeInvalid, match="^block branch 1: operator and correction"):
+            embed_step(bad, chain, 0)
 
     def test_plan_full_lifts_each_step_through_embed_step(self, n4_pair, monkeypatch):
         # Through the module global, so that a wrapper (the benchmark's
@@ -827,9 +873,8 @@ class TestPlanFull:
         target = validate([0.6, 0.4, 0.0, 0.0], squared=True)
         plan = plan_full(source, target)
         assert len(plan.steps) == 2
-        assert plan.steps[-1].target.squares == pytest.approx(
-            target.squares, abs=1e-12
-        )
+        for br in plan.steps[-1].branches:
+            assert br.post_state.squares == pytest.approx(target.squares, abs=1e-12)
 
     @pytest.mark.parametrize(
         "pair",
