@@ -39,7 +39,6 @@ CLASSES = (
     ("negative probability", "is negative beyond tolerance"),
     ("ordering", "ordering violated"),
     ("fails verification", "built plan fails verification"),
-    ("embedded branch", "embedded branch does not reproduce the next layout"),
 )
 
 

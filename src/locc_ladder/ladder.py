@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -38,7 +37,7 @@ from .errors import (
 )
 from .schmidt import EPS_CMP, EPS_COMPLETE, EPS_NORM, EPS_ZERO, SchmidtVector
 from .schmidt import _finite_nonnegative, _is_integer_kind, _is_real_kind
-from .schmidt import amps_agree, effective_rank, majorizes, states_equal
+from .schmidt import effective_rank, majorizes, states_equal
 from .solvers import (
     DiagonalKraus,
     MeasurementStep,
@@ -60,14 +59,12 @@ class IntermediateChain:
     transforms.
     states, the layouts sorted, are derived once at construction, where a
     chain of the wrong shape or with an entry the entry rule refuses is
-    refused; the layouts and the tilde values (one per link but the last)
-    are kept as floats and m and the window indices as Python ints, so that
-    the chain's transcript section can be written.
+    refused; the layouts are kept as floats and m and the window indices as
+    Python ints, so that the chain's transcript section can be written.
     """
 
     layouts: tuple[tuple[float, ...], ...]
     m: int
-    tilde_values: tuple[float, ...]
     windows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
@@ -91,27 +88,20 @@ class IntermediateChain:
             ok = all(map(_is_integer_kind, set(map(type, w)))) and all(map(operator.lt, w, w[1:]))
             if not ok or (w and not 0 <= w[0] <= w[-1] < n):
                 raise IndexRangeInvalid(f"index range {w} invalid for dimension {n}")
-        tilde = self.tilde_values
-        if not _finite_nonnegative(tilde):
-            j, t = next((j, t) for j, t in enumerate(tilde) if not _finite_nonnegative((t,)))
-            raise NegativeEntry(f"tilde value {t!r} at index {j}")
-        if len(tilde) != len(windows) - 1:
-            raise IndexRangeInvalid(f"{len(tilde)} tilde values for {len(windows)} links")
         object.__setattr__(self, "layouts", tuple(floats))
         object.__setattr__(self, "m", _block_size(self.m))
-        object.__setattr__(self, "tilde_values", tuple(map(float, tilde)))
         object.__setattr__(self, "windows", tuple(tuple(map(int, w)) for w in windows))
         # Outside the fields, so eq, repr and hash see the layouts alone.
         states = (SchmidtVector(tuple(sorted(x, reverse=True))) for x in floats)
         object.__setattr__(self, "_states", tuple(states))
 
     @classmethod
-    def _trusted(cls, layouts, m: int, tilde_values, windows) -> IntermediateChain:
+    def _trusted(cls, layouts, m: int, windows) -> IntermediateChain:
         """The chain unchecked, for layouts and windows built to shape ("# checked:"
         names how), m and the window indices already Python ints; its states
         skip SchmidtVector's checks unless one is off its norm."""
         chain = object.__new__(cls)
-        vars(chain).update(layouts=layouts, m=m, tilde_values=tilde_values, windows=windows)
+        vars(chain).update(layouts=layouts, m=m, windows=windows)
         amps = [tuple(sorted(x, reverse=True)) for x in layouts]
         # checked: n >= 2 and every entry real, finite and >= 0, since the
         # builders' layouts hold only checked states' amplitudes and _amp's
@@ -279,15 +269,14 @@ def _link_refusal(chain: IntermediateChain, message: str) -> Optional[Infeasibil
 
 
 def _trivial_chain(source: SchmidtVector, target: SchmidtVector, m: int) -> IntermediateChain:
-    return _chain((source.amps, target.amps), (), m, (tuple(range(source.n)),))
+    return _chain((source.amps, target.amps), m, (tuple(range(source.n)),))
 
 
-def _chain(layouts, tilde_sqs, m, windows) -> IntermediateChain:
-    tilde_values = tuple(map(_amp, tilde_sqs))
+def _chain(layouts, m, windows) -> IntermediateChain:
     # checked: windows of ints from range (_chain_windows, or every index),
     # one per link of the layouts built over them, each as long as the
     # source; m passed the preamble's _block_size.
-    return IntermediateChain._trusted(tuple(layouts), int(m), tilde_values, windows)
+    return IntermediateChain._trusted(tuple(layouts), int(m), windows)
 
 
 def _block_size(m) -> int:
@@ -319,7 +308,8 @@ def intermediate_chain(source: SchmidtVector, target: SchmidtVector, m: int) -> 
     if _trivial_pair(source, target, m):
         return _trivial_chain(source, target, m)
     windows = _chain_windows(source.n, m)
-    chain = _chain(*_chain_layouts(source, target, windows, True), m, windows)
+    layouts, _ = _chain_layouts(source, target, windows, True)
+    chain = _chain(layouts, m, windows)
     cert = _link_refusal(
         chain,
         "intermediate state {k} is not majorized by state {next} "
@@ -373,7 +363,7 @@ def greatest_first_chain(
                 target_rank=target_rank,
             )
 
-    chain = _chain(layouts, tilde_sqs, m, windows)
+    chain = _chain(layouts, m, windows)
     cert = _link_refusal(
         chain, "intermediate {k} not majorized by its successor (tail k={failing_k})"
     )
@@ -389,21 +379,21 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
     """Lift a block measurement onto link k of the chain.
 
     The step takes chain.layouts[k] to chain.layouts[k + 1] on the basis
-    indices chain.windows[k]; each lifted branch must reproduce
-    chain.layouts[k + 1], the one check that the lift lands.  A block step
-    of m indices (its operators' length) acts on the window's m leading
-    ranks; the window's smallest source coefficients from rank m on, like
-    the indices outside the window, are untouched: they carry sqrt(prob) on
-    every branch operator so that per-index completeness survives, and keep
-    their rank (the window's rank s goes to the next layout's rank s;
-    outside it, the identity).
+    indices chain.windows[k]; whether every branch lands there is
+    verify_plan's judgement, not checked here.  A block step of m indices
+    (its operators' length) acts on the window's m leading ranks; the
+    window's smallest source coefficients from rank m on, like the indices
+    outside the window, are untouched: they carry sqrt(prob) on every branch
+    operator so that per-index completeness survives, and keep their rank
+    (the window's rank s goes to the next layout's rank s; outside it, the
+    identity).
     When the positional window is unsorted, operators and corrections are
     conjugated by the sorting permutation so they act on the stated indices.
     """
     if not (_is_integer_kind(type(k)) and 0 <= k < chain.l):
         raise IndexRangeInvalid(f"link {k!r} not in [0, {chain.l})")
     idx = chain.windows[k]
-    source_layout, target_layout = chain.layouts[k], chain.layouts[k + 1]
+    source_layout = chain.layouts[k]
     n = len(source_layout)
     # Completeness misses a bad prob where the window spans every index.  NaN fails.
     in_range = all(0.0 <= br.prob <= 1.0 for br in block_step.branches)
@@ -423,7 +413,7 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
         raise IndexRangeInvalid(f"index range {idx} incompatible with block size {m}")
 
     source_window, _ = _window_weight(source_layout, idx)
-    target_window = tuple(target_layout[i] for i in idx)
+    target_window = tuple(chain.layouts[k + 1][i] for i in idx)
     sigma = _sort_perm(source_window)
     tau = _sort_perm(target_window)
 
@@ -438,18 +428,6 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
         for s, r in enumerate(head):
             diag[idx[r]] = br.op.diag[s]
             corr[idx[r]] = idx[tau[br.correction[s]]]
-        raw = tuple(map(operator.mul, diag, source_layout))
-        norm = math.sqrt(sum(map(operator.mul, raw, raw)))
-        # Scatter through corr: off the window corr is the identity, so
-        # only the window's entries move, onto a window of zeros.
-        scaled = list(map(operator.truediv, raw, repeat(norm)))
-        relabeled = scaled.copy()
-        for j in idx:
-            relabeled[j] = 0.0
-        for j in idx:
-            relabeled[corr[j]] = scaled[j]
-        if not amps_agree(relabeled, target_layout):
-            raise ChainInvariantViolated("embedded branch does not reproduce the next layout")
         branches.append(
             OutcomeBranch(
                 # checked: sqrt(prob) for a prob in [0, 1] above, and the
@@ -457,8 +435,6 @@ def embed_step(block_step: MeasurementStep, chain: IntermediateChain, k: int) ->
                 op=DiagonalKraus._trusted(tuple(diag)),
                 prob=br.prob,
                 correction=tuple(corr),
-                # checked: the checked op above times a layout, over its norm, sorted.
-                post_state=SchmidtVector._trusted(tuple(sorted(relabeled, reverse=True))),
             )
         )
     step = MeasurementStep(tuple(branches), block_step.case_tag, block_step.pruned_count)
@@ -474,7 +450,7 @@ def _solve_block(block_src: SchmidtVector, omega: SchmidtVector) -> MeasurementS
     if any(a > EPS_ZERO for a in omega.amps[keep:]):
         raise OmegaNotMajorizing("target block outranks the source block")
     if keep < 2:
-        return _trivial_step(omega)
+        return _trivial_step(omega.n)
     if keep < block_src.n:
         # checked: keep >= 2 heads of checked, exactly sorted states; dropped tails <= EPS_ZERO.
         block_src = SchmidtVector._trusted(block_src.amps[:keep])
@@ -520,7 +496,7 @@ def plan_full(source: SchmidtVector, target: SchmidtVector) -> LadderPlan:
     # intermediate_chain runs the preamble (majorization included) once.
     chain = intermediate_chain(source, target, min(source.n, 3))
     if chain.l == 1 and states_equal(source, target):
-        steps = (_trivial_step(target),)
+        steps = (_trivial_step(target.n),)
     elif chain.m == 2:
         steps = (solve2(source, target),)
     else:

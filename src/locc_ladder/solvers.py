@@ -18,7 +18,7 @@ from .errors import (
     SourceHasZero,
 )
 from .schmidt import EPS_CMP, EPS_COMPLETE, EPS_ZERO, SchmidtVector, majorizes
-from .schmidt import _finite_nonnegative, amps_agree, states_equal
+from .schmidt import _finite_nonnegative, states_equal
 
 CASE_I = "CASE_I"
 CASE_II = "CASE_II"
@@ -52,22 +52,20 @@ class DiagonalKraus:
     def n(self) -> int:
         return len(self.diag)
 
-    def apply(self, amps: tuple[float, ...]) -> tuple[float, ...]:
-        return tuple(d * a for d, a in zip(self.diag, amps))
-
 
 @dataclass(frozen=True)
 class OutcomeBranch:
     """One measurement outcome.
 
     correction[j] is the basis label that index j is relabeled to (by both
-    parties); the relabeled post-measurement state equals post_state.
+    parties).  With the state the step acts on, op, prob and correction
+    determine the post-measurement state, which verify_plan computes; the
+    branch does not hold it.
     """
 
     op: DiagonalKraus
     prob: float
     correction: tuple[int, ...]
-    post_state: SchmidtVector
 
 
 @dataclass(frozen=True)
@@ -96,14 +94,12 @@ def probability_defect(step: MeasurementStep) -> float:
     return abs(sum(br.prob for br in step.branches) - 1.0)
 
 
-def _trivial_step(target: SchmidtVector) -> MeasurementStep:
-    n = target.n
+def _trivial_step(n: int) -> MeasurementStep:
     branch = OutcomeBranch(
         # checked: every entry is the constant 1.0.
         op=DiagonalKraus._trusted((1.0,) * n),
         prob=1.0,
         correction=tuple(range(n)),
-        post_state=target,
     )
     return MeasurementStep(branches=(branch,), case_tag=TRIVIAL)
 
@@ -150,9 +146,9 @@ def _assert_ordering(chain: list[tuple[str, float]], case_tag: str):
             )
 
 
-def _build_step(source, target, specs, case_tag, probs):
+def _build_step(specs, case_tag, probs):
     """Assemble branches from (diag entries, correction) specs, pruning
-    zero-probability outcomes, and verify completeness and branch states."""
+    zero-probability outcomes, and check completeness and the probability sum."""
     branches = []
     pruned = 0
     for (diag, corr), p in zip(specs, probs):
@@ -162,23 +158,7 @@ def _build_step(source, target, specs, case_tag, probs):
         root = p**0.5  # not math.sqrt: last bits differ for some p
         # checked: ratios over a source-grade source (solve2/3), p from _clamp_prob.
         op = DiagonalKraus._trusted(tuple(d * root for d in diag))
-        raw = op.apply(source.amps)
-        norm_sq = sum(x * x for x in raw)
-        if abs(norm_sq - p) > 10 * EPS_COMPLETE:
-            raise SolverInvariantViolated(
-                f"branch norm {norm_sq!r} disagrees with probability {p!r}"
-            )
-        scale = norm_sq**0.5
-        relabeled = [0.0] * source.n
-        for j, x in enumerate(raw):
-            relabeled[corr[j]] = x / scale
-        # checked: op times the source, over its norm (near p >= EPS_ZERO), sorted.
-        post = SchmidtVector._trusted(tuple(sorted(relabeled, reverse=True)))
-        if not amps_agree(post.amps, target.amps):
-            raise SolverInvariantViolated(
-                f"branch post-state {post.amps} misses target {target.amps}"
-            )
-        branches.append(OutcomeBranch(op, p, tuple(corr), post))
+        branches.append(OutcomeBranch(op, p, tuple(corr)))
     step = MeasurementStep(branches=tuple(branches), case_tag=case_tag, pruned_count=pruned)
     if completeness_defect(step) > EPS_COMPLETE:
         raise SolverInvariantViolated("completeness sum deviates from identity")
@@ -197,12 +177,12 @@ def solve3(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
     built; if that fails too, the routed case's error is raised.
     """
     if _trivial_solve(source, target, 3):
-        return _trivial_step(target)
+        return _trivial_step(3)
     s2, sb2, sc2 = target.squares
     shrinks = source.squares[1] >= sb2 - EPS_CMP
     cases = (CASE_I, CASE_II) if shrinks else (CASE_II, CASE_I)
     if (s2 - sb2 if shrinks else sb2 - sc2) <= EPS_ZERO:
-        return _trivial_step(target)
+        return _trivial_step(3)
     errors = []
     for case_tag in cases:
         try:
@@ -235,7 +215,7 @@ def _solve3_case(source, target, case_tag: str) -> MeasurementStep:
             ((b2 / a1, a2 / b1, c2 / c1), (1, 0, 2)),
             ((c2 / a1, b2 / b1, a2 / c1), (2, 1, 0)),
         ]
-        return _build_step(source, target, specs, CASE_I, (p1, p2, p3))
+        return _build_step(specs, CASE_I, (p1, p2, p3))
 
     # Middle coefficient grows.
     _assert_ordering([("a2", a2), ("b2", b2), ("b1", b1), ("c1", c1), ("c2", c2)], CASE_II)
@@ -250,7 +230,7 @@ def _solve3_case(source, target, case_tag: str) -> MeasurementStep:
         p2 = _clamp_prob(p2, "p2", cond2)
         p3 = _clamp_prob((sb2 - sb1) / (sb2 - sc2), "p3", cond3)
         p1 = _clamp_prob(s1 / s2 - (sc2 / s2) * p2 - p3, "p1", 1 + cond2 + cond3)
-        return _build_step(source, target, specs, CASE_II, (p1, p2, p3))
+        return _build_step(specs, CASE_II, (p1, p2, p3))
 
     try:
         return step((s2 - s1) / (s2 - sc2), _cond(s2, s1, s2 - sc2))
@@ -261,7 +241,7 @@ def _solve3_case(source, target, case_tag: str) -> MeasurementStep:
 def solve2(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
     """Single two-outcome measurement for a 2-dimensional transformation."""
     if _trivial_solve(source, target, 2):
-        return _trivial_step(target)
+        return _trivial_step(2)
 
     a1, b1 = source.amps
     a2, b2 = target.amps
@@ -274,8 +254,8 @@ def solve2(source: SchmidtVector, target: SchmidtVector) -> MeasurementStep:
     ]
     try:
         p2 = _clamp_prob((s2 - s1) / (s2 - sb2), "p2'", _cond(s2, s1, s2 - sb2))
-        return _build_step(source, target, specs, TWO_OUTCOME, (p1, p2))
+        return _build_step(specs, TWO_OUTCOME, (p1, p2))
     except SolverInvariantViolated:
         # Per index: sb1 - sb2 keeps a tiny sb1 that s2 - s1's rounding swamps.
         p2 = _clamp_prob((sb1 - sb2) / (s2 - sb2), "p2'", _cond(sb1, sb2, s2 - sb2))
-        return _build_step(source, target, specs, TWO_OUTCOME, (p1, p2))
+        return _build_step(specs, TWO_OUTCOME, (p1, p2))

@@ -6,7 +6,10 @@ data; those classes write no document themselves, and every section that
 copies a record's fields comes from ``_record``.  Floats pass through
 Python's shortest-round-trip repr, so parsing a serialized transcript
 reproduces it exactly.  The document layout is pinned by
-transcript.schema.json shipped with the package.
+transcript.schema.json shipped with the package.  No field repeats what
+other fields determine: the chain's sorted states are its layouts sorted,
+step k's window is the chain's window k, and a branch's post state follows
+from its operator, probability and correction.
 
 The document is written by a small private writer, not by ``json.dumps``:
 ``json`` uses its C encoder only when ``indent`` is None, so with
@@ -14,7 +17,7 @@ The document is written by a small private writer, not by ``json.dumps``:
 writer's output equals ``json.dumps(doc, indent=2, sort_keys=True)`` for
 every value a transcript can hold.  It writes each list of exact floats as
 one join over a per-document float-text memo (a plan's operator diagonals
-and post states repeat the same few values) and each list of exact ints
+repeat the same few values) and each list of exact ints
 over an int-text memo; it recurses in Python over dicts and over every
 other list, item by item.
 """
@@ -275,9 +278,7 @@ def majorization_section(report: MajorizationReport) -> dict:
 def chain_section(chain: IntermediateChain) -> dict:
     return {
         "m": chain.m,
-        "states": [list(s.squares) for s in chain.states],
         "layouts": [list(map(operator.mul, layout, layout)) for layout in chain.layouts],
-        "tilde_values": list(chain.tilde_values),
         "windows": [list(w) for w in chain.windows],
     }
 
@@ -288,7 +289,6 @@ def steps_section(plan: LadderPlan) -> list:
         out.append(
             {
                 "index": k,
-                "window": list(plan.chain.windows[k]),
                 "case": step.case_tag,
                 "pruned_count": step.pruned_count,
                 "branches": [
@@ -296,7 +296,6 @@ def steps_section(plan: LadderPlan) -> list:
                         "diag": list(br.op.diag),
                         "prob": br.prob,
                         "correction": list(br.correction),
-                        "post_state": list(br.post_state.squares),
                     }
                     for br in step.branches
                 ],

@@ -32,7 +32,7 @@ from locc_ladder.oracle import (
     apply_correction,
     apply_kraus,
 )
-from locc_ladder.schmidt import EPS_CMP, EPS_NORM, SchmidtVector
+from locc_ladder.schmidt import EPS_CMP, EPS_NORM
 from locc_ladder.solvers import DiagonalKraus, MeasurementStep, OutcomeBranch
 
 
@@ -265,18 +265,28 @@ def forced_chain_layout_squares(source_sq, target_sq, k):
     return list(source_sq[: p - 1]) + [tilde_sq] + list(target_sq[p:])
 
 
+def post_amps(branch, amps):
+    """The amplitudes branch leaves from amps, sorted: its operator applied,
+    over sqrt(prob), then relabelled by its correction.  The test-side
+    reference for the post state, which a branch does not hold."""
+    root = math.sqrt(branch.prob)
+    out = [0.0] * len(amps)
+    for j, (d, a) in enumerate(zip(branch.op.diag, amps)):
+        out[branch.correction[j]] = d * a / root
+    return sorted(out, reverse=True)
+
+
 def padded_block_step(step, block_src):
     """step, solved on the positive heads of block_src, padded to its
     dimension by hand: each dropped rank takes sqrt(prob) on every operator
-    and keeps its label, and each post state ends in the source's dropped
-    tail.  The block step embed_step must lift as it lifts step."""
+    and keeps its label.  The block step embed_step must lift as it lifts
+    step."""
     keep, m = step.branches[0].op.n, block_src.n
     branches = []
     for br in step.branches:
         diag = br.op.diag + tuple(math.sqrt(br.prob) for _ in range(keep, m))
         corr = br.correction + tuple(range(keep, m))
-        post = SchmidtVector(br.post_state.amps + block_src.amps[keep:])
-        branches.append(OutcomeBranch(DiagonalKraus(diag), br.prob, corr, post))
+        branches.append(OutcomeBranch(DiagonalKraus(diag), br.prob, corr))
     return MeasurementStep(tuple(branches), step.case_tag, step.pruned_count)
 
 

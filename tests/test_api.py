@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import locc_ladder
-from locc_ladder import IntermediateChain, LadderPlan, MeasurementStep, oracle
+from locc_ladder import IntermediateChain, LadderPlan, MeasurementStep, OutcomeBranch, oracle
 
 PUBLIC_NAMES = [
     "BlockTooLarge",
@@ -185,17 +185,17 @@ def test_sample_trajectories_signature_is_pinned():
     ]
 
 
-def test_intermediate_chain_fields_are_pinned():
-    # states is derived from layouts, not stored beside them.
-    assert [f.name for f in fields(IntermediateChain)] == ["layouts", "m", "tilde_values", "windows"]
-
-
 def test_plan_and_step_fields_are_pinned():
     # A plan's pair is its chain's first and last layouts, and step k's
-    # window and states are chain.windows[k] and chain.states[k], [k + 1]:
-    # none is stored twice.
+    # window and states are chain.windows[k] and chain.states[k], [k + 1].
+    # A chain's states are its layouts sorted, and each inserted
+    # coefficient an entry of the next layout; a branch's post state
+    # follows from its operator, probability and correction.  None is
+    # stored twice.
     assert [f.name for f in fields(LadderPlan)] == ["chain", "steps"]
+    assert [f.name for f in fields(IntermediateChain)] == ["layouts", "m", "windows"]
     assert [f.name for f in fields(MeasurementStep)] == ["branches", "case_tag", "pruned_count"]
+    assert [f.name for f in fields(OutcomeBranch)] == ["op", "prob", "correction"]
 
 
 def _module_tree(name):

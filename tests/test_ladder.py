@@ -25,12 +25,14 @@ from locc_ladder import (
     IntermediateChain,
     LadderInfeasible,
     LadderPlan,
+    MeasurementStep,
     NegativeEntry,
     NormalizationUnderflow,
     NotMajorized,
     NotNormalized,
     OmegaNotMajorizing,
     OmegaNotSorted,
+    OutcomeBranch,
     SchmidtVector,
     ZeroBlockNorm,
     choose_omega,
@@ -49,6 +51,7 @@ from locc_ladder import plan_full as _plan_full
 from locc_ladder.cli import main as cli_main
 from locc_ladder.errors import ChainInvariantViolated, LoccLadderError
 from locc_ladder.ladder import _chain_layouts, _chain_windows, _lift, _window_decompose
+from locc_ladder.oracle import TOLERANCES
 from locc_ladder.schmidt import amps_agree
 from locc_ladder.transcript import certificate_section, chain_section, steps_section
 
@@ -66,23 +69,25 @@ from helpers import (
     literal_schmidt_squares,
     outcome,
     padded_block_step,
+    post_amps,
     window_inequality_defect,
 )
 from sampling import random_feasible_pair
 
 
-def _lands_on(step, state):
-    """Whether every branch of step ends in state, within EPS_CMP."""
-    return all(amps_agree(br.post_state.amps, state.amps) for br in step.branches)
+def _lands_on(step, amps, state):
+    """Whether every branch of step, applied to amps, ends in state, within EPS_CMP."""
+    return all(amps_agree(post_amps(br, amps), state.amps) for br in step.branches)
 
 
 def plan_full(source, target):
     """plan_full, checking that every branch of step k lands on the chain's
     state k + 1, and the last step on the target."""
     plan = _plan_full(source, target)
+    layouts = plan.chain.layouts
     for k, step in enumerate(plan.steps):
-        assert _lands_on(step, plan.chain.states[k + 1])
-    assert _lands_on(plan.steps[-1], target)
+        assert _lands_on(step, layouts[k], plan.chain.states[k + 1])
+    assert _lands_on(plan.steps[-1], layouts[-2], target)
     return plan
 
 
@@ -190,7 +195,7 @@ class TestIntermediateChain:
         assert chain.states[1].squares == pytest.approx(
             (0.4, 0.4, 0.15, 0.05), abs=1e-12
         )
-        assert chain.tilde_values[0] ** 2 == pytest.approx(0.4, abs=1e-12)
+        assert chain.layouts[1][1] ** 2 == pytest.approx(0.4, abs=1e-12)
         assert chain.windows == ((1, 2, 3), (0, 1))
 
     def test_trivial(self):
@@ -200,7 +205,7 @@ class TestIntermediateChain:
         assert chain.states == (v, v)
 
     def test_states_are_the_layouts_sorted(self):
-        chain = IntermediateChain(((0.6, 0.8), (0.8, 0.6)), 2, (), ((0, 1),))
+        chain = IntermediateChain(((0.6, 0.8), (0.8, 0.6)), 2, ((0, 1),))
         assert chain.states == (SchmidtVector((0.8, 0.6)),) * 2
         assert chain.states is chain.states and chain.l == 1
 
@@ -226,7 +231,7 @@ class TestIntermediateChain:
         first = layout if len(layout) == 1 else (0.8, 0.6)
         window = tuple(range(len(layout)))
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            IntermediateChain((first, layout), 2, (), (window,))
+            IntermediateChain((first, layout), 2, (window,))
 
     @pytest.mark.parametrize("real", [np.float64, Fraction])
     def test_layouts_are_held_as_floats(self, real):
@@ -234,9 +239,9 @@ class TestIntermediateChain:
         # the float chain's.
         floats = ((0.6, 0.8), (0.8, 0.6))
         given = tuple(tuple(real(str(a)) for a in x) for x in floats)
-        chain = IntermediateChain(given, 2, (), ((0, 1),))
+        chain = IntermediateChain(given, 2, ((0, 1),))
         assert chain.layouts == floats and {type(a) for x in chain.layouts for a in x} == {float}
-        float_chain = IntermediateChain(floats, 2, (), ((0, 1),))
+        float_chain = IntermediateChain(floats, 2, ((0, 1),))
         assert json.dumps(chain_section(chain)) == json.dumps(chain_section(float_chain))
 
     @pytest.mark.parametrize("real", [Fraction, np.float32])
@@ -261,7 +266,7 @@ class TestIntermediateChain:
         # not sort, and a bool would be read as 1 or 0.
         message = f"^layout 1 entry {re.escape(repr(entry))} at index 0 is not a real number$"
         with pytest.raises(NegativeEntry, match=message):
-            IntermediateChain(((0.8, 0.6), (entry, 0.6)), 2, (), ((0, 1),))
+            IntermediateChain(((0.8, 0.6), (entry, 0.6)), 2, ((0, 1),))
 
     @pytest.mark.parametrize("layouts, windows", [(0, 0), (1, 1), (2, 0), (2, 2), (3, 1), (3, 4)])
     def test_one_window_per_link(self, n4_pair, layouts, windows):
@@ -270,7 +275,7 @@ class TestIntermediateChain:
         source, _ = n4_pair
         message = f"^{windows} windows for {layouts} layouts$"
         with pytest.raises(ChainInvariantViolated, match=message):
-            IntermediateChain((source.amps,) * layouts, 3, (), ((1, 2, 3),) * windows)
+            IntermediateChain((source.amps,) * layouts, 3, ((1, 2, 3),) * windows)
 
     @pytest.mark.parametrize(
         "window",
@@ -288,44 +293,20 @@ class TestIntermediateChain:
         source, _ = n4_pair
         message = rf"^index range {re.escape(str(window))} invalid for dimension 4$"
         with pytest.raises(IndexRangeInvalid, match=message):
-            IntermediateChain((source.amps, source.amps), 3, (), (window,))
-
-    @pytest.mark.parametrize(
-        "tilde, error, message",
-        [
-            (("x",), NegativeEntry, "tilde value 'x' at index 0"),
-            ((True,), NegativeEntry, "tilde value True at index 0"),
-            ((None,), NegativeEntry, "tilde value None at index 0"),
-            ((math.nan,), NegativeEntry, "tilde value nan at index 0"),
-            ((-0.5,), NegativeEntry, "tilde value -0.5 at index 0"),
-            ((10**400,), NegativeEntry, f"tilde value {10**400!r} at index 0"),
-            ((), IndexRangeInvalid, "0 tilde values for 2 links"),
-            ((0.5, 0.5), IndexRangeInvalid, "2 tilde values for 2 links"),
-        ],
-        ids=["str", "bool", "none", "nan", "negative", "int-beyond-float", "too-few", "too-many"],
-    )
-    def test_tilde_values_are_one_real_entry_per_link_but_the_last(self, n4_pair, tilde, error, message):
-        # They reach the transcript's chain section, typed there as floats.
-        source, _ = n4_pair
-        layouts, windows = (source.amps,) * 3, ((1, 2, 3), (0, 1))
-        with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            IntermediateChain(layouts, 3, tilde, windows)
-        for real in (0.5, np.float64(0.5), Fraction(1, 2), -0.0):
-            chain = IntermediateChain(layouts, 3, (real,), windows)
-            assert chain.tilde_values == (float(real),) and type(chain.tilde_values[0]) is float
+            IntermediateChain((source.amps, source.amps), 3, (window,))
 
     @pytest.mark.parametrize("m", [2.5, 1, True, np.float64(3), Fraction(3)])
     def test_block_size_is_an_integer_of_at_least_two(self, n4_pair, m):
         source, _ = n4_pair
         message = rf"^block size {re.escape(repr(m))} must be an integer >= 2$"
         with pytest.raises(BlockTooLarge, match=message):
-            IntermediateChain((source.amps, source.amps), m, (), ((1, 2, 3),))
+            IntermediateChain((source.amps, source.amps), m, ((1, 2, 3),))
 
     def test_block_size_and_window_indices_are_python_ints(self, n4_pair):
         # So that chain_section writes them (json refuses numpy integers).
         source, _ = n4_pair
         window = tuple(np.arange(1, 4))
-        chain = IntermediateChain((source.amps, source.amps), np.int64(3), (), (window,))
+        chain = IntermediateChain((source.amps, source.amps), np.int64(3), (window,))
         assert chain.m == 3 and chain.windows == ((1, 2, 3),)
         assert {type(chain.m)} | set(map(type, chain.windows[0])) == {int}
         assert intermediate_chain(*n4_pair, np.int64(3)) == intermediate_chain(*n4_pair, 3)
@@ -353,7 +334,7 @@ class TestIntermediateChain:
         for chain in chains:
             if isinstance(chain, InfeasibilityCertificate):
                 continue
-            fields = (chain.layouts, chain.m, chain.tilde_values, chain.windows)
+            fields = (chain.layouts, chain.m, chain.windows)
             checked = IntermediateChain(*fields)
             assert chain == checked and chain.states == checked.states
             assert {type(chain.m)} | {type(i) for w in chain.windows for i in w} == {int}
@@ -502,8 +483,6 @@ class TestGreatestFirstChain:
             )
 
 
-LANDING_MISSED = "^embedded branch does not reproduce the next layout$"
-
 # Squared coefficients whose first window, (1, 2, 3), ends in the source's
 # zero: its block is solved on the two positive heads, and the zero's rank
 # is carried through the lift untouched.
@@ -516,7 +495,6 @@ def _identity_chain(state, window, layouts=None):
     return IntermediateChain(
         layouts=layouts or (state.amps, state.amps),
         m=len(window),
-        tilde_values=(),
         windows=(tuple(window),),
     )
 
@@ -531,7 +509,7 @@ class TestEmbedStep:
         assert step.branches[0].op.diag == (1.0, 1.0, 1.0, 1.0)
         assert step.branches[0].prob == 1.0
         assert step.branches[0].correction == (0, 1, 2, 3)
-        assert _lands_on(step, chain.states[1])
+        assert _lands_on(step, chain.layouts[0], chain.states[1])
         assert chain.states == (source, source)
 
     def test_block_swap_becomes_full_swap(self, n4_pair):
@@ -543,7 +521,7 @@ class TestEmbedStep:
         step = plan.steps[0]
         assert plan.chain.windows[0] == (1, 2, 3)
         assert step.branches[2].correction == (0, 3, 2, 1)
-        assert _lands_on(step, chain.states[1])
+        assert _lands_on(step, chain.layouts[0], chain.states[1])
 
     def test_untouched_indices_carry_sqrt_prob(self, n4_pair):
         plan = plan_full(*n4_pair)
@@ -634,23 +612,31 @@ class TestEmbedStep:
             embed_step(trivial, _identity_chain(v, (2, 3)), 0)
 
     def test_block_target_must_match_the_next_layout(self, n4_pair):
+        # The lift does not check where a branch lands: verify_plan refuses
+        # the plan whose step 0 stays on layout 0.
         source, target = n4_pair
         chain = intermediate_chain(source, target, 3)
         block, _ = _window_decompose(chain.layouts[0], chain.windows[0])
-        with pytest.raises(ChainInvariantViolated, match=LANDING_MISSED):
-            embed_step(solve3(block, block), chain, 0)
+        steps = (embed_step(solve3(block, block), chain, 0), *_lift(chain)[1:])
+        report = verify_plan(LadderPlan(chain=chain, steps=steps))
+        assert not report.passed
+        missed = max(b.post_state_dev for b in report.step_checks[0].branch_checks)
+        assert missed > TOLERANCES["post_state"]
 
     @pytest.mark.parametrize("d", [1e-11, 1e-6, 1e-3])
-    def test_lift_refuses_a_link_that_moves_an_index_outside_its_window(self, n4_pair, d):
+    def test_verify_plan_judges_a_link_that_moves_an_index_outside_its_window(self, n4_pair, d):
         # Weight d moves from index 1 to index 0 of layout 1, which stays
-        # normalized; link 0's window is (1, 2, 3).
+        # normalized; link 0's window is (1, 2, 3).  The lift builds the
+        # plan, and verify_plan measures the move and refuses it beyond
+        # its tolerance.
         chain = intermediate_chain(*n4_pair, 3)
         sq = [a * a for a in chain.layouts[1]]
         sq[0], sq[1] = sq[0] + d, sq[1] - d
         moved = (chain.layouts[0], tuple(map(math.sqrt, sq)), chain.layouts[2])
-        bad = IntermediateChain(moved, chain.m, chain.tilde_values, chain.windows)
-        with pytest.raises(ChainInvariantViolated, match=LANDING_MISSED):
-            _lift(bad)
+        bad = IntermediateChain(moved, chain.m, chain.windows)
+        report = verify_plan(LadderPlan(chain=bad, steps=_lift(bad)))
+        assert report.max_deviation == pytest.approx(d, rel=1e-3)
+        assert report.passed == (d < TOLERANCES["post_state"])
 
     def test_a_window_head_off_by_rounding_lifts_and_verifies(self):
         # Layout 1's entry at index 2, the head of link 0's window (2, 3, 4)
@@ -666,7 +652,7 @@ class TestEmbedStep:
         layout[0] = math.sqrt(layout[0] ** 2 - (raised**2 - layout[2] ** 2))
         layout[2] = raised
         layouts = (chain.layouts[0], tuple(layout), chain.layouts[2])
-        nudged = IntermediateChain(layouts, chain.m, chain.tilde_values, chain.windows)
+        nudged = IntermediateChain(layouts, chain.m, chain.windows)
         assert verify_plan(LadderPlan(chain=nudged, steps=_lift(nudged))).passed
 
     @pytest.mark.parametrize(
@@ -874,7 +860,8 @@ class TestPlanFull:
         plan = plan_full(source, target)
         assert len(plan.steps) == 2
         for br in plan.steps[-1].branches:
-            assert br.post_state.squares == pytest.approx(target.squares, abs=1e-12)
+            squares = [a * a for a in post_amps(br, plan.chain.layouts[-2])]
+            assert squares == pytest.approx(target.squares, abs=1e-12)
 
     @pytest.mark.parametrize(
         "pair",
@@ -926,25 +913,25 @@ class TestPlanFull:
 # planner arithmetic only, no BLAS or LAPACK output, so the digests do not
 # depend on the machine.  A moved byte in the planner fails here.
 PLANNER_DIGESTS = [
-    ("dense-24", dense_pair(24), "3209aac6d125075115586f56688b9b5c867aa424c611b3ef35fc9e937b640ac3"),
-    ("dense-32", dense_pair(32), "81fa09e87852aca5180879385ef84f8cfa61fb353364db224da08ebfa4412eda"),
-    ("dense-48", dense_pair(48), "24ac76c9103395f55f936e257c0312a2b157ecba51f13f65417b874e41e72a42"),
-    ("dense-64", dense_pair(64), "e59859d469510178ef9f9fea2bbf450f72cd526735c4dbb497cca58b1a4ea55b"),
-    ("ties-4", DEGENERATE_PAIRS[0], "8a02d49133c209a1a7dd79619ac572d3291f3c2bb7e1af80f068584c0962b78c"),
-    ("ties-5", DEGENERATE_PAIRS[1], "755db8e1274c33c526bca7b65901be823dba2efd7a81b80149448dae52316e06"),
-    ("ties-6", DEGENERATE_PAIRS[2], "57a6e8fdea50961bfb4631e7484edc936ab928397ebae2c06f2d2cbe593e13ee"),
-    ("zero-tail-7", DEGENERATE_PAIRS[3], "2769ec1b34c83ffb3d4069002c1039316d27c6e6e2d39d792aec4d0b6088e155"),
-    ("tiny-6a", DEGENERATE_PAIRS[4], "b6bd5add734f1cf1dabd717b063e4cd1d346ced74756abbb51b5febae21ae905"),
-    ("tiny-6b", DEGENERATE_PAIRS[5], "2a49af894d6bb4edbf345c4094e503d59ebb3f75d2d1d22c4f00df4d995c9a4b"),
+    ("dense-24", dense_pair(24), "46c187a4e07a3add10cc3b1e68f39ed9063df6d832abaa03e18c72e172c6fb1b"),
+    ("dense-32", dense_pair(32), "b057a2dcf2976a45375a28414a8c7ec26a0faa0f3823426c220ae68cc783cfdb"),
+    ("dense-48", dense_pair(48), "740e6d2a36d852166e551da564c2a47b96f18f8dc016c354bb563c6b0296ae70"),
+    ("dense-64", dense_pair(64), "54077ca88374817423f0d6548672e52574582de9ebc86b74b68ff80c9ee288d4"),
+    ("ties-4", DEGENERATE_PAIRS[0], "280e3129397abfc0358d0183306e82fb49c754e88d082a2650a2cdab4f712758"),
+    ("ties-5", DEGENERATE_PAIRS[1], "57a2c7bbd83ee37413cd6004d6a9d289e848a44389dacc07eaf17ae4edacadd4"),
+    ("ties-6", DEGENERATE_PAIRS[2], "ff2c56dde7e36c99504b3f5ee9dd41e8e8fee4a8ffbec1dd787c18c70150f24b"),
+    ("zero-tail-7", DEGENERATE_PAIRS[3], "b9bc4c033abbec9d0b2bee1d4998a3a2a0ea0a5214bb6b18efa245a22bbc4516"),
+    ("tiny-6a", DEGENERATE_PAIRS[4], "87c94f44271b94f28c0ca80d1718e3f3ed717b46bcc9e3ff43a21b232aba47b2"),
+    ("tiny-6b", DEGENERATE_PAIRS[5], "f5857f2cc818bd0e6d1a232a6f62578950fda479b7ac0b2c1e7a258000b770ae"),
     (
         "zero-tail-block-4",
         ZERO_TAIL_BLOCK_PAIR,
-        "a2f615c73e45a248c5ce038231d5405743d6c8f761df38e12e07155d68f7d422",
+        "531b5def2fa6d48ed6fe03769b661938150f7ef409ce81f27765175e39eaf491",
     ),
     (
         "readme-n4",
         ([0.4, 0.3, 0.2, 0.1], [0.55, 0.25, 0.15, 0.05]),
-        "f4a379588f1a8b6b6e44e5bc510d15f78e5db538ead675019ed1de5b86f51d5f",
+        "4e1a3832688c8ff193e9e9675d4e4ff935239d6e9f310e3f1faadd8543717091",
     ),
 ]
 
@@ -957,6 +944,66 @@ def test_planner_bytes_are_pinned(pair, digest):
     doc = {"chain": chain_section(plan.chain), "steps": steps_section(plan)}
     text = json.dumps(doc, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _rebuilt(doc):
+    """The plan a plan transcript holds, through the public constructors
+    alone: the chain from the square roots of its layouts, its m and its
+    windows, and each branch from its diag, prob and correction."""
+    c = doc["chain"]
+    layouts = tuple(tuple(map(math.sqrt, x)) for x in c["layouts"])
+    chain = IntermediateChain(layouts, c["m"], tuple(map(tuple, c["windows"])))
+    steps = []
+    for s in doc["steps"]:
+        branches = tuple(
+            OutcomeBranch(DiagonalKraus(tuple(b["diag"])), b["prob"], tuple(b["correction"]))
+            for b in s["branches"]
+        )
+        steps.append(MeasurementStep(branches, s["case"], s["pruned_count"]))
+    return LadderPlan(chain=chain, steps=tuple(steps))
+
+
+def _nudge_prob(doc):
+    branch = max(doc["steps"][0]["branches"], key=lambda b: b["prob"])
+    branch["prob"] -= 1e-6
+
+
+def _nudge_diag(doc):
+    diag = max(doc["steps"][0]["branches"], key=lambda b: b["prob"])["diag"]
+    diag[diag.index(max(diag))] += 1e-6
+
+
+def _nudge_layout(doc):
+    # Moved from the largest other entry, so the layout stays normalized.
+    layout = doc["chain"]["layouts"][1]
+    j = max(range(1, len(layout)), key=layout.__getitem__)
+    layout[0], layout[j] = layout[0] + 1e-6, layout[j] - 1e-6
+
+
+def _swap_correction(doc):
+    # The two indices whose weights after the operator differ the most.
+    layout, branch = doc["chain"]["layouts"][0], doc["steps"][0]["branches"][0]
+    raw = [d * d * x for d, x in zip(branch["diag"], layout)]
+    i, j = raw.index(max(raw)), raw.index(min(raw))
+    corr = branch["correction"]
+    corr[i], corr[j] = corr[j], corr[i]
+
+
+@pytest.mark.parametrize("pair", [c[1] for c in PLANNER_DIGESTS], ids=[c[0] for c in PLANNER_DIGESTS])
+def test_a_plan_transcript_rebuilds_a_plan_that_verifies(pair):
+    # The transcript holds every fact a plan needs: the plan rebuilt from
+    # it alone verifies, and one fact changed by 1e-6 does not.
+    payload = json.dumps({"source": pair[0], "target": pair[1]})
+    stdout = io.StringIO()
+    argv = ["plan", "--squared", "--format", "machine"]
+    assert cli_main(argv, io.StringIO(payload), stdout, io.StringIO()) == 0
+    text = stdout.getvalue()
+    assert json.loads(text)["verification"]["passed"]
+    assert verify_plan(_rebuilt(json.loads(text))).passed
+    for tamper in (_nudge_prob, _nudge_diag, _nudge_layout, _swap_correction):
+        doc = json.loads(text)
+        tamper(doc)
+        assert not verify_plan(_rebuilt(doc)).passed, tamper.__name__
 
 
 DEMO_PAYLOADS = {
@@ -1007,7 +1054,7 @@ def test_chain_builders_outcomes_are_pinned():
     assert {"chain", "negative_coefficient", "rank_collapse", "link_not_majorized"} <= gf_kinds
     assert any(o[0] == "plan" for o in outcomes)
     text = json.dumps(outcomes, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == "af95d6a8d896fb7fb2ff556d5ecc61ba013d8dd1e002c5626669d3ab54851a58"
+    assert hashlib.sha256(text.encode()).hexdigest() == "95c4358e1bb76cf4c3d8612b4d20d3ec6c6d291afaff64d57f30039b7d578fc6"
 
 
 def test_per_index_fallback_plans_pinned_trials():

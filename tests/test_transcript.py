@@ -230,6 +230,18 @@ class TestSchema:
     def test_simulate_transcript_validates(self, n4_pair):
         jsonschema.validate(simulate_transcript(n4_pair).to_dict(), load_schema())
 
+    def test_chain_step_and_branch_write_exactly_the_required_fields(self, n4_pair):
+        # The schema is closed, so a section field the schema does not
+        # require, or a required one the section no longer writes, fails here.
+        props = load_schema()["properties"]
+        step_schema = props["steps"]["items"]
+        branch_schema = step_schema["properties"]["branches"]["items"]
+        plan = plan_full(*n4_pair)
+        step = steps_section(plan)[0]
+        assert sorted(chain_section(plan.chain)) == sorted(props["chain"]["required"])
+        assert sorted(step) == sorted(step_schema["required"])
+        assert sorted(step["branches"][0]) == sorted(branch_schema["required"])
+
     def test_check_transcript_validates(self, n4_pair):
         source, target = n4_pair
         t = Transcript(
