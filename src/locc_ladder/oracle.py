@@ -26,16 +26,17 @@ permutation matrix adds only exact zeros).  Both move batches of path
 prefixes as one array through one kernel (_scale, _relabel); the walk
 expands a batch by all of a step's branches in one pass, and keeps a path
 table on the runtime: each prefix's running branch sums, each path's
-deviation.  Trajectory sampling draws from per-shot
-counter-based streams, so a report depends only on (plan, shots, seed), in
-one thread, in blocks of shots whose streams are one Philox array.  One
+deviation.  Trajectory sampling draws from one counter-based Philox
+stream per seed, each shot at its own counter offset, so a report depends
+only on (plan, shots, seed), in one thread, in blocks of shots whose draws
+are one call to numpy's generator.  One
 intake (_sampler) picks the block walk: the shots descend the path table of
 a report that walked this very plan, or else walk chunks of distinct path
 prefixes a step at a time, so that shots sharing a prefix share its
 arithmetic; one choice rule serves both.  run_trajectory is the prefix walk
 over a block of one shot.  Every shot's
 draws, path and final deviation are bit-identical to walking that shot alone
-with numpy's own Philox stream, the reference the tests compare against.
+on its own numpy Philox generator, the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -304,7 +305,8 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     k + 1's, the same array with the same FullState check, so only the
     current pair is held.  Verifies per-index completeness, branch
     probabilities, post-correction states and reduced spectra against the
-    chain (_check_step): apply_kraus per branch, then literal matrix
+    chain's layouts, a layout's spectrum being its squares sorted
+    (_check_step): apply_kraus per branch, then literal matrix
     products stacked over the step's branches, with the values of the
     per-branch apply_kraus, apply_correction and reduced_spectrum.  A
     reduced density matrix that is exactly diagonal takes its sorted
@@ -336,8 +338,10 @@ def verify_plan(plan: LadderPlan, path_limit: int = 20000) -> VerificationReport
     for k, step in enumerate(plan.steps):
         psi = FullState(matrix)
         next_matrix = _diagonal(layouts[k + 1])
-        next_spectrum = np.asarray(plan.chain.states[k + 1].squares)
-        check = _check_step(k, step, *runtime.steps[k], psi, next_matrix, next_spectrum)
+        # The next layout's reduced spectrum: its squares, sorted descending.
+        squares = next_matrix.diagonal() ** 2
+        squares.sort()
+        check = _check_step(k, step, *runtime.steps[k], psi, next_matrix, squares[::-1])
         matrix = next_matrix
         for b in check.branch_checks:
             judged += ("prob", b.prob_dev), ("post_state", b.post_state_dev)
@@ -398,48 +402,20 @@ class FrequencyReport:
 # sampler's footprint at any shot count.
 SHOT_BLOCK = 1 << 13
 
-# Philox4x64-10 constants (Salmon et al., SC'11), as in numpy's Philox.
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-
-
-def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of a * b, from 32-bit halves."""
-    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
-    b_lo, b_hi = b & _LOW32, b >> _SHIFT32
-    lo_lo, lo_hi = a_lo * b_lo, a_lo * b_hi
-    hi_lo, hi_hi = a_hi * b_lo, a_hi * b_hi
-    mid = (lo_lo >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
-    hi = hi_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, a * b
-
 
 def _shot_draws(seed: int, first_shot: int, count: int, depth: int) -> np.ndarray:
     """Uniform draws of shots first_shot .. first_shot + count - 1, as rows.
 
-    Row s holds the first depth values of shot first_shot + s's stream,
-    np.random.Generator(np.random.Philox(key=(seed mod 2^64, shot))), bit
-    for bit: numpy's Philox increments its counter (c, 0, 0, 0) before each
-    block of four words, and maps a word to the double (word >> 11) * 2^-53.
-    All shots' blocks are computed at once, with uint64 arrays that wrap as
-    the C code does.
+    Every shot of a seed reads one stream, numpy's Philox keyed by seed mod
+    2^64, and shot s reads its ceil(depth / 4) four-word blocks after
+    counter s * ceil(depth / 4): row i holds the first depth of those
+    doubles for shot first_shot + i, the same in any block of shots.
     """
     blocks = -(-depth // 4)
-    k0 = np.full((count, 1), seed % (1 << 64), dtype=np.uint64)
-    k1 = np.arange(first_shot, first_shot + count, dtype=np.uint64)[:, None]
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (count, blocks))
-    c1 = c2 = c3 = np.zeros((count, blocks), dtype=np.uint64)
-    for r in range(10):
-        if r:
-            k0 = k0 + _PHILOX_W[0]
-            k1 = k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack([c0, c1, c2, c3], axis=2).reshape(count, 4 * blocks)
-    return (words[:, :depth] >> np.uint64(11)) * (1.0 / (1 << 53))
+    bitgen = np.random.Philox(key=seed % (1 << 64))
+    # advance refuses a numpy integer delta.
+    bitgen.advance(int(first_shot) * blocks)
+    return np.random.Generator(bitgen).random((count, 4 * blocks))[:, :depth]
 
 
 class _PlanRuntime:
@@ -807,7 +783,6 @@ def run_trajectory(plan: LadderPlan, seed: int, shot_index: int) -> TrajectoryRe
     """Sample one complete run through the plan: shot shot_index of
     sample_trajectories(plan, shots, seed), walked as a block of one shot."""
     seed = _integer("seed", seed)
-    # Philox keys the shot's stream with its index as one uint64 word.
     if not (_is_integer_kind(type(shot_index)) and 0 <= shot_index < 1 << 64):
         raise ValidationError(f"shot_index must be an integer in [0, 2**64), got {shot_index!r}")
     paths, _, dev = _sampler(plan)(_shot_draws(seed, shot_index, 1, len(plan.steps)))
@@ -826,10 +801,10 @@ def sample_trajectories(
 ) -> FrequencyReport:
     """Monte Carlo sample of plan executions.
 
-    Every shot owns its own counter-based stream, so identical (plan,
-    shots, seed) produce identical reports.  Shots go in blocks of
-    SHOT_BLOCK, and one pass computes a block's draws (_shot_draws).  The
-    block walk is _sampler's: when verified is verify_plan's report on this
+    Every shot owns its own counter range of the seed's Philox stream, so
+    identical (plan, shots, seed) produce identical reports.  Shots go in
+    blocks of SHOT_BLOCK, and one generator call draws a block
+    (_shot_draws).  The block walk is _sampler's: when verified is verify_plan's report on this
     very plan object and walked every branch path, the shots descend the
     path table on its _PlanRuntime (_descend) and touch no matrix;
     otherwise one walk over chunks of path prefixes (_sample_block)

@@ -200,14 +200,9 @@ def majorizes(source: SchmidtVector, target: SchmidtVector) -> MajorizationRepor
 
 
 def states_equal(a: SchmidtVector, b: SchmidtVector) -> bool:
-    """Whether two states agree in every squared coefficient within EPS_CMP."""
-    return amps_agree(a.squares, b.squares)
-
-
-def amps_agree(a: Sequence[float], b: Sequence[float]) -> bool:
-    """Whether a and b agree within EPS_CMP entry by entry, to the shorter
-    length; a NaN on either side disagrees."""
-    diffs = map(abs, map(operator.sub, a, b))
+    """Whether two states agree in every squared coefficient within EPS_CMP,
+    to the shorter length; a NaN on either side disagrees."""
+    diffs = map(abs, map(operator.sub, a.squares, b.squares))
     return all(map(operator.le, diffs, repeat(EPS_CMP)))
 
 

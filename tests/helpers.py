@@ -371,23 +371,25 @@ def literal_step_checks(plan):
     return tuple(step_checks)
 
 
-def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
-    """Counter-based stream for one shot, derived from the master seed."""
-    key = np.array([seed % (1 << 64), shot_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def shot_rng(seed: int, shot_index: int, depth: int) -> np.random.Generator:
+    """One shot's generator: numpy's Philox keyed by the seed mod 2**64 and
+    moved past the ceil(depth / 4) four-word blocks of every earlier shot."""
+    bitgen = np.random.Philox(key=seed % (1 << 64))
+    bitgen.advance(shot_index * -(-depth // 4))
+    return np.random.Generator(bitgen)
 
 
 def walk_one_shot(runtime, seed: int, shot_index: int) -> TrajectoryRecord:
     """Reference walk of one shot; sample_trajectories and run_trajectory
     must agree with it.
 
-    runtime is the plan's oracle._PlanRuntime.  The shot draws from
-    numpy's own Philox stream, adds each branch's probability in branch
+    runtime is the plan's oracle._PlanRuntime.  The shot draws from its
+    own numpy generator (shot_rng), adds each branch's probability in branch
     order, takes the first branch whose running sum exceeds its draw times
     the total (else the last), and makes one post state per step.
     """
-    rng = shot_rng(seed, shot_index)
-    draws = rng.random(len(runtime.steps))
+    depth = len(runtime.steps)
+    draws = shot_rng(seed, shot_index, depth).random(depth)
     psi = runtime.start
     path = []
     for k, (scales, invs) in enumerate(runtime.steps):

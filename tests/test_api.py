@@ -237,8 +237,13 @@ def test_oracle_takes_only_plan_data_from_the_planner():
         ("schmidt", "MAX_ORACLE_DIM"),
         ("schmidt", "_is_integer_kind"),
     }
-    imports = _package_imports(_module_tree("oracle"))
+    tree = _module_tree("oracle")
+    imports = _package_imports(tree)
     assert {(m, name) for m, name in imports if m != "errors"} <= allowed
+    # Nor what the planner derives from a plan: a chain's states are its
+    # layouts sorted, which the oracle sorts itself.
+    reads = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "states" not in reads
 
 
 _TYPE_RULE_NAMES = {("numbers", "Real"), ("numbers", "Integral"), ("np", "integer"), ("numpy", "integer")}

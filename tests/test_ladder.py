@@ -52,7 +52,7 @@ from locc_ladder.cli import main as cli_main
 from locc_ladder.errors import ChainInvariantViolated, LoccLadderError
 from locc_ladder.ladder import _chain_layouts, _chain_windows, _lift, _window_decompose
 from locc_ladder.oracle import TOLERANCES
-from locc_ladder.schmidt import amps_agree
+from locc_ladder.schmidt import EPS_CMP
 from locc_ladder.transcript import certificate_section, chain_section, steps_section
 
 from helpers import (
@@ -77,7 +77,10 @@ from sampling import random_feasible_pair
 
 def _lands_on(step, amps, state):
     """Whether every branch of step, applied to amps, ends in state, within EPS_CMP."""
-    return all(amps_agree(post_amps(br, amps), state.amps) for br in step.branches)
+    return all(
+        all(abs(x - y) <= EPS_CMP for x, y in zip(post_amps(br, amps), state.amps))
+        for br in step.branches
+    )
 
 
 def plan_full(source, target):

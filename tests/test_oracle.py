@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -389,17 +390,31 @@ N10_PAIR = (
 # A 16-step ladder pair whose 150 shots share some path prefixes.
 N32_PAIR = dense_pair(32)
 SEEDS = [0, 7, 2**63 + 5, 2**64 + 3, -1]
+DEPTHS = [1, 2, 5, 8, 16, 32]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("depth", [1, 2, 5, 8, 16])
-def test_batched_draws_equal_per_shot_streams(seed, depth):
-    """One Philox pass over a block of shots gives each shot's numpy stream;
-    depths past 4 cross Philox's four-word blocks."""
-    batched = _shot_draws(seed, 3, 40, depth)
-    per_shot = np.stack([shot_rng(seed, s).random(depth) for s in range(3, 43)])
+@pytest.mark.parametrize("depth", DEPTHS)
+@pytest.mark.parametrize("first", [3, 2**64 - 41])
+def test_batched_draws_equal_per_shot_streams(seed, depth, first):
+    """Row i of a block's draws is shot first + i drawn alone on its own
+    numpy generator, up to shot 2**64 - 1; depths past 4 cross Philox's
+    four-word blocks, so a shot's counter offset grows with ceil(depth / 4)."""
+    batched = _shot_draws(seed, first, 40, depth)
+    shots = range(first, first + 40)
+    per_shot = np.stack([shot_rng(seed, s, depth).random(depth) for s in shots])
     assert batched.dtype == np.float64
     assert np.array_equal(batched.view(np.uint64), per_shot.view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_shot_zero_reads_the_seed_keyed_stream_from_its_start(seed, depth):
+    # Shot 0 draws what it drew when each shot had its own key (seed, shot):
+    # the same key words and the same counters.
+    key = np.array([seed % 2**64, 0], dtype=np.uint64)
+    expected = np.random.Generator(np.random.Philox(key=key)).random(depth)
+    assert _shot_draws(seed, 0, 1, depth)[0].tobytes() == expected.tobytes()
 
 
 def _per_shot_runs(plan, seed, shots):
@@ -532,27 +547,35 @@ class TestSamplerChunks:
         assert report.match_rate < 1
         _assert_report_is_per_shot(report, bad, 7, 300)
 
-    def test_memory_stays_within_half_a_budget_per_step(self):
-        # A few chunks wait at each step, so the walk adds well under half
-        # of a 16384-entry budget of float64s per step (1 MiB here) to the
-        # peak of computing a block's draws; it adds about 0.3 MB.  Holding
-        # whole levels adds about 20 MB on this plan, and keeping a block's
-        # draws alive while the next block's are made adds 1 MB.  The bound
-        # is absolute, so that a larger SAMPLE_BATCH_ENTRIES cannot loosen it.
+    def test_memory_stays_within_half_a_budget_per_step(self, monkeypatch):
+        # A few chunks wait at each step, so the walk holds well under half
+        # of a 65536-entry budget of float64s per step; over 20,000 shots
+        # the run peaks at about 4.2 MB: the walk's about 3 MB and one
+        # block's draws, 1 MB (8192 shots at depth 16).  Holding whole
+        # levels adds about 20 MB on this plan, and keeping a block's draws
+        # alive while the next block is walked adds 1 MB.  The bound is
+        # absolute, so that a larger SAMPLE_BATCH_ENTRIES cannot loosen it.
         plan = _plan(N32_PAIR)
-        depth = len(plan.steps)
-        assert depth == 16
+        assert len(plan.steps) == 16
         sample_trajectories(plan, 10, 5)  # first-use allocations
+        # Each block's draws are freed before the next block's are drawn.
+        drawn, held = [], []
+
+        def draws(*args):
+            held.append(any(ref() is not None for ref in drawn))
+            out = _shot_draws(*args)
+            drawn.append(weakref.ref(out if out.base is None else out.base))
+            return out
+
+        monkeypatch.setattr(oracle, "_shot_draws", draws)
         tracemalloc.start()
         try:
-            _shot_draws(5, 0, oracle.SHOT_BLOCK, depth)
-            draws_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
             sample_trajectories(plan, 20000, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= draws_peak + 2**20
+        assert held == [False] * 3
+        assert peak <= 4.5 * 2**20
 
     def test_walk_memory_with_small_shot_blocks(self, monkeypatch):
         # Blocks of 256 shots make draws of 33 KB, so the peak is the walk's

@@ -2,6 +2,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from locc_ladder import (
     majorizes,
     validate,
 )
-from locc_ladder.schmidt import EPS_CMP, EPS_ZERO, amps_agree, states_equal
+from locc_ladder.schmidt import EPS_CMP, EPS_ZERO, states_equal
 
 from helpers import (
     float_bits,
@@ -263,8 +264,9 @@ class TestChecksEqualTheLiteralLoops:
         ((math.inf, 0.5), (math.inf, 0.5), False),
     ],
 )
-def test_amps_agree_and_nan_disagrees(a, b, agree):
-    assert amps_agree(a, b) is agree
+def test_states_equal_and_nan_disagrees(a, b, agree):
+    # Squares no SchmidtVector holds too, so NaN and inf reach the rule.
+    assert states_equal(SimpleNamespace(squares=a), SimpleNamespace(squares=b)) is agree
 
 
 class TestMajorizes:

@@ -15,6 +15,7 @@ from locc_ladder import (
     TWO_OUTCOME,
     DiagonalKraus,
     DimensionMismatch,
+    LoccLadderError,
     NegativeEntry,
     NotMajorized,
     SchmidtVector,
@@ -25,6 +26,8 @@ from locc_ladder import (
     solve3,
     validate,
 )
+from locc_ladder import ladder
+from locc_ladder.schmidt import EPS_CMP
 from locc_ladder.solvers import _clamp_prob, _cond, _solve3_case, completeness_defect
 
 from helpers import (
@@ -348,3 +351,79 @@ class TestChecksEqualTheLiteralLoops:
         for step in plan.steps:
             got, want = completeness_defect(step), literal_completeness_defect(step)
             assert float_bits([got]) == float_bits([want])
+
+
+def _exact_probs(case_tag, source, target):
+    """Each variant of a case's closed forms, evaluated exactly on the
+    solver's own float squares: per variant, {correction: (probability
+    clamped to [0, 1], the _cond bound _clamp_prob applies to it)}.
+    CASE_II and TWO_OUTCOME have two, for their per-index p2 retry."""
+    fs, ft = source.squares, target.squares
+    s, t = [tuple(map(Fraction, x)) for x in (fs, ft)]
+
+    def clamp(p):
+        return min(max(p, Fraction(0)), Fraction(1))
+
+    if case_tag == TWO_OUTCOME:
+        (s1, sb1), (s2, sb2) = s, t
+        (f1, fb1), (f2, fb2) = fs, ft
+        p1 = clamp((s1 - sb2) / (s2 - sb2)), _cond(f1, fb2, f2 - fb2)
+        retries = [
+            ((s2 - s1) / (s2 - sb2), _cond(f2, f1, f2 - fb2)),
+            ((sb1 - sb2) / (s2 - sb2), _cond(fb1, fb2, f2 - fb2)),
+        ]
+        return [{(0, 1): p1, (1, 0): (clamp(p2), c2)} for p2, c2 in retries]
+    (s1, sb1, sc1), (s2, sb2, sc2) = s, t
+    (f1, fb1, fc1), (f2, fb2, fc2) = fs, ft
+    if case_tag == CASE_I:
+        p2, c2 = clamp((sb1 - sb2) / (s2 - sb2)), _cond(fb1, fb2, f2 - fb2)
+        p3, c3 = clamp((sc1 - sc2) / (s2 - sc2)), _cond(fc1, fc2, f2 - fc2)
+        p1 = clamp(s1 / s2 - (sb2 / s2) * p2 - (sc2 / s2) * p3)
+        return [{(0, 1, 2): (p1, 1 + c2 + c3), (1, 0, 2): (p2, c2), (2, 1, 0): (p3, c3)}]
+    p3, c3 = clamp((sb2 - sb1) / (sb2 - sc2)), _cond(fb2, fb1, fb2 - fc2)
+    variants = []
+    for p2, c2 in [
+        ((s2 - s1) / (s2 - sc2), _cond(f2, f1, f2 - fc2)),
+        (((sc1 - sc2) + (sb1 - sb2)) / (s2 - sc2), _cond(fb1 + fc1, fb2 + fc2, f2 - fc2)),
+    ]:
+        p2 = clamp(p2)
+        p1 = clamp(s1 / s2 - (sc2 / s2) * p2 - p3)
+        variants.append({(0, 1, 2): (p1, 1 + c2 + c3), (2, 1, 0): (p2, c2), (0, 2, 1): (p3, c3)})
+    return variants
+
+
+def test_closed_form_probabilities_are_within_their_bound_of_the_exact_values(monkeypatch):
+    """Every solve3 and solve2 branch that planning random feasible pairs
+    builds has a probability within EPS_CMP times its formula's conditioning
+    bound of that formula's exact value on the same float squares: the
+    bound _clamp_prob refuses a negative probability by."""
+    built = []
+    for name in ("solve2", "solve3"):
+        solve = getattr(ladder, name)
+
+        def recording(source, target, solve=solve):
+            step = solve(source, target)
+            built.append((source, target, step))
+            return step
+
+        monkeypatch.setattr(ladder, name, recording)
+    rng = np.random.default_rng(20261022)
+    for i in range(600):
+        try:
+            plan_full(*random_feasible_pair(rng, 3 + i % 14))
+        except LoccLadderError:
+            pass
+    checked = 0
+    for source, target, step in built:
+        if step.case_tag == TRIVIAL:
+            continue
+        # A step may come from either of its case's p2 variants.
+        assert any(
+            all(
+                abs(Fraction(br.prob) - exact[br.correction][0]) <= EPS_CMP * exact[br.correction][1]
+                for br in step.branches
+            )
+            for exact in _exact_probs(step.case_tag, source, target)
+        ), (step.case_tag, source.squares, target.squares)
+        checked += len(step.branches)
+    assert checked > 1000
