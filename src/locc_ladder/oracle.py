@@ -487,9 +487,10 @@ PATH_BATCH_ENTRIES = 8192
 # n = 32, 256 at n = 16).  A few chunks wait at each step of the plan, so the
 # walk's memory grows with this times the plan's depth, whatever the shot
 # count.  Shots split into distinct prefixes within a few steps, so small
-# chunks pay numpy's per-call overhead many times over: at a quarter of this
-# budget an n = 32 plan makes three times as many chunk steps and samples
-# about 1.4 times slower, for about 1 MB less peak memory over 20,000 shots.
+# chunks pay numpy's per-call overhead many times over: over 20,000 shots of
+# an n = 32 plan, a quarter of this budget makes about four times as many
+# chunk steps and samples about 1.3 times slower, for 1.3 to 1.6 MB less
+# peak memory.
 SAMPLE_BATCH_ENTRIES = 65536
 
 
@@ -652,12 +653,15 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
     The second multiply stays: keeping every outcome's scaled chunk for the
     children holds G * branches matrices at once, and measured slower at
     n = 32 than scaling again the few prefixes that are taken.
-    Post states go back on the stack in chunks of at most
-    SAMPLE_BATCH_ENTRIES matrix entries, each its own array, so that a
-    pending chunk does not keep its siblings alive.  The arithmetic is that
-    of walking each shot alone, operation for operation, and results land
-    in per-shot and per-path arrays, so the order in which chunks are walked
-    does not matter.
+    Post states go back on the stack in as few parts as hold at most
+    SAMPLE_BATCH_ENTRIES matrix entries each, their sizes differing by at
+    most one, each its own array, so that a pending chunk does not keep its
+    siblings alive.  A chunk never gains prefixes further down, so a
+    remainder of a few prefixes beside full chunks would walk every later
+    step for a few shots, each step at a full chunk step's fixed cost.  The
+    arithmetic is that of walking each shot alone, operation for operation,
+    and results land in per-shot and per-path arrays, so the order in which
+    chunks are walked does not matter.
     """
     count, depth = draws.shape
     n = len(runtime.start)
@@ -698,15 +702,16 @@ def _sample_block(runtime: _PlanRuntime, draws: np.ndarray):
         child = slot[key]
         branch, rows = np.divmod(taken, g)
         edges = np.searchsorted(branch, range(len(scales) + 1)).tolist()
-        starts = range(0, len(taken), batch)
-        if len(starts) > 1:
-            # Shots sorted by child, so each chunk's shots are one slice.
+        # Even parts, so that no remainder of a few prefixes walks alone.
+        parts = -(-len(taken) // batch)
+        splits = [len(taken) * j // parts for j in range(parts + 1)]
+        if parts > 1:
+            # Shots sorted by child, so each part's shots are one slice.
             order = np.argsort(child)
             shots, child = shots[order], child[order]
-        cuts = np.searchsorted(child, [*starts, len(taken)]).tolist()
+        cuts = np.searchsorted(child, splits).tolist()
         gathers = _gather_indices(invs)
-        for j, lo in enumerate(starts):
-            hi = min(lo + batch, len(taken))
+        for j, (lo, hi) in enumerate(zip(splits, splits[1:])):
             kids = np.empty((hi - lo, n, n))
             for i, gather in enumerate(gathers):
                 a, b = max(lo, edges[i]), min(hi, edges[i + 1])

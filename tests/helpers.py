@@ -230,30 +230,48 @@ def _exact_majorized(a, b):
     return ahead[-1] == 0 and min(ahead) >= 0
 
 
-def exact_ladder_feasible(source_sq, target_sq):
-    """Whether the smallest-first ladder of 3-wide blocks exists, in exact
-    arithmetic over the planner's float squares.
+def _exact_chain(source_sq, target_sq):
+    """The smallest-first ladder of 3-wide blocks over the planner's float
+    squares, in exact arithmetic: source, intermediates, target.
 
     Each float square is taken as a Fraction and each vector renormalised
-    exactly.  The pair must be majorized; then intermediate k (k = 1, 2, ...
-    while its slot p = n - 1 - 2k is at least 1) keeps the source's first p
-    squares, puts the closing coefficient squared, sum(source[p:]) -
-    sum(target[p + 1:]), at p and copies the target after it.  A negative
-    closing coefficient is infeasible, and every link of source,
-    intermediates, target must be majorized with zero slack.
+    exactly.  Intermediate k (k = 1, 2, ... while its slot p = n - 1 - 2k
+    is at least 1) keeps the source's first p squares, puts the closing
+    coefficient squared, sum(source[p:]) - sum(target[p + 1:]), at p and
+    copies the target after it.
     """
     src, tgt = ([Fraction(x) for x in v] for v in (source_sq, target_sq))
     src, tgt = ([x / sum(v) for x in v] for v in (src, tgt))
-    if not _exact_majorized(src, tgt):
-        return False
     chain = [src]
     for p in range(len(src) - 3, 0, -2):
-        tilde = sum(src[p:]) - sum(tgt[p + 1 :])
-        if tilde < 0:
-            return False
-        chain.append(src[:p] + [tilde] + tgt[p + 1 :])
+        chain.append(src[:p] + [sum(src[p:]) - sum(tgt[p + 1 :])] + tgt[p + 1 :])
     chain.append(tgt)
+    return chain
+
+
+def exact_ladder_feasible(source_sq, target_sq):
+    """Whether the smallest-first ladder of 3-wide blocks exists, in exact
+    arithmetic over the planner's float squares (_exact_chain).
+
+    The pair must be majorized, no closing coefficient may be negative, and
+    every link of source, intermediates, target must be majorized with zero
+    slack.
+    """
+    chain = _exact_chain(source_sq, target_sq)
+    if not _exact_majorized(chain[0], chain[-1]):
+        return False
+    if any(min(state) < 0 for state in chain):
+        return False
     return all(_exact_majorized(a, b) for a, b in zip(chain, chain[1:]))
+
+
+def exact_link_margin(source_sq, target_sq, link, k):
+    """The exact tail margin at k (1-based) of _exact_chain's link from
+    state link to the next: the sum of the first state's squares from its
+    k-th largest on, less the next state's, which majorizes reports as
+    tail_margins[k - 1]."""
+    a, b = (sorted(v, reverse=True) for v in _exact_chain(source_sq, target_sq)[link : link + 2])
+    return sum(a[k - 1 :]) - sum(b[k - 1 :])
 
 
 def forced_chain_layout_squares(source_sq, target_sq, k):

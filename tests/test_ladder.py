@@ -62,6 +62,7 @@ from helpers import (
     dense_pair,
     dirichlet_swept_pair,
     exact_ladder_feasible,
+    exact_link_margin,
     float_bits,
     forced_chain_layout_squares,
     fsum_majorized,
@@ -1094,8 +1095,16 @@ def test_every_ladder_refusal_on_the_pinned_corpus_is_exactly_infeasible():
         try:
             _plan_full(source, target)
         except LadderInfeasible as exc:
-            kinds[exc.certificate.kind] += 1
+            cert = exc.certificate
+            kinds[cert.kind] += 1
             assert not exact_ladder_feasible(source.squares, target.squares), trial
+            if cert.kind == "link_not_majorized":
+                # The certificate's margin is the exact one, up to rounding.
+                exact = exact_link_margin(
+                    source.squares, target.squares, cert.step_index - 1, cert.failing_k
+                )
+                assert exact < 0, trial
+                assert abs(exact - Fraction(cert.margin)) <= 1e-15, trial
         except LoccLadderError:
             pass
     assert kinds == {"link_not_majorized": 170, "block_not_majorized": 2}

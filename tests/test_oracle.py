@@ -516,11 +516,13 @@ class TestSamplerChunks:
     matrix entries; neither where chunks split nor how many there are may
     change a report."""
 
-    @pytest.mark.parametrize("prefixes", [1, 2, 5])
+    @pytest.mark.parametrize("prefixes", [1, 2, 3, 5])
     @pytest.mark.parametrize(
         "pair", [N4_PAIR, N10_PAIR, N32_PAIR], ids=["n4", "n10", "n32"]
     )
-    def test_chunk_sizes_keep_the_per_shot_report(self, pair, prefixes, monkeypatch):
+    def test_chunk_sizes_keep_the_per_shot_report(
+        self, pair, prefixes, monkeypatch, chunk_parts
+    ):
         n = len(pair[0])
         monkeypatch.setattr(oracle, "SHOT_BLOCK", 64)
         monkeypatch.setattr(oracle, "SAMPLE_BATCH_ENTRIES", prefixes * n * n)
@@ -528,6 +530,12 @@ class TestSamplerChunks:
         for seed in (0, 2**64 + 3):
             report = sample_trajectories(plan, 150, seed)
             _assert_report_is_per_shot(report, plan, seed, 150)
+        # Each step's children go back in parts within the budget, whose
+        # sizes differ by at most one; at 3 prefixes some differ.
+        parts = [list(step.values()) for step in chunk_parts]
+        assert all(max(p) <= prefixes and max(p) - min(p) <= 1 for p in parts)
+        if prefixes == 3:
+            assert any(min(p) < max(p) for p in parts)
 
     def test_broken_operator_in_one_prefix_chunks(self, n4_pair, monkeypatch):
         monkeypatch.setattr(oracle, "SAMPLE_BATCH_ENTRIES", 16)
@@ -613,8 +621,8 @@ class TestSamplerChunks:
 
     def test_chunk_steps_are_few(self, monkeypatch):
         # Machine-independent guard on the chunk size: one _relabel per
-        # (chunk, branch taken).  It makes 47 calls at 64 prefixes a chunk
-        # and 133 at 16.
+        # (chunk, branch taken).  It makes 43 calls at 64 prefixes a chunk
+        # and 87 at 16.
         calls = []
         relabel = oracle._relabel
 
@@ -625,6 +633,24 @@ class TestSamplerChunks:
         monkeypatch.setattr(oracle, "_relabel", counted)
         sample_trajectories(_plan(N32_PAIR), 190, 5)
         assert len(calls) <= 60
+
+    def test_a_remainder_never_walks_alone(self, monkeypatch, sample_block_calls):
+        # Machine-independent guard on how a chunk step splits: one _choose
+        # per chunk step.  At 600 shots some steps take a few more (branch,
+        # prefix) pairs than the 64 a chunk holds; split as full chunks and
+        # a remainder, each remainder walks every later step for a shot or
+        # two, and the walk makes 37 chunk steps.  Even parts make 24.
+        calls = []
+        choose = oracle._choose
+
+        def counted(*args):
+            calls.append(1)
+            return choose(*args)
+
+        monkeypatch.setattr(oracle, "_choose", counted)
+        sample_trajectories(_plan(N32_PAIR), 600, 5)
+        assert sample_block_calls == [600]
+        assert len(calls) <= 24
 
 
 @pytest.fixture
@@ -655,6 +681,28 @@ def sample_block_calls(monkeypatch):
 
     monkeypatch.setattr(oracle, "_sample_block", counting)
     return calls
+
+
+@pytest.fixture
+def chunk_parts(monkeypatch):
+    """The parts of each chunk step of oracle._sample_block, as a dict of
+    sizes by array id, while _choose and _relabel are patched with
+    recording wrappers: a step's parts are the arrays its _relabel calls
+    write into."""
+    steps = []
+    choose, relabel = oracle._choose, oracle._relabel
+
+    def choosing(*args):
+        steps.append({})
+        return choose(*args)
+
+    def relabelling(out, prob, gather, dest):
+        steps[-1][id(dest.base)] = len(dest.base)
+        return relabel(out, prob, gather, dest)
+
+    monkeypatch.setattr(oracle, "_choose", choosing)
+    monkeypatch.setattr(oracle, "_relabel", relabelling)
+    return steps
 
 
 def _descent_equals_matrix_walk(plan, shots, seed, calls):
